@@ -5,7 +5,7 @@ Subcommands: `spectrum` (walk eigenphases vs dense diagonalization),
 (measured censuses plus formula estimates).  Output is deterministic for a
 fixed configuration and seed: sorted JSON keys, floats rounded to 12
 significant digits, no timestamps.  Exit codes: 0 success, 1 an acceptance
-threshold failed, 2 invalid input.
+threshold failed, 2 invalid input or out of memory.
 """
 from __future__ import annotations
 
@@ -335,6 +335,10 @@ def main(argv=None) -> int:
         text = render(payload, cfg.format)
     except (InputError, HamiltonianFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # exit 1 is reserved for a failed threshold
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 2
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:

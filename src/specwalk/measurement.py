@@ -25,7 +25,7 @@ from .hamiltonian import (
     interpolate,
     normalize,
 )
-from .pauli import PauliString, star
+from .pauli import PauliString, apply_pauli, star
 from .simulator import QuantumState, make_rng, states_equal_up_to_phase
 from .walk_core import WalkBundle, dressed_state
 
@@ -331,7 +331,7 @@ def verify_observable_recovery(bundle: WalkBundle, sigmas) -> list[dict]:
         g = gamma(sigma, rescaled)
         for k, block in enumerate(blocks):
             direct = float(
-                np.vdot(block.system_vector, _sigma_apply(sigma, block.system_vector)).real
+                np.vdot(block.system_vector, apply_pauli(block.system_vector, sigma)).real
             )
             for sign, vec in (("+", block.phi_plus), ("-", block.phi_minus)):
                 rec = {
@@ -360,12 +360,6 @@ def verify_observable_recovery(bundle: WalkBundle, sigmas) -> list[dict]:
                 rec["status"] = "pass" if rec["error"] <= 1e-9 else "fail"
                 records.append(rec)
     return records
-
-
-def _sigma_apply(sigma: PauliString, vec: np.ndarray) -> np.ndarray:
-    from .pauli import apply_pauli
-
-    return apply_pauli(vec, sigma)
 
 
 # --- sequential-measurement preparation ---------------------------------------

@@ -110,29 +110,9 @@ class PauliString:
         body = "".join(self.letter(q) for q in range(self.n_qubits))
         return _PHASE_PREFIX[self.phase_exp] + body
 
-    def support(self) -> tuple[int, ...]:
-        """Qubits carrying a non-identity letter, ascending."""
-        occ = self.x_bits | self.z_bits
-        return tuple(q for q in range(self.n_qubits) if (occ >> q) & 1)
-
     @property
     def weight(self) -> int:
         return (self.x_bits | self.z_bits).bit_count()
-
-    def compress(self) -> tuple["PauliString", tuple[int, ...]]:
-        """Restrict to the support; returns (word on support, support qubits).
-
-        An identity word compresses to a 1-qubit identity on qubit 0, keeping
-        the phase.
-        """
-        sup = self.support()
-        if not sup:
-            return PauliString(1, 0, 0, self.phase_exp), (0,)
-        x = z = 0
-        for i, q in enumerate(sup):
-            x |= ((self.x_bits >> q) & 1) << i
-            z |= ((self.z_bits >> q) & 1) << i
-        return PauliString(len(sup), x, z, self.phase_exp), sup
 
     def bare(self) -> "PauliString":
         """The same letters with phase +1."""
@@ -196,17 +176,49 @@ def to_matrix(p: PauliString) -> np.ndarray:
     return p.phase * reduce(np.kron, letters)
 
 
-def apply_pauli(vec: np.ndarray, p: PauliString) -> np.ndarray:
-    """Return p @ vec for a state vector of length 2**n, without the matrix.
+def view_action(
+    p: PauliString, axes: tuple[int, ...], ndim: int
+) -> tuple[tuple[tuple, ...], tuple[int, ...], complex]:
+    """Precomputed in-place action of `p` on a (2,)*ndim tensor view whose
+    axis ``axes[q]`` carries word position ``q``.
 
-    Uses P = i^(phase_exp + popcount(x&z)) * X^x Z^z, whose action on a basis
-    state |b> is a bit flip by x and a sign (-1)^popcount(z & b).
+    Uses P = i^(phase_exp + popcount(x&z)) * X^x Z^z: Z^z negates the slice
+    where a Z axis reads 1, X^x reverses every X axis.  Returns (sign
+    slices, flip axes, coefficient) for `apply_view_action`.  Every slice
+    ends in an Ellipsis, so it is a view even when it fixes every axis.
     """
-    dim = 1 << p.n_qubits
-    if vec.shape != (dim,):
-        raise PauliWidthError(f"vector length {vec.shape} does not match 2**{p.n_qubits}")
-    idx = np.arange(dim, dtype=np.uint64)
-    src = idx ^ np.uint64(p.x_bits)
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(p.z_bits)) % 2)
+    signs, flips = [], []
+    for q, axis in enumerate(axes):
+        if (p.z_bits >> q) & 1:
+            idx = [slice(None)] * ndim
+            idx[axis] = 1
+            signs.append((*idx, Ellipsis))
+        if (p.x_bits >> q) & 1:
+            flips.append(axis)
     coef = _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
-    return coef * signs * vec[src]
+    return tuple(signs), tuple(flips), coef
+
+
+def apply_view_action(view: np.ndarray, action) -> None:
+    """Apply a `view_action` result to `view` in place."""
+    signs, flips, coef = action
+    for idx in signs:
+        view[idx] *= -1
+    if flips:
+        # numpy buffers the overlapping reversed view before writing back
+        if coef == 1:
+            view[...] = np.flip(view, flips)
+        else:
+            np.multiply(np.flip(view, flips), coef, out=view)
+    elif coef != 1:
+        view *= coef
+
+
+def apply_pauli(vec: np.ndarray, p: PauliString) -> np.ndarray:
+    """Return p @ vec for a state vector of length 2**n, without the matrix."""
+    n = p.n_qubits
+    if vec.shape != (1 << n,):
+        raise PauliWidthError(f"vector length {vec.shape} does not match 2**{n}")
+    out = np.array(vec, dtype=complex)
+    apply_view_action(out.reshape((2,) * n), view_action(p, tuple(range(n - 1, -1, -1)), n))
+    return out

@@ -5,11 +5,32 @@ vector in place and preserves the norm.  Measurements come in two modes:
 `analyze` returns outcome probabilities and both renormalized posteriors
 without consuming randomness; `sample` draws one outcome from an explicit
 counter-based generator.  No global randomness anywhere.
+
+Gate kernel.  A gate acts on strided views of ``vec.reshape((2,) * total)``,
+where qubit ``q`` is axis ``total - 1 - q`` and each control value is fixed
+by basic indexing, so no gate copies or transposes the whole vector:
+
+- a Pauli word (X, Z, CNOT and Toffoli included) negates the slice where
+  each Z axis reads 1, reverses its X axes with `np.flip` and multiplies by
+  its scalar power of i (`pauli.view_action`, shared with `expectation`
+  and `pauli.apply_pauli`);
+- SWAP and CSWAP exchange the |10> and |01> slices of their two qubits;
+- MCZ, S, T, their adjoints, z rotations and GPHASE multiply slices by a
+  scalar;
+- H, x/y rotations, FANOUT (on the |10> and |01> slices) and each non-zero
+  MROT angle mix two slices by a 2x2 matrix.
+
+`_plan` compiles a gate into these steps once per (gate, total qubits) and
+keeps the most recent ones in a bounded cache.  A plan holds only index
+tuples, axis numbers and matrix entries, never an amplitude-sized array.
+Every index ends in an Ellipsis, so it yields a writable view even when it
+fixes every axis (an all-integer index would return a scalar copy).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +53,7 @@ from .circuits import (
     Gate,
     RegisterLayout,
 )
-from .pauli import PauliString, apply_pauli, to_matrix
+from .pauli import PauliString, apply_view_action, view_action
 
 SIMULATION_QUBIT_CAP = 22
 
@@ -44,10 +65,7 @@ _FIXED_1Q = {
     T: np.diag([1, np.exp(1j * math.pi / 4)]),
     TDG: np.diag([1, np.exp(-1j * math.pi / 4)]),
 }
-# two-qubit fixed matrices, local index = bit(qubits[0]) + 2*bit(qubits[1])
-_SWAP_MAT = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+_X = PauliString.single(1, 0, "X")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -73,42 +91,98 @@ def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
 
 
 def _fanout_matrix(angle: float) -> np.ndarray:
-    # Givens rotation in the one-hot subspace span{|01>, |10>}; angle=pi/4
-    # realizes |1,0> -> (|1,0> + |0,1>)/sqrt(2) with real amplitudes.
+    # Givens rotation on (|10>, |01>) of (src, dst); angle=pi/4 realizes
+    # |1,0> -> (|1,0> + |0,1>)/sqrt(2) with real amplitudes.
     c, s = math.cos(angle), math.sin(angle)
-    return np.array(
-        [[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]], dtype=complex
-    )
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _apply_matrix(vec, total, qubits, mat, controls=()):
-    """Apply `mat` on `qubits` (qubits[0] = least-significant local bit),
-    restricted to the slice where each (qubit, value) control matches."""
-    ten = vec.reshape((2,) * total)
+# --- kernel steps: each takes the (2,)*total tensor first -----------------------
+
+
+def _scale(ten, idx, factor):
+    ten[idx] *= factor
+
+
+def _pauli(ten, idx, action):
+    apply_view_action(ten[idx], action)
+
+
+def _swap(ten, lo, hi):
+    a, b = ten[lo], ten[hi]
+    old_a = a.copy()
+    a[...] = b
+    b[...] = old_a
+
+
+def _mix(ten, lo, hi, m00, m01, m10, m11):
+    """(a, b) <- (m00 a + m01 b, m10 a + m11 b) on the slices lo and hi."""
+    a, b = ten[lo], ten[hi]
+    new_a = a * m00
+    new_a += m01 * b
+    b *= m11
+    b += m10 * a
+    a[...] = new_a
+
+
+def _index(total: int, values) -> tuple:
+    """Basic index fixing each (qubit, bit) in `values`; always a view."""
     idx = [slice(None)] * total
-    ctrl_set = set()
-    for q, v in controls:
+    for q, v in values:
         idx[total - 1 - q] = v
-        ctrl_set.add(q)
-    sub = ten[tuple(idx)]
-    remaining = [q for q in range(total - 1, -1, -1) if q not in ctrl_set]
-    pos = {q: i for i, q in enumerate(remaining)}
-    k = len(qubits)
-    src = [pos[q] for q in reversed(qubits)]  # most-significant local bit first
-    dest = list(range(sub.ndim - k, sub.ndim))
-    moved = np.moveaxis(sub, src, dest)
-    shape = moved.shape
-    flat = moved.reshape(-1, 1 << k)
-    out = flat @ mat.T
-    ten[tuple(idx)] = np.moveaxis(out.reshape(shape), dest, src)
+    return (*idx, Ellipsis)
 
 
-def _apply_phase_slice(vec, total, qubit_values, factor):
-    ten = vec.reshape((2,) * total)
-    idx = [slice(None)] * total
-    for q, v in qubit_values:
-        idx[total - 1 - q] = v
-    ten[tuple(idx)] *= factor
+def _matrix_steps(total, lo_values, hi_values, mat) -> list:
+    """Steps applying the 2x2 `mat` to the slices (lo, hi); a diagonal
+    matrix becomes at most two scalar multiplies."""
+    (m00, m01), (m10, m11) = (tuple(complex(v) for v in row) for row in mat)
+    lo, hi = _index(total, lo_values), _index(total, hi_values)
+    if m01 == 0 and m10 == 0:
+        return [(_scale, idx, m) for idx, m in ((lo, m00), (hi, m11)) if m != 1]
+    return [(_mix, lo, hi, m00, m01, m10, m11)]
+
+
+@lru_cache(maxsize=4096)
+def _plan(gate: Gate, total: int) -> tuple:
+    """The gate as a tuple of kernel steps `(fn, *args)` on `total` qubits."""
+    kind = gate.kind
+    on = tuple((q, 1) for q in gate.controls)
+    if kind in (PAULI, TOFFOLI):
+        word = gate.pauli if kind == PAULI else _X
+        free = [q for q in range(total - 1, -1, -1) if q not in gate.controls]
+        axes = tuple(free.index(q) for q in gate.qubits)
+        return ((_pauli, _index(total, on), view_action(word, axes, len(free))),)
+    if kind == MCZ:
+        return ((_scale, _index(total, on + tuple((q, 1) for q in gate.qubits)), -1.0),)
+    if kind == GPHASE:
+        return ((_scale, _index(total, on), complex(np.exp(1j * gate.angle))),)
+    if kind in (SWAP, CSWAP, FANOUT):
+        a, b = gate.qubits
+        lo, hi = on + ((a, 1), (b, 0)), on + ((a, 0), (b, 1))
+        if kind == FANOUT:
+            return tuple(_matrix_steps(total, lo, hi, _fanout_matrix(gate.angle)))
+        return ((_swap, _index(total, lo), _index(total, hi)),)
+    if kind == MROT:
+        (target,) = gate.qubits
+        d = len(gate.controls)
+        steps = []
+        for p, angle in enumerate(gate.angles):
+            if angle == 0.0:
+                continue
+            sel = tuple((q, (p >> (d - 1 - i)) & 1) for i, q in enumerate(gate.controls))
+            steps += _matrix_steps(
+                total, sel + ((target, 0),), sel + ((target, 1),), _rotation_matrix("y", angle)
+            )
+        return tuple(steps)
+    if kind in _FIXED_1Q:
+        mat = _FIXED_1Q[kind]
+    elif kind == ROT:
+        mat = _rotation_matrix(gate.axis, gate.angle)
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    (target,) = gate.qubits
+    return tuple(_matrix_steps(total, on + ((target, 0),), on + ((target, 1),), mat))
 
 
 @dataclass
@@ -158,54 +232,10 @@ class QuantumState:
     # --- unitary application ---------------------------------------------
     def apply(self, gate: Gate) -> "QuantumState":
         total = self.layout.total_qubits
-        kind = gate.kind
-        ctrl = tuple((q, 1) for q in gate.controls)
-        if kind in _FIXED_1Q:
-            _apply_matrix(self.vec, total, gate.qubits, _FIXED_1Q[kind], ctrl)
-        elif kind == ROT:
-            _apply_matrix(
-                self.vec, total, gate.qubits, _rotation_matrix(gate.axis, gate.angle), ctrl
-            )
-        elif kind == MROT:
-            d = len(gate.controls)
-            for p, angle in enumerate(gate.angles):
-                if angle == 0.0:
-                    continue
-                sel = tuple(
-                    (q, (p >> (d - 1 - i)) & 1) for i, q in enumerate(gate.controls)
-                )
-                _apply_matrix(
-                    self.vec, total, gate.qubits, _rotation_matrix("y", angle), sel
-                )
-        elif kind == PAULI:
-            self._apply_pauli_gate(gate)
-        elif kind in (SWAP, CSWAP):
-            _apply_matrix(self.vec, total, gate.qubits, _SWAP_MAT, ctrl)
-        elif kind == TOFFOLI:
-            x = to_matrix(PauliString.single(1, 0, "X"))
-            _apply_matrix(self.vec, total, gate.qubits, x, ctrl)
-        elif kind == FANOUT:
-            _apply_matrix(self.vec, total, gate.qubits, _fanout_matrix(gate.angle), ctrl)
-        elif kind == MCZ:
-            _apply_phase_slice(self.vec, total, tuple((q, 1) for q in gate.qubits), -1.0)
-        elif kind == GPHASE:
-            self.vec *= np.exp(1j * gate.angle)
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
+        ten = self.vec.reshape((2,) * total)
+        for fn, *args in _plan(gate, total):
+            fn(ten, *args)
         return self
-
-    def _apply_pauli_gate(self, gate: Gate) -> None:
-        total = self.layout.total_qubits
-        word, sup = gate.pauli.compress()
-        if gate.pauli.is_identity:
-            if gate.pauli.phase != 1:  # (controlled) global sign
-                _apply_phase_slice(
-                    self.vec, total, tuple((q, 1) for q in gate.controls), gate.pauli.phase
-                )
-            return
-        targets = tuple(gate.qubits[i] for i in sup)
-        ctrl = tuple((q, 1) for q in gate.controls)
-        _apply_matrix(self.vec, total, targets, to_matrix(word), ctrl)
 
     def apply_circuit(self, circuit: Circuit) -> "QuantumState":
         before = self.norm
@@ -225,9 +255,13 @@ class QuantumState:
         targets = qubits if qubits is not None else self.layout.system
         if sigma.n_qubits != len(targets):
             raise ValueError("operator width does not match the target register")
-        shifted = self.copy()
-        shifted._apply_pauli_gate(Gate.pauli_word(sigma, tuple(targets)))
-        val = np.vdot(self.vec, shifted.vec)
+        if sigma.phase_exp % 2:
+            raise ValueError(f"expectation of a non-Hermitian word: {sigma.label()}")
+        total = self.layout.total_qubits
+        shifted = self.vec.copy()
+        axes = tuple(total - 1 - q for q in targets)
+        apply_view_action(shifted.reshape((2,) * total), view_action(sigma, axes, total))
+        val = np.vdot(self.vec, shifted)
         if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
             raise ValueError(f"expectation of a non-Hermitian word: {val}")
         return float(val.real)

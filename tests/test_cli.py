@@ -165,3 +165,18 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    import specwalk.cli as cli
+
+    def exhausted(cfg):
+        raise MemoryError("cannot allocate the invariant blocks")
+
+    monkeypatch.setattr(cli, "run_spectrum", exhausted)
+    code, out = run_cli(["spectrum", "--model", "tfim", "--n", "2"])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err

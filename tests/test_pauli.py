@@ -104,14 +104,11 @@ def test_apply_pauli_matches_matrix():
     for _ in range(10):
         p = PauliString(3, int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(4)))
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        before = v.copy()
         assert np.allclose(apply_pauli(v, p), to_matrix(p) @ v, atol=1e-12)
-
-
-def test_compress_preserves_action():
-    p = P("-IXIZ")
-    word, support = p.compress()
-    assert support == (1, 3)
-    assert word.label() == "-XZ"
+        assert np.array_equal(v, before)  # the input is not touched
+    with pytest.raises(PauliWidthError):
+        apply_pauli(np.ones(4, dtype=complex), P("XYZ"))
 
 
 def test_phase_validation():

@@ -299,3 +299,170 @@ def test_build_reflection_named_op():
     bundle = sw.binary_walk(r)
     refl = build_reflection(bundle.prepare)
     assert [g.kind for g in refl.gates] == [g.kind for g in bundle.reflect.gates]
+
+
+# --- differential kernel test against dense matrices ------------------------------
+#
+# The reference matrices below are built here from np.kron and projectors; they
+# share no code with the simulator's kernel.
+
+_E = {(i, j): np.outer(np.eye(2)[i], np.eye(2)[j]).astype(complex) for i in (0, 1) for j in (0, 1)}
+_PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_PHASE_1Q = {"s": 1j, "sdg": -1j, "t": np.exp(0.25j * math.pi), "tdg": np.exp(-0.25j * math.pi)}
+
+
+def _kron_on(n, factors):
+    """kron over qubits n-1..0 (qubit 0 least significant), identity elsewhere."""
+    out = np.ones((1, 1), dtype=complex)
+    for q in range(n - 1, -1, -1):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def _lift(n, qubits, local, controls=()):
+    """Dense matrix of `local` on `qubits` (local bit i = qubits[i]), applied
+    where every control reads 1 and the identity elsewhere."""
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    proj = {c: _E[1, 1] for c in controls}
+    for i in range(local.shape[0]):
+        for j in range(local.shape[1]):
+            if local[i, j] != 0:
+                factors = {q: _E[(i >> t) & 1, (j >> t) & 1] for t, q in enumerate(qubits)}
+                out += local[i, j] * _kron_on(n, {**proj, **factors})
+    if controls:
+        out += np.eye(1 << n) - _kron_on(n, proj)
+    return out
+
+
+def _rot(axis, angle):
+    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * _PAULI_1Q[axis.upper()]
+
+
+def _reference(gate, n):
+    kind, qs, cs = gate.kind, gate.qubits, gate.controls
+    if kind == "h":
+        return _lift(n, qs, _H, cs)
+    if kind in _PHASE_1Q:
+        return _lift(n, qs, np.diag([1, _PHASE_1Q[kind]]), cs)
+    if kind in ("swap", "cswap"):
+        return _lift(n, qs, np.eye(4)[[0, 2, 1, 3]], cs)
+    if kind == "toffoli":
+        return _lift(n, qs, _PAULI_1Q["X"], cs)
+    if kind == "pauli":
+        word = np.ones((1, 1), dtype=complex)
+        for i in range(len(qs)):  # word position i is local bit i
+            word = np.kron(_PAULI_1Q[gate.pauli.letter(i)], word)
+        return _lift(n, qs, gate.pauli.phase * word, cs)
+    if kind == "fanout":
+        c, s = math.cos(gate.angle), math.sin(gate.angle)
+        local = np.eye(4, dtype=complex)
+        local[1:3, 1:3] = [[c, -s], [s, c]]  # |src=1,dst=0>, |src=0,dst=1>
+        return _lift(n, qs, local, cs)
+    if kind == "mcz":
+        return np.eye(1 << n) - 2 * _kron_on(n, {q: _E[1, 1] for q in qs})
+    if kind == "rot":
+        return _lift(n, qs, _rot(gate.axis, gate.angle), cs)
+    if kind == "mrot":
+        d = len(cs)
+        out = np.zeros((1 << n, 1 << n), dtype=complex)
+        for p, angle in enumerate(gate.angles):  # cs[0] is the most significant bit
+            sel = {c: _E[b, b] for c, b in ((c, (p >> (d - 1 - i)) & 1) for i, c in enumerate(cs))}
+            rot = {qs[0]: _rot("y", angle)}
+            out += _kron_on(n, {**sel, **rot})
+        return out
+    if kind == "gphase":
+        return np.exp(1j * gate.angle) * np.eye(1 << n)
+    raise AssertionError(kind)
+
+
+_ANGLES = st.floats(-4, 4, allow_nan=False)
+
+
+def _draw_pauli(q, d):
+    n_ctrl = d(st.integers(0, min(3, len(q) - 1)))
+    width = d(st.integers(1, len(q) - n_ctrl))
+    word = PauliString(
+        width, d(st.integers(0, (1 << width) - 1)), d(st.integers(0, (1 << width) - 1)),
+        d(st.sampled_from((0, 2))),
+    )
+    return Gate.pauli_word(word, q[n_ctrl: n_ctrl + width], q[:n_ctrl])
+
+
+def _draw_mrot(q, d):
+    n_sel = d(st.integers(0, min(3, len(q) - 1)))
+    angles = d(st.lists(st.sampled_from((0.0, 0.3, -1.2, 2.5)) | _ANGLES,
+                        min_size=1 << n_sel, max_size=1 << n_sel))
+    return Gate.multiplexed_ry(q[n_sel], q[:n_sel], angles)
+
+
+# kind -> (qubits the gate needs, builder from (shuffled qubits, draw))
+_BUILDERS = {
+    "h": (1, lambda q, d: Gate.h(q[0])),
+    "s": (1, lambda q, d: Gate.s(q[0])),
+    "sdg": (1, lambda q, d: Gate.s(q[0]).inverse()),
+    "t": (1, lambda q, d: Gate.t(q[0])),
+    "tdg": (1, lambda q, d: Gate.t(q[0]).inverse()),
+    "swap": (2, lambda q, d: Gate.swap(q[0], q[1])),
+    "pauli": (1, _draw_pauli),
+    "toffoli": (3, lambda q, d: Gate.toffoli(q[0], q[1], q[2])),
+    "cswap": (3, lambda q, d: Gate.cswap(q[0], q[1], q[2])),
+    "fanout": (2, lambda q, d: Gate.fanout(q[0], q[1], adjoint=d(st.booleans()))),
+    "mcz": (1, lambda q, d: Gate.mcz(q[: d(st.integers(1, len(q)))])),
+    "rot": (1, lambda q, d: Gate.rot(
+        d(st.sampled_from("xyz")), d(_ANGLES), q[0], q[1: 1 + d(st.integers(0, min(1, len(q) - 1)))]
+    )),
+    "mrot": (1, _draw_mrot),
+    "gphase": (0, lambda q, d: Gate.global_phase(d(_ANGLES))),
+}
+
+
+def _check_against_reference(gate, n, vec):
+    state = QuantumState(plain_layout(n), vec.copy())
+    buffer = state.vec
+    state.apply(gate)
+    assert state.vec is buffer  # mutated in place
+    want = _reference(gate, n) @ vec
+    assert np.max(np.abs(state.vec - want)) < 1e-12, gate
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_every_gate_kind_matches_dense_reference(data):
+    kind = data.draw(st.sampled_from(sorted(_BUILDERS)))
+    needed, build = _BUILDERS[kind]
+    n = data.draw(st.integers(max(1, needed), 6))
+    qubits = data.draw(st.permutations(range(n)))
+    gate = build(qubits, data.draw)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    _check_against_reference(gate, n, vec / np.linalg.norm(vec))
+
+
+@pytest.mark.parametrize(
+    "n, gate",
+    [
+        (1, Gate.s(0)),
+        (1, Gate.t(0).inverse()),
+        (1, Gate.mcz((0,))),
+        (1, Gate.z(0)),
+        (2, Gate.swap(0, 1)),
+        (2, Gate.fanout(1, 0)),
+        (2, Gate.mcz((1, 0))),
+        (2, Gate.rot("z", 0.7, 0, (1,))),
+        (2, Gate.multiplexed_ry(0, (1,), [0.4, -0.9])),
+        (2, Gate.pauli_word(PauliString.from_label("Z"), (0,), (1,))),
+        (3, Gate.cswap(2, 0, 1)),
+        (3, Gate.pauli_word(PauliString.from_label("-I"), (0,), (1, 2))),
+        (3, Gate.mcz((0, 1, 2))),
+    ],
+)
+def test_gates_fixing_every_axis_still_write(n, gate):
+    """Slices that fix every axis of the register must still be written."""
+    vec = np.arange(1, (1 << n) + 1) * np.exp(0.3j * np.arange(1 << n))
+    _check_against_reference(gate, n, vec / np.linalg.norm(vec))
