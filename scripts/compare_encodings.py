@@ -8,8 +8,6 @@ exactly and the spectra are cross-checked on the fly.
 """
 import argparse
 
-import numpy as np
-
 from specwalk import (
     CostModel,
     CostQuery,
@@ -33,16 +31,15 @@ def main():
     ap.add_argument("--delta", type=float, default=1e-4)
     args = ap.parse_args()
 
-    for label, h, hybrid in (
-        (f"tfim n={args.n} (g=1, J=0.7)", tfim(args.n, 1.0, 0.7), False),
-        (f"long-range n={args.n} (alpha=2)", long_range_ising(args.n, 1.0, 2.0),
-         args.n & (args.n - 1) == 0),
+    for label, h in (
+        (f"tfim n={args.n} (g=1, J=0.7)", tfim(args.n, 1.0, 0.7)),
+        (f"long-range n={args.n} (alpha=2)", long_range_ising(args.n, 1.0, 2.0)),
     ):
         print(f"\n=== {label} ===")
         r = normalize(h)
         rep = walk_eigenphases(binary_walk(r))
         print(f"spectral check: max eigenphase error {rep.max_error:.2e}")
-        rows = encoding_table(h, with_hybrid=hybrid)
+        rows = encoding_table(h)
         cols = ("encoding", "control_qubits", "rotations", "rotation_gates",
                 "third_level", "clifford")
         print("  ".join(f"{c:>14}" for c in cols))

@@ -25,15 +25,6 @@ class GateCensus:
     qubits: int = 0
 
     @property
-    def third_level(self) -> dict[str, int]:
-        return {
-            "toffoli": self.toffoli,
-            "t": self.t,
-            "fanout_sqrt_swap": self.fanout_sqrt_swap,
-            "controlled_swap": self.controlled_swap,
-        }
-
-    @property
     def third_level_total(self) -> int:
         return self.toffoli + self.t + self.fanout_sqrt_swap + self.controlled_swap
 

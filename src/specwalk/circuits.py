@@ -1,8 +1,8 @@
 """Gate records and circuits over a partitioned register.
 
 A gate record carries enough structure to be simulated exactly and to be
-costed by fault-tolerant tier.  The tier and census contribution are pure
-functions of the record:
+costed by fault-tolerant tier.  Its census contribution is a pure function
+of the record:
 
     Clifford     H, S/Sdg, SWAP, global phase, Pauli words with <= 1 control,
                  and multi-controlled Z with <= 1 control
@@ -14,6 +14,8 @@ functions of the record:
     rotation     single-qubit rotations (controlled or not) and multiplexed
                  rotations, which cost one generic rotation per nonzero angle
                  slot plus 2**d Cliffords of multiplexing for d select bits
+
+A circuit's census is the sum over its gates, taken each time it is read.
 
 Registers are laid out system-first: system qubits, then control, then
 ancilla workspace, then an optional phase-estimation qubit.
@@ -129,10 +131,6 @@ class Gate:
         return cls.pauli_word(PauliString.single(1, 0, "X"), (target,), (control,))
 
     @classmethod
-    def cz(cls, control, target):
-        return cls.pauli_word(PauliString.single(1, 0, "Z"), (target,), (control,))
-
-    @classmethod
     def swap(cls, a, b):
         return cls(SWAP, (a, b))
 
@@ -237,14 +235,6 @@ class Gate:
             return len(self.controls) - 1
         return 0
 
-    def tier(self) -> str:
-        c = self.census()
-        if c.rotations:
-            return "rotation"
-        if c.third_level_total:
-            return "third-level"
-        return "clifford"
-
     def rotation_magnitudes(self) -> tuple[float, ...]:
         """|angle| of every live rotation slot (synthesis units)."""
         if self.kind == ROT:
@@ -256,20 +246,18 @@ class Gate:
 
 @dataclass
 class Circuit:
-    """An ordered gate list with an incrementally maintained census.
+    """An ordered gate list over a register layout; each gate's qubits are
+    checked against the layout when it is added.
 
     Built once by the walk constructors and treated as immutable afterwards.
     """
 
     layout: RegisterLayout
     gates: list[Gate] = field(default_factory=list)
-    _census: GateCensus = field(default_factory=GateCensus)
-    _workspace: int = 0
 
     def __post_init__(self):
         gates, self.gates = self.gates, []
-        for g in gates:
-            self.append(g)
+        self.extend(gates)
 
     def append(self, gate: Gate) -> None:
         total = self.layout.total_qubits
@@ -277,44 +265,20 @@ class Circuit:
             if not 0 <= q < total:
                 raise ValueError(f"qubit {q} outside the {total}-qubit layout")
         self.gates.append(gate)
-        self._census = self._census + gate.census()
-        self._workspace = max(self._workspace, gate.workspace())
 
     def extend(self, gates) -> None:
-        source = gates.gates if isinstance(gates, Circuit) else gates
-        for g in source:
+        for g in gates:
             self.append(g)
 
     @property
     def census(self) -> GateCensus:
-        extra = max(0, self._workspace - self.layout.ancilla_qubits)
-        return GateCensus(
-            self._census.clifford,
-            self._census.toffoli,
-            self._census.t,
-            self._census.fanout_sqrt_swap,
-            self._census.controlled_swap,
-            self._census.rotations,
-            self.layout.total_qubits + extra,
-        )
-
-    def recount(self) -> GateCensus:
-        """Census recomputed from scratch (used to audit the running total)."""
-        total = GateCensus()
-        workspace = 0
-        for g in self.gates:
-            total = total + g.census()
-            workspace = max(workspace, g.workspace())
+        """Sum of the gate censuses.  The qubit figure is the layout width
+        plus the work qubits of the widest costed decomposition beyond the
+        ancilla register."""
+        total = sum((g.census() for g in self.gates), GateCensus())
+        workspace = max((g.workspace() for g in self.gates), default=0)
         extra = max(0, workspace - self.layout.ancilla_qubits)
-        return GateCensus(
-            total.clifford,
-            total.toffoli,
-            total.t,
-            total.fanout_sqrt_swap,
-            total.controlled_swap,
-            total.rotations,
-            self.layout.total_qubits + extra,
-        )
+        return replace(total, qubits=self.layout.total_qubits + extra)
 
     def inverse(self) -> "Circuit":
         return Circuit(self.layout, [g.inverse() for g in reversed(self.gates)])

@@ -31,9 +31,16 @@ from .hamiltonian import (
     tfim,
 )
 from .measurement import uniform_schedule, zeno_prepare
-from .resources import CostModel, CostQuery, encoding_table, taylor_cost, trotter_cost, walk_cost
-from .walk_binary import binary_walk
-from .walk_unary import hybrid_long_range_walk, unary_walk
+from .resources import (
+    CostModel,
+    CostQuery,
+    buildable_walks,
+    encoding_row,
+    taylor_cost,
+    trotter_cost,
+    walk_cost,
+)
+from .walk_core import build_walk
 
 SCHEMA_VERSION = 1
 SPECTRUM_TOLERANCE = 1e-8
@@ -69,6 +76,31 @@ class RunConfig:
     format: str = "json"
 
 
+def add_options(parser: argparse.ArgumentParser) -> None:
+    """The options every subcommand takes; config files are checked by them too."""
+    parser.add_argument("--model", choices=["tfim", "long-range", "file"], default=None)
+    parser.add_argument("--hamiltonian-file", default=None)
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--g", type=float, default=None)
+    parser.add_argument("--J", type=float, default=None)
+    parser.add_argument("--alpha", type=float, default=None)
+    parser.add_argument("--boundary", choices=["open", "periodic"], default=None)
+    parser.add_argument("--encoding", choices=["binary", "unary", "hybrid"], default=None)
+    parser.add_argument("--mode", choices=["analyze", "sample"], default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--shots", type=int, default=None)
+    parser.add_argument("--schedule-steps", type=int, default=None)
+    parser.add_argument("--schedule", default=None, help="comma-separated g values ending at 1")
+    parser.add_argument("--delta", type=float, default=None, help="per-gate accuracy")
+    parser.add_argument("--gap", default=None, help="target resolution(s), comma-separated")
+    parser.add_argument("--time-constant", type=float, default=None)
+    parser.add_argument("--cost-a", type=float, default=None)
+    parser.add_argument("--cost-b", type=float, default=None)
+    parser.add_argument("--cost-c", type=float, default=None)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--format", choices=["json", "csv"], default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specwalk",
@@ -79,49 +111,47 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("spectrum", "zeno", "resources"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON file of option overrides")
-        p.add_argument("--model", choices=["tfim", "long-range", "file"], default=None)
-        p.add_argument("--hamiltonian-file", default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--g", type=float, default=None)
-        p.add_argument("--J", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--boundary", choices=["open", "periodic"], default=None)
-        p.add_argument("--encoding", choices=["binary", "unary", "hybrid"], default=None)
-        p.add_argument("--mode", choices=["analyze", "sample"], default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--shots", type=int, default=None)
-        p.add_argument("--schedule-steps", type=int, default=None)
-        p.add_argument("--schedule", default=None, help="comma-separated g values ending at 1")
-        p.add_argument("--delta", type=float, default=None, help="per-gate accuracy")
-        p.add_argument("--gap", default=None, help="target resolution(s), comma-separated")
-        p.add_argument("--time-constant", type=float, default=None)
-        p.add_argument("--cost-a", type=float, default=None)
-        p.add_argument("--cost-b", type=float, default=None)
-        p.add_argument("--cost-c", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
+        add_options(p)
     return parser
+
+
+def read_config(path: str) -> argparse.Namespace:
+    """The options of a JSON config file.  Each value, a string or a number,
+    is parsed as the text of its flag, so it passes the flag's type and
+    choices checks."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            overrides = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise InputError(f"config {path} is not a JSON object")
+    valid = {f.name for f in fields(RunConfig)} - {"command"}
+    argv = []
+    for key, value in overrides.items():
+        name = key.replace("-", "_")
+        if name not in valid:
+            raise InputError(f"unknown config key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise InputError(f"config key {key!r} must be a string or a number, got {value!r}")
+        argv.append(f"--{name.replace('_', '-')}={value}")
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    add_options(parser)
+    try:
+        return parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise InputError(f"config {path}: {exc}") from exc
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the --config file, overridden by explicit flags."""
-    cfg = RunConfig(command=args.command)
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read config {args.config}: {exc}") from exc
-        valid = {f.name for f in fields(RunConfig)}
-        for key, value in overrides.items():
-            name = key.replace("-", "_")
-            if name not in valid:
-                raise InputError(f"unknown config key {key!r}")
-            setattr(cfg, name, value)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            setattr(cfg, f.name, flag)
+    cfg = RunConfig()
+    sources = [read_config(args.config)] if args.config else []
+    for source in sources + [args]:
+        for f in fields(RunConfig):
+            value = getattr(source, f.name, None)
+            if value is not None:
+                setattr(cfg, f.name, value)
     return cfg
 
 
@@ -137,25 +167,11 @@ def build_model(cfg: RunConfig) -> LcuHamiltonian:
     raise InputError(f"unknown model {cfg.model!r}")
 
 
-def build_bundle(cfg: RunConfig, h: LcuHamiltonian):
-    rescaled = normalize(h, "auto")
-    if cfg.encoding == "binary":
-        return binary_walk(rescaled)
-    if cfg.encoding == "unary":
-        return unary_walk(group(rescaled), rescaled)
-    if cfg.encoding == "hybrid":
-        if cfg.model != "long-range" and cfg.model != "file":
-            raise InputError("the hybrid encoding applies to long-range chains only")
-        return hybrid_long_range_walk(rescaled)
-    raise InputError(f"unknown encoding {cfg.encoding!r}")
-
-
 # --- commands ----------------------------------------------------------------
 
 
 def run_spectrum(cfg: RunConfig) -> tuple[dict, int]:
-    h = build_model(cfg)
-    bundle = build_bundle(cfg, h)
+    bundle = build_walk(normalize(build_model(cfg), "auto"), cfg.encoding, with_pe=True)
     report = walk_eigenphases(bundle)
     rows = [
         {
@@ -222,30 +238,17 @@ def run_resources(cfg: RunConfig) -> tuple[dict, int]:
         raise InputError(f"bad gap list: {exc}") from exc
     rows = []
     warnings = []
-    h = None
     census = None
     table = []
-    try:
-        h = build_model(cfg)
-    except InputError:
-        raise
+    h = build_model(cfg)
     rescaled = normalize(h, "auto")
     n_terms = rescaled.n_select_terms
     k_distinct = len(group(rescaled).groups)
-    buildable = h.n_qubits + n_terms + 4 <= 20
-    if buildable:
-        with_hybrid = cfg.model == "long-range" and h.n_qubits & (h.n_qubits - 1) == 0
-        table = encoding_table(h, with_hybrid=with_hybrid)
-        for row in table:
-            if row["encoding"] == cfg.encoding:
-                from .census import GateCensus
-
-                census = GateCensus(
-                    clifford=row["clifford"],
-                    toffoli=row["third_level"],
-                    rotations=row["rotation_gates"],
-                    qubits=row["qubits"],
-                )
+    if h.n_qubits + n_terms + 4 <= 20:
+        bundles = buildable_walks(rescaled)
+        table = [encoding_row(bundle) for bundle in bundles.values()]
+        if cfg.encoding in bundles:
+            census = bundles[cfg.encoding].controlled_walk.census
     else:
         warnings.append("model above the simulation cap; formula estimates only")
     for gap in gaps:
@@ -341,8 +344,12 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 2
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,11 +77,6 @@ class LcuHamiltonian:
     def n_select_terms(self) -> int:
         """N, the number of non-identity terms."""
         return len(self.terms) - 1
-
-    def scaled(self, factor: float) -> "LcuHamiltonian":
-        return LcuHamiltonian.from_terms(
-            self.n_qubits, [(factor * c, p) for c, p in self.terms]
-        )
 
 
 @dataclass(frozen=True)
@@ -307,11 +302,6 @@ def eigensystem(h: LcuHamiltonian | RescaledLcu) -> tuple[np.ndarray, np.ndarray
     return np.linalg.eigh(dense_matrix(h))
 
 
-def ground_state(h: LcuHamiltonian | RescaledLcu) -> tuple[float, np.ndarray]:
-    vals, vecs = eigensystem(h)
-    return float(vals[0]), vecs[:, 0]
-
-
 def product_state(letters: str) -> np.ndarray:
     """Tensor product of single-qubit states named by '0', '1', '+', '-'.
 
@@ -342,8 +332,11 @@ def write_hamiltonian(h: LcuHamiltonian, path: str) -> None:
 
 
 def read_hamiltonian(path: str) -> LcuHamiltonian:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise HamiltonianFileError(f"cannot read {path}: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

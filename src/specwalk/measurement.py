@@ -10,24 +10,16 @@ normalization and shift needed to map back to the physical scale.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BOUNDARY_EPS, InvariantBlock, invariant_blocks
-from .hamiltonian import (
-    InterpolatedModel,
-    LcuHamiltonian,
-    RescaledLcu,
-    eigensystem,
-    interpolate,
-    normalize,
-)
+from .hamiltonian import InterpolatedModel, RescaledLcu, eigensystem, interpolate, normalize
 from .pauli import PauliString, apply_pauli, star
-from .simulator import QuantumState, make_rng, states_equal_up_to_phase
-from .walk_core import WalkBundle, dressed_state
+from .simulator import QuantumState, make_rng
+from .walk_core import WalkBundle, build_walk
 
 
 class BoundaryEnergyError(ValueError):
@@ -60,7 +52,7 @@ def pe_step(state: QuantumState, controlled_walk, mode: str = "analyze", rng=Non
     work.apply(Gate.h(pe))
     work.apply_circuit(controlled_walk)
     work.apply(Gate.h(pe))
-    result = work.measure(pe, mode="analyze")
+    result = work.measure(pe)
     p_plus = result.p_zero
     post_plus = result.posterior_zero
     post_minus = result.posterior_one
@@ -69,8 +61,7 @@ def pe_step(state: QuantumState, controlled_walk, mode: str = "analyze", rng=Non
     if mode == "analyze":
         return p_plus, post_plus, post_minus
     if mode == "sample":
-        gen = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
-        if gen.random() < p_plus:
+        if make_rng(rng).random() < p_plus:
             return 1, p_plus, post_plus
         return -1, 1.0 - p_plus, post_minus
     raise ValueError(f"unknown mode {mode!r}")
@@ -243,7 +234,7 @@ def project_to_eigenstate(
         blocks = invariant_blocks(bundle)
     sampling = mode == "sample"
     if sampling:
-        rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
+        rng = make_rng(rng)
     current = state.copy()
     round_probs: list[float] = []
     cumulative: list[float] = []
@@ -423,22 +414,6 @@ def _validate_schedule(schedule) -> tuple[float, ...]:
     return sched
 
 
-def _build_walk(h: LcuHamiltonian, encoding: str, with_pe: bool) -> WalkBundle:
-    from .walk_binary import binary_walk
-    from .walk_unary import hybrid_long_range_walk, unary_walk
-
-    rescaled = normalize(h, "auto")
-    if encoding == "binary":
-        return binary_walk(rescaled, with_pe=with_pe)
-    if encoding == "unary":
-        from .hamiltonian import group
-
-        return unary_walk(group(rescaled), rescaled, with_pe=with_pe)
-    if encoding == "hybrid":
-        return hybrid_long_range_walk(rescaled, with_pe=with_pe)
-    raise ValueError(f"unknown encoding {encoding!r}")
-
-
 def zeno_prepare(
     model: InterpolatedModel,
     schedule,
@@ -472,7 +447,7 @@ def zeno_prepare(
     prev_ground = psi
     for g in schedule:
         h = interpolate(model, g)
-        bundle = _build_walk(h, encoding, with_pe=sampling)
+        bundle = build_walk(normalize(h, "auto"), encoding, with_pe=sampling)
         rescaled = bundle.rescaled
         blocks = invariant_blocks(bundle)
         oracle_vals, oracle_vecs = eigensystem(rescaled)

@@ -110,10 +110,6 @@ class PauliString:
         body = "".join(self.letter(q) for q in range(self.n_qubits))
         return _PHASE_PREFIX[self.phase_exp] + body
 
-    @property
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
-
     def bare(self) -> "PauliString":
         """The same letters with phase +1."""
         return PauliString(self.n_qubits, self.x_bits, self.z_bits, 0)

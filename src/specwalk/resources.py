@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .census import GateCensus
+from .circuits import distinct_rotation_count
+from .hamiltonian import normalize
+from .walk_core import WalkBundle, build_walk
 
 ESTIMATE_NOTE = "estimate (constants = 1)"
 
@@ -178,40 +181,39 @@ def taylor_cost(
     }
 
 
-def encoding_table(h, encodings=("binary", "unary"), with_hybrid: bool = False) -> list[dict]:
-    """Measured controlled-walk censuses per encoding.
+def buildable_walks(rescaled) -> dict[str, WalkBundle]:
+    """Encoding name -> walk bundle (with its pe qubit), for every encoding
+    whose builder accepts the model.  Only the hybrid builder refuses any:
+    it needs a power-of-two ZZ chain that is uniform per distance."""
+    bundles = {}
+    for encoding in ("binary", "unary", "hybrid"):
+        try:
+            bundles[encoding] = build_walk(rescaled, encoding, with_pe=True)
+        except ValueError:
+            continue
+    return bundles
+
+
+def encoding_row(bundle: WalkBundle) -> dict:
+    """Measured controlled-walk census of one walk.
 
     Columns: control qubits, rotation instances, distinct rotation
-    magnitudes (synthesis parameters), third-level total, Clifford count.
+    magnitudes (synthesis parameters), third-level total, Clifford count,
+    qubits.
     """
-    from .circuits import distinct_rotation_count
-    from .hamiltonian import group, normalize
-    from .walk_binary import binary_walk
-    from .walk_unary import hybrid_long_range_walk, unary_walk
+    census = bundle.controlled_walk.census
+    return {
+        "encoding": bundle.encoding,
+        "kind": "measured",
+        "control_qubits": bundle.layout.control_qubits,
+        "rotation_gates": census.rotations,
+        "rotations": distinct_rotation_count(bundle.controlled_walk),
+        "third_level": census.third_level_total,
+        "clifford": census.clifford,
+        "qubits": census.qubits,
+    }
 
-    rescaled = normalize(h, "auto")
-    rows = []
-    wanted = list(encodings) + (["hybrid"] if with_hybrid else [])
-    for encoding in wanted:
-        if encoding == "binary":
-            bundle = binary_walk(rescaled)
-        elif encoding == "unary":
-            bundle = unary_walk(group(rescaled), rescaled)
-        elif encoding == "hybrid":
-            bundle = hybrid_long_range_walk(rescaled)
-        else:
-            raise ValueError(f"unknown encoding {encoding!r}")
-        census = bundle.controlled_walk.census
-        rows.append(
-            {
-                "encoding": encoding,
-                "kind": "measured",
-                "control_qubits": bundle.layout.control_qubits,
-                "rotation_gates": census.rotations,
-                "rotations": distinct_rotation_count(bundle.controlled_walk),
-                "third_level": census.third_level_total,
-                "clifford": census.clifford,
-                "qubits": census.qubits,
-            }
-        )
-    return rows
+
+def encoding_table(h) -> list[dict]:
+    """One measured row per encoding whose walk builds for `h`."""
+    return [encoding_row(b) for b in buildable_walks(normalize(h, "auto")).values()]

@@ -1,10 +1,10 @@
 """Exact dense statevector simulation over a partitioned register.
 
 States are owned values; applying a gate mutates the owner's amplitude
-vector in place and preserves the norm.  Measurements come in two modes:
-`analyze` returns outcome probabilities and both renormalized posteriors
-without consuming randomness; `sample` draws one outcome from an explicit
-counter-based generator.  No global randomness anywhere.
+vector in place and preserves the norm.  A measurement returns both outcome
+probabilities and both renormalized posteriors and consumes no randomness;
+callers that sample draw from a generator made by `make_rng` from an explicit
+seed.  No global randomness anywhere.
 
 Gate kernel.  A gate acts on strided views of ``vec.reshape((2,) * total)``,
 where qubit ``q`` is axis ``total - 1 - q`` and each control value is fixed
@@ -68,17 +68,14 @@ _FIXED_1Q = {
 _X = PauliString.single(1, 0, "X")
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator; every sampling entry point takes one (or a seed)."""
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    if seed_or_rng is None:
+def make_rng(seed) -> np.random.Generator:
+    """Counter-based Philox generator from an int seed; a Generator is
+    returned as it is.  `None` is refused: it would seed from OS entropy."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if seed is None:
         raise ValueError("sampling requires an explicit seed")
-    return make_rng(int(seed_or_rng))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -190,8 +187,6 @@ class MeasureResult:
     qubit: int
     p_zero: float
     p_one: float
-    outcome: int | None = None
-    posterior: "QuantumState | None" = None
     posterior_zero: "QuantumState | None" = None
     posterior_one: "QuantumState | None" = None
 
@@ -245,10 +240,7 @@ class QuantumState:
             raise AssertionError("statevector norm drifted across the circuit")
         return self
 
-    # --- inner products and observables ------------------------------------
-    def inner(self, other: "QuantumState") -> complex:
-        return complex(np.vdot(self.vec, other.vec))
-
+    # --- observables ----------------------------------------------------------
     def expectation(self, sigma: PauliString, qubits: tuple[int, ...] | None = None) -> float:
         """<state| sigma |state> with sigma acting on `qubits` (default: the
         system register).  Real for +-1 signs; the imaginary residue is checked."""
@@ -282,29 +274,22 @@ class QuantumState:
         out.vec /= math.sqrt(prob)
         return out
 
-    def measure(self, qubit: int, mode: str = "analyze", rng=None) -> MeasureResult:
+    def measure(self, qubit: int) -> MeasureResult:
+        """Both outcome probabilities of `qubit` and the posterior of each
+        outcome that has weight (None for one that has none)."""
         if not 0 <= qubit < self.layout.total_qubits:
             raise ValueError(f"qubit {qubit} outside the register")
         p1 = self.probability_one(qubit)
         p0 = 1.0 - p1
         if abs(p0 + p1 - 1.0) > 1e-12:
             raise AssertionError("measurement probabilities do not sum to 1")
-        if mode == "analyze":
-            return MeasureResult(
-                qubit,
-                p0,
-                p1,
-                posterior_zero=self._collapsed(qubit, 0, p0) if p0 > 1e-300 else None,
-                posterior_one=self._collapsed(qubit, 1, p1) if p1 > 1e-300 else None,
-            )
-        if mode == "sample":
-            gen = _as_rng(rng)
-            outcome = 1 if gen.random() < p1 else 0
-            prob = p1 if outcome else p0
-            return MeasureResult(
-                qubit, p0, p1, outcome=outcome, posterior=self._collapsed(qubit, outcome, prob)
-            )
-        raise ValueError(f"unknown measurement mode {mode!r}")
+        return MeasureResult(
+            qubit,
+            p0,
+            p1,
+            posterior_zero=self._collapsed(qubit, 0, p0) if p0 > 1e-300 else None,
+            posterior_one=self._collapsed(qubit, 1, p1) if p1 > 1e-300 else None,
+        )
 
     def project_control_vacuum(self):
         """Project the control register onto all-zeros vs its complement.
@@ -335,18 +320,6 @@ class QuantumState:
             ften[tuple(idx)] = 0.0
             failure = QuantumState(layout, fv / math.sqrt(1.0 - p))
         return p, success, failure
-
-    def dump_json(self, threshold: float = 0.0) -> str:
-        """Debug dump: a UTF-8 JSON array of (index, re, im) triples for
-        amplitudes above `threshold` in magnitude."""
-        import json
-
-        triples = [
-            [int(i), float(a.real), float(a.imag)]
-            for i, a in enumerate(self.vec)
-            if abs(a) > threshold
-        ]
-        return json.dumps(triples)
 
     def extract_system(self, tol: float = 1e-9) -> np.ndarray:
         """System-register vector, requiring all other qubits to be |0>."""

@@ -14,13 +14,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, RegisterLayout
 from .hamiltonian import RescaledLcu
-from .pauli import PauliString
-from .walk_core import (
-    Branch,
-    WalkBundle,
-    assemble_controlled_walk,
-    assemble_walk,
-)
+from .walk_core import Branch, WalkBundle, assemble_bundle
 
 
 def control_width(n_terms: int) -> int:
@@ -63,7 +57,7 @@ def build_prepare_b(weights, layout: RegisterLayout) -> Circuit:
 
 def build_select_v(branches, layout: RegisterLayout, pe_control: bool = False) -> Circuit:
     """Index-iteration select: for each non-identity branch j, an AND ladder
-    over the control bits (X-conjugated где the bit of j is 0) computes a
+    over the control bits (X-conjugated where the bit of j is 0) computes a
     flag ancilla that drives one singly-controlled Pauli word.
 
     Toffoli count: 2*(m-1) per branch for m AND inputs (m = control width,
@@ -121,22 +115,11 @@ def binary_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkBundle:
     )
     branches = binary_branches(rescaled)
     prepare = build_prepare_b([w for w, _ in rescaled.weights], layout)
-    select = build_select_v(branches, layout)
-    prepare_dagger, reflect, walk = assemble_walk(layout, prepare, select)
-    if with_pe:
-        controlled_select = build_select_v(branches, layout, pe_control=True)
-        controlled = assemble_controlled_walk(layout, prepare, controlled_select)
-    else:
-        controlled = Circuit(layout)
-    return WalkBundle(
-        encoding="binary",
-        layout=layout,
-        branches=branches,
-        prepare=prepare,
-        prepare_dagger=prepare_dagger,
-        select=select,
-        reflect=reflect,
-        walk=walk,
-        controlled_walk=controlled,
-        rescaled=rescaled,
+    return assemble_bundle(
+        "binary",
+        layout,
+        branches,
+        prepare,
+        lambda pe_control: build_select_v(branches, layout, pe_control),
+        rescaled,
     )

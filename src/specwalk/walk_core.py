@@ -1,4 +1,4 @@
-"""Shared structure of the walk operator across control encodings.
+"""The walk operator, shared by every control encoding.
 
 Every encoding reduces to a list of branches: a control-register basis state
 carrying an amplitude and a signed Pauli word for the system.  The prepare
@@ -7,22 +7,27 @@ word on each branch, and the walk is
 
     W = S * V * (-1),   S = B (1 - 2|0><0|) B'.
 
-The walk circuit is assembled as [V][B'][vacuum reflection][B][global phase].
+An encoding module supplies the layout, the branch table, B and a select
+builder; `assemble_bundle` turns them into the walk circuit
+[V][B'][vacuum reflection][B][global phase] and the controlled walk.
 The controlled walk conditions select, the vacuum reflection, and the phase
 on the extra qubit while leaving B and B' unconditioned; at control |0> the
 circuit collapses to B B' = 1 gate-by-gate, and at |1> it is exactly W.
 Conditioning only the prepare rotations instead (and nothing else) is not a
 controlled-W: its off branch is -R0*V, which shifts the phase-measurement
 statistics by an identity-weight-dependent amount.
+
+`build_walk` is the one place that turns an encoding name into a walk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .circuits import Circuit, Gate, RegisterLayout
-from .hamiltonian import GroupedLcu, RescaledLcu
+from .hamiltonian import GroupedLcu, RescaledLcu, group
 from .pauli import PauliString, to_matrix
 
 
@@ -54,24 +59,69 @@ class WalkBundle:
         return self.layout.system_qubits
 
 
+def build_walk(rescaled: RescaledLcu, encoding: str, with_pe: bool) -> WalkBundle:
+    """The walk of `rescaled` in the control encoding named `encoding`.
+
+    A builder raises ValueError for a model its encoding cannot carry; only
+    the hybrid one refuses any normalized model.  The builders import this
+    module, so they are imported here, and they are looked up on their
+    modules at each call.
+    """
+    from . import walk_binary, walk_unary
+
+    if encoding == "binary":
+        return walk_binary.binary_walk(rescaled, with_pe=with_pe)
+    if encoding == "unary":
+        return walk_unary.unary_walk(group(rescaled), rescaled, with_pe=with_pe)
+    if encoding == "hybrid":
+        return walk_unary.hybrid_long_range_walk(rescaled, with_pe=with_pe)
+    raise ValueError(f"unknown encoding {encoding!r}")
+
+
+def assemble_bundle(
+    encoding: str,
+    layout: RegisterLayout,
+    branches,
+    prepare: Circuit,
+    build_select: Callable[[bool], Circuit],
+    rescaled: RescaledLcu | None,
+    grouped: GroupedLcu | None = None,
+) -> WalkBundle:
+    """B', S, W and the controlled walk from the prepare circuit and the
+    select builder; `build_select(pe_control)` conditions select on the pe
+    qubit when asked.  Without a pe qubit the controlled walk is empty."""
+    prepare_dagger = prepare.inverse()
+    select = build_select(False)
+    reflect = build_reflection(prepare)
+    walk = Circuit(layout, [*select, *reflect, Gate.global_phase(np.pi)])
+    controlled = Circuit(layout)
+    if layout.has_pe_qubit:
+        controlled.extend(build_select(True))
+        controlled.extend(prepare_dagger)
+        controlled.extend(vacuum_reflection(layout, pe_control=True))
+        controlled.extend(prepare)
+        controlled.append(Gate.z(layout.pe_qubit))
+    return WalkBundle(
+        encoding=encoding,
+        layout=layout,
+        branches=tuple(branches),
+        prepare=prepare,
+        prepare_dagger=prepare_dagger,
+        select=select,
+        reflect=reflect,
+        walk=walk,
+        controlled_walk=controlled,
+        rescaled=rescaled,
+        grouped=grouped,
+    )
+
+
 def encoded_dense(branches, n_system: int) -> np.ndarray:
     """sum_b amp_b^2 * word_b as a dense matrix; the operator the walk encodes."""
     out = np.zeros((1 << n_system, 1 << n_system), dtype=complex)
     for b in branches:
         out += b.amplitude**2 * to_matrix(b.word)
     return out
-
-
-def branch_weights_ok(branches, tol: float = 1e-10) -> bool:
-    return abs(sum(b.amplitude**2 for b in branches) - 1.0) <= tol
-
-
-def place_system_vector(layout: RegisterLayout, control_state: int, sys_vec: np.ndarray):
-    """Full-register vector |control_state> x |sys_vec| (ancilla and pe |0>)."""
-    full = np.zeros(1 << layout.total_qubits, dtype=complex)
-    offset = control_state << layout.system_qubits
-    full[offset : offset + len(sys_vec)] = sys_vec
-    return full
 
 
 def dressed_state(branches, layout: RegisterLayout, sys_vec: np.ndarray) -> np.ndarray:
@@ -117,27 +167,3 @@ def build_reflection(prepare: Circuit) -> Circuit:
     reflect.extend(vacuum_reflection(layout))
     reflect.extend(prepare)
     return reflect
-
-
-def assemble_walk(layout, prepare: Circuit, select: Circuit) -> tuple[Circuit, Circuit, Circuit]:
-    """(B_dagger, S, W) from the prepare and select circuits."""
-    prepare_dagger = prepare.inverse()
-    reflect = build_reflection(prepare)
-    walk = Circuit(layout)
-    walk.extend(select)
-    walk.extend(reflect)
-    walk.append(Gate.global_phase(np.pi))
-    return prepare_dagger, reflect, walk
-
-
-def assemble_controlled_walk(layout, prepare: Circuit, controlled_select: Circuit) -> Circuit:
-    """Exact controlled walk: select, vacuum reflection, and sign conditioned
-    on the pe qubit; prepare and its inverse cancel on the off branch."""
-    pe = layout.pe_qubit
-    circ = Circuit(layout)
-    circ.extend(controlled_select)
-    circ.extend(prepare.inverse())
-    circ.extend(vacuum_reflection(layout, pe_control=True))
-    circ.extend(prepare)
-    circ.append(Gate.z(pe))
-    return circ

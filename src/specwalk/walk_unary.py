@@ -19,17 +19,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .circuits import Circuit, Gate, RegisterLayout
 from .hamiltonian import GroupedLcu, RescaledLcu
 from .pauli import PauliString
-from .walk_core import (
-    Branch,
-    WalkBundle,
-    assemble_controlled_walk,
-    assemble_walk,
-)
+from .walk_core import Branch, WalkBundle, assemble_bundle
 
 
 def _chain_rotation(circ, target, control, cos_half, sin_half):
@@ -52,21 +45,18 @@ def _chain_rotation(circ, target, control, cos_half, sin_half):
 def build_head_prep(grouped: GroupedLcu, layout: RegisterLayout) -> Circuit:
     """Chain preparation of  beta0 |vac> + sum_k sqrt(N_k s_k) |head_k>.
 
-    One initial rotation moves all
-
-    non-vacuum weight onto head 1; each of the K-1 transfer links is one
-    controlled rotation plus a CNOT, keeping the state one-hot.  Census:
-    at most K generic rotations.
+    One initial rotation moves all non-vacuum weight onto head 1; each of
+    the K-1 transfer links is one controlled rotation plus a CNOT, keeping
+    the state one-hot.  Census: at most K generic rotations.
     """
     heads = [math.sqrt(g.n_padded * g.strength_sq) for g in grouped.groups]
     total = grouped.beta0_sq + sum(h * h for h in heads)
     if abs(total - 1.0) > 1e-9:
         raise ValueError("group weights do not sum to 1")
-    base = layout.control[0]
-    positions = [base + g.offset - 1 for g in grouped.groups]
     circ = Circuit(layout)
     if not heads:
         return circ
+    positions = [layout.control[g.offset - 1] for g in grouped.groups]
     tail = math.sqrt(max(0.0, 1.0 - grouped.beta0_sq))
     _chain_rotation(circ, positions[0], None, math.sqrt(grouped.beta0_sq), tail)
     for k in range(1, len(heads)):
@@ -102,9 +92,8 @@ def build_fanout(layout: RegisterLayout, head: int, size: int) -> Circuit:
 
 def build_prepare_unary(grouped: GroupedLcu, layout: RegisterLayout) -> Circuit:
     circ = build_head_prep(grouped, layout)
-    base = layout.control[0]
     for g in grouped.groups:
-        circ.extend(build_fanout(layout, base + g.offset - 1, g.n_padded))
+        circ.extend(build_fanout(layout, layout.control[g.offset - 1], g.n_padded))
     return circ
 
 
@@ -124,14 +113,13 @@ def build_select_v_unary(grouped: GroupedLcu, layout: RegisterLayout, pe_control
     Padded identity slots emit no gate.  The pe-conditioned variant upgrades
     each word to two controls (costed as an AND ladder)."""
     circ = Circuit(layout)
-    base = layout.control[0]
     sys_qubits = layout.system
     pe = (layout.pe_qubit,) if pe_control else ()
     for g in grouped.groups:
         for slot, word in enumerate(g.members):
             if word.is_identity and word.phase == 1:
                 continue
-            control = base + g.offset - 1 + slot
+            control = layout.control[g.offset - 1 + slot]
             circ.append(Gate.pauli_word(word, sys_qubits, pe + (control,)))
     return circ
 
@@ -145,27 +133,14 @@ def unary_walk(grouped: GroupedLcu, rescaled: RescaledLcu | None = None, with_pe
         ancilla_qubits=0,
         has_pe_qubit=with_pe,
     )
-    branches = unary_branches(grouped, layout)
-    prepare = build_prepare_unary(grouped, layout)
-    select = build_select_v_unary(grouped, layout)
-    prepare_dagger, reflect, walk = assemble_walk(layout, prepare, select)
-    if with_pe:
-        controlled_select = build_select_v_unary(grouped, layout, pe_control=True)
-        controlled = assemble_controlled_walk(layout, prepare, controlled_select)
-    else:
-        controlled = Circuit(layout)
-    return WalkBundle(
-        encoding="unary",
-        layout=layout,
-        branches=branches,
-        prepare=prepare,
-        prepare_dagger=prepare_dagger,
-        select=select,
-        reflect=reflect,
-        walk=walk,
-        controlled_walk=controlled,
-        rescaled=rescaled,
-        grouped=grouped,
+    return assemble_bundle(
+        "unary",
+        layout,
+        unary_branches(grouped, layout),
+        build_prepare_unary(grouped, layout),
+        lambda pe_control: build_select_v_unary(grouped, layout, pe_control),
+        rescaled,
+        grouped,
     )
 
 
@@ -220,7 +195,14 @@ def _cyclic_shift_gates(layout, site_bits, n_sites):
 
 def hybrid_long_range_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkBundle:
     """Mixed-encoding walk for an open chain with distance-dependent ZZ
-    couplings.  n must be a power of two (binary site register)."""
+    couplings.
+
+    This validation is the one rule for which models may use the hybrid
+    encoding: n a power of two (binary site register), every non-identity
+    term a ZZ pair, the pairs at each distance all present with one weight
+    and sign, and enough identity weight to absorb the wrapped pairs.  Any
+    other model raises ValueError.
+    """
     n = rescaled.n_qubits
     if n < 2 or n & (n - 1):
         raise ValueError("mixed encoding needs a power-of-two number of sites")
@@ -309,24 +291,7 @@ def hybrid_long_range_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkB
             circ.append(g.inverse())
         return circ
 
-    select = build_select(False)
-    prepare_dagger, reflect, walk = assemble_walk(layout, prepare, select)
-    if with_pe:
-        controlled = assemble_controlled_walk(layout, prepare, build_select(True))
-    else:
-        controlled = Circuit(layout)
-    return WalkBundle(
-        encoding="hybrid",
-        layout=layout,
-        branches=tuple(branches),
-        prepare=prepare,
-        prepare_dagger=prepare_dagger,
-        select=select,
-        reflect=reflect,
-        walk=walk,
-        controlled_walk=controlled,
-        rescaled=rescaled,
-    )
+    return assemble_bundle("hybrid", layout, branches, prepare, build_select, rescaled)
 
 
 def _chain_group(weight: float, n_sites: int, offset: int):

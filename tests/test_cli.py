@@ -180,3 +180,63 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory")
     assert "Traceback" not in err
+
+
+def test_missing_hamiltonian_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code, out = run_cli(["spectrum", "--model", "file", "--hamiltonian-file", str(missing)])
+    assert code == 2 and out == ""
+    assert "absent.json" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "spec.json"
+    code, _ = run_cli(["spectrum", "--model", "tfim", "--n", "2", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1, 2],  # not a JSON object
+        {"n": 3.5},  # not an integer
+        {"n": [3]},  # not a string or a number
+        {"shots": True},
+        {"mode": "weird"},  # outside the flag's choices
+        {"encoding": "ternary"},
+        {"no_such_key": 1},
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out = run_cli(["zeno", "--config", str(path), "--n", "2"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_config_values_read_as_flag_text(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": "3", "g": 1, "schedule-steps": 2}))
+    from_config = run_cli(["zeno", "--config", str(path)])
+    from_flags = run_cli(["zeno", "--n", "3", "--g", "1", "--schedule-steps", "2"])
+    assert from_config == from_flags and from_config[0] == 0
+
+
+def test_hybrid_row_and_spectrum_for_an_eligible_file_model(tmp_path):
+    from specwalk import long_range_ising, write_hamiltonian
+
+    ham = tmp_path / "chain.json"
+    write_hamiltonian(long_range_ising(4, 1.0, 2.0), str(ham))
+    model = ["--model", "file", "--hamiltonian-file", str(ham)]
+    res = tmp_path / "res.json"
+    assert run_cli(["resources", *model, "--encoding", "hybrid", "--out", str(res)])[0] == 0
+    payload = json.loads(res.read_text())
+    assert [row["encoding"] for row in payload["encoding_table"]] == ["binary", "unary", "hybrid"]
+    walk = next(row for row in payload["rows"] if row["method"] == "walk")
+    assert walk["kind"] == "measured"
+    spec = tmp_path / "spec.json"
+    assert run_cli(["spectrum", *model, "--encoding", "hybrid", "--out", str(spec)])[0] == 0
+    assert json.loads(spec.read_text())["pass"] is True

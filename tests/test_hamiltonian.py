@@ -241,3 +241,9 @@ def test_hamiltonian_file_parse_error(tmp_path):
 def test_identity_coefficient_must_be_nonnegative():
     with pytest.raises(ValueError):
         LcuHamiltonian.from_terms(1, [(-0.5, PauliString.identity(1))])
+
+
+def test_hamiltonian_file_unreadable(tmp_path):
+    with pytest.raises(HamiltonianFileError) as err:
+        read_hamiltonian(str(tmp_path / "absent.json"))
+    assert "absent.json" in str(err.value)

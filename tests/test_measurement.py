@@ -194,6 +194,15 @@ def test_projection_sampled(tfim3_bundle):
     assert successes >= 25  # 1 - 2**-8 each
 
 
+def test_sampling_requires_a_seed(tfim3_bundle):
+    bundle, blocks = tfim3_bundle
+    state = eigenstate(bundle, blocks[0])
+    with pytest.raises(ValueError):
+        pe_step(state, bundle.controlled_walk, mode="sample", rng=None)
+    with pytest.raises(ValueError):
+        project_to_eigenstate(state, bundle, mode="sample", rng=None, blocks=blocks)
+
+
 # --- observable recovery ---------------------------------------------------------
 
 

@@ -142,6 +142,7 @@ def test_walk_vs_taylor_census_agreement():
 def test_encoding_table_tfim4():
     rows = encoding_table(tfim(4, 1.0, 0.7))
     by = {r["encoding"]: r for r in rows}
+    assert "hybrid" not in by  # the field terms are not ZZ pairs
     assert by["binary"]["control_qubits"] == 3
     assert by["unary"]["control_qubits"] == 8
     assert by["unary"]["rotations"] == 2  # K distinct synthesis parameters
@@ -152,8 +153,9 @@ def test_encoding_table_tfim4():
 
 
 def test_encoding_table_hybrid_long_range():
-    rows = encoding_table(long_range_ising(4, 1.0, 2.0), with_hybrid=True)
+    rows = encoding_table(long_range_ising(4, 1.0, 2.0))
     by = {r["encoding"]: r for r in rows}
+    assert list(by) == ["binary", "unary", "hybrid"]
     assert by["hybrid"]["rotations"] <= by["unary"]["rotations"]
     assert by["hybrid"]["control_qubits"] < by["unary"]["control_qubits"]
 

@@ -268,3 +268,29 @@ def test_hybrid_rejects_non_ising():
     r = normalize(tfim(4, 1.0, 1.0))
     with pytest.raises(ValueError):
         hybrid_long_range_walk(r)
+
+
+def test_build_walk_dispatches_by_name():
+    from specwalk.walk_core import build_walk
+
+    r = normalize(long_range_ising(4, 1.0, 2.0))
+    built = {
+        "binary": binary_walk(r),
+        "unary": unary_walk(group(r), r),
+        "hybrid": hybrid_long_range_walk(r),
+    }
+    for encoding, expected in built.items():
+        bundle = build_walk(r, encoding, with_pe=True)
+        assert bundle.encoding == encoding
+        assert bundle.walk.gates == expected.walk.gates
+        assert bundle.controlled_walk.gates == expected.controlled_walk.gates
+    assert len(build_walk(r, "unary", with_pe=False).controlled_walk) == 0
+    with pytest.raises(ValueError, match="unknown encoding"):
+        build_walk(r, "ternary", with_pe=True)
+
+
+def test_identity_only_model_has_an_empty_control_register():
+    h = LcuHamiltonian.from_terms(2, [(1.0, PauliString.identity(2))])
+    bundle = make_unary(h)
+    assert bundle.layout.control_qubits == 0
+    assert walk_eigenphases(bundle).max_error < 1e-9
