@@ -51,7 +51,6 @@ _SELF_INVERSE = {H, SWAP, TOFFOLI, CSWAP, MCZ}
 class RegisterLayout:
     system_qubits: int
     control_qubits: int = 0
-    control_encoding: str = "none"  # binary | unary | hybrid | none
     ancilla_qubits: int = 0
     has_pe_qubit: bool = False
 
@@ -290,22 +289,11 @@ class Circuit:
         return iter(self.gates)
 
 
-def distinct_rotation_count(circuit: Circuit, tol: float = 0.0) -> int:
+def distinct_rotation_count(circuit: Circuit) -> int:
     """Number of distinct rotation magnitudes in the circuit.
 
     This is the synthesis-parameter count: a rotation and its adjoint share
     one synthesized sequence, so angles are compared by absolute value.
-    Magnitudes produced by the same arithmetic compare exactly; `tol` merges
-    nearly equal ones if needed.
+    Magnitudes produced by the same arithmetic compare exactly.
     """
-    mags: list[float] = []
-    for g in circuit.gates:
-        mags.extend(g.rotation_magnitudes())
-    mags.sort()
-    count = 0
-    last = None
-    for m in mags:
-        if last is None or m - last > tol:
-            count += 1
-            last = m
-    return count
+    return len({m for g in circuit.gates for m in g.rotation_magnitudes()})

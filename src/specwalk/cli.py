@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,58 +49,35 @@ class InputError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str = ""
-    model: str = "tfim"
-    hamiltonian_file: str | None = None
-    n: int = 3
-    g: float = 1.0
-    J: float = 1.0
-    alpha: float = 2.0
-    boundary: str = "open"
-    encoding: str = "binary"
-    mode: str = "analyze"
-    seed: int | None = None
-    shots: int = 200
-    schedule_steps: int = 8
-    schedule: str | None = None
-    delta: float = 1e-3
-    gap: str = "0.1"
-    time_constant: float = 1.0
-    cost_a: float = 1.0
-    cost_b: float = 1.0
-    cost_c: float = 1.0
-    out: str | None = None
-    format: str = "json"
-
-
 def add_options(parser: argparse.ArgumentParser) -> None:
-    """The options every subcommand takes; config files are checked by them too."""
-    parser.add_argument("--model", choices=["tfim", "long-range", "file"], default=None)
+    """The options every subcommand takes, with their defaults; config files
+    are checked by them too."""
+    parser.add_argument("--model", choices=["tfim", "long-range", "file"], default="tfim")
     parser.add_argument("--hamiltonian-file", default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--g", type=float, default=None)
-    parser.add_argument("--J", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--boundary", choices=["open", "periodic"], default=None)
-    parser.add_argument("--encoding", choices=["binary", "unary", "hybrid"], default=None)
-    parser.add_argument("--mode", choices=["analyze", "sample"], default=None)
+    parser.add_argument("--n", type=int, default=3)
+    parser.add_argument("--g", type=float, default=1.0)
+    parser.add_argument("--J", type=float, default=1.0)
+    parser.add_argument("--alpha", type=float, default=2.0)
+    parser.add_argument("--boundary", choices=["open", "periodic"], default="open")
+    parser.add_argument("--encoding", choices=["binary", "unary", "hybrid"], default="binary")
+    parser.add_argument("--mode", choices=["analyze", "sample"], default="analyze")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--shots", type=int, default=None)
-    parser.add_argument("--schedule-steps", type=int, default=None)
+    parser.add_argument("--shots", type=int, default=200)
+    parser.add_argument("--schedule-steps", type=int, default=8)
     parser.add_argument("--schedule", default=None, help="comma-separated g values ending at 1")
-    parser.add_argument("--delta", type=float, default=None, help="per-gate accuracy")
-    parser.add_argument("--gap", default=None, help="target resolution(s), comma-separated")
-    parser.add_argument("--time-constant", type=float, default=None)
-    parser.add_argument("--cost-a", type=float, default=None)
-    parser.add_argument("--cost-b", type=float, default=None)
-    parser.add_argument("--cost-c", type=float, default=None)
+    parser.add_argument("--delta", type=float, default=1e-3, help="per-gate accuracy")
+    parser.add_argument("--gap", default="0.1", help="target resolution(s), comma-separated")
+    parser.add_argument("--time-constant", type=float, default=1.0)
+    parser.add_argument("--cost-a", type=float, default=1.0)
+    parser.add_argument("--cost-b", type=float, default=1.0)
+    parser.add_argument("--cost-c", type=float, default=1.0)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=["json", "csv"], default=None)
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; the values of `config` replace the option defaults,
+    so explicit flags still win over them."""
     parser = argparse.ArgumentParser(
         prog="specwalk",
         description="Walk-based spectral measurement: exact small-scale "
@@ -112,13 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON file of option overrides")
         add_options(p)
+        p.set_defaults(**(config or {}))
     return parser
 
 
-def read_config(path: str) -> argparse.Namespace:
-    """The options of a JSON config file.  Each value, a string or a number,
-    is parsed as the text of its flag, so it passes the flag's type and
-    choices checks."""
+def read_config(path: str) -> dict:
+    """The option values of a JSON config file.  Each value, a string or a
+    number, is parsed as the text of its flag, so it passes the flag's type
+    and choices checks."""
     try:
         with open(path, encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -126,36 +103,26 @@ def read_config(path: str) -> argparse.Namespace:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise InputError(f"config {path} is not a JSON object")
-    valid = {f.name for f in fields(RunConfig)} - {"command"}
-    argv = []
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    add_options(parser)
+    valid = vars(parser.parse_args([]))
+    names, argv = [], []
     for key, value in overrides.items():
         name = key.replace("-", "_")
         if name not in valid:
             raise InputError(f"unknown config key {key!r}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise InputError(f"config key {key!r} must be a string or a number, got {value!r}")
+        names.append(name)
         argv.append(f"--{name.replace('_', '-')}={value}")
-    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-    add_options(parser)
     try:
-        return parser.parse_args(argv)
+        parsed = parser.parse_args(argv)
     except argparse.ArgumentError as exc:
         raise InputError(f"config {path}: {exc}") from exc
+    return {name: getattr(parsed, name) for name in names}
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overridden by the --config file, overridden by explicit flags."""
-    cfg = RunConfig()
-    sources = [read_config(args.config)] if args.config else []
-    for source in sources + [args]:
-        for f in fields(RunConfig):
-            value = getattr(source, f.name, None)
-            if value is not None:
-                setattr(cfg, f.name, value)
-    return cfg
-
-
-def build_model(cfg: RunConfig) -> LcuHamiltonian:
+def build_model(cfg: argparse.Namespace) -> LcuHamiltonian:
     if cfg.model == "tfim":
         return tfim(cfg.n, cfg.g, cfg.J, cfg.boundary)
     if cfg.model == "long-range":
@@ -170,7 +137,7 @@ def build_model(cfg: RunConfig) -> LcuHamiltonian:
 # --- commands ----------------------------------------------------------------
 
 
-def run_spectrum(cfg: RunConfig) -> tuple[dict, int]:
+def run_spectrum(cfg: argparse.Namespace) -> tuple[dict, int]:
     bundle = build_walk(normalize(build_model(cfg), "auto"), cfg.encoding, with_pe=True)
     report = walk_eigenphases(bundle)
     rows = [
@@ -197,7 +164,7 @@ def run_spectrum(cfg: RunConfig) -> tuple[dict, int]:
     return payload, 0 if payload["pass"] else 1
 
 
-def run_zeno(cfg: RunConfig) -> tuple[dict, int]:
+def run_zeno(cfg: argparse.Namespace) -> tuple[dict, int]:
     if cfg.model != "tfim":
         raise InputError("the zeno command drives the tfim interpolation path")
     if cfg.mode == "sample" and cfg.seed is None:
@@ -230,27 +197,21 @@ def run_zeno(cfg: RunConfig) -> tuple[dict, int]:
     return payload, 0
 
 
-def run_resources(cfg: RunConfig) -> tuple[dict, int]:
+def run_resources(cfg: argparse.Namespace) -> tuple[dict, int]:
     model = CostModel(cfg.cost_a, cfg.cost_b, cfg.cost_c)
     try:
         gaps = [float(x) for x in str(cfg.gap).split(",")]
     except ValueError as exc:
         raise InputError(f"bad gap list: {exc}") from exc
     rows = []
-    warnings = []
-    census = None
-    table = []
     h = build_model(cfg)
     rescaled = normalize(h, "auto")
     n_terms = rescaled.n_select_terms
     k_distinct = len(group(rescaled).groups)
-    if h.n_qubits + n_terms + 4 <= 20:
-        bundles = buildable_walks(rescaled)
-        table = [encoding_row(bundle) for bundle in bundles.values()]
-        if cfg.encoding in bundles:
-            census = bundles[cfg.encoding].controlled_walk.census
-    else:
-        warnings.append("model above the simulation cap; formula estimates only")
+    # building a walk simulates nothing, so every size gets measured censuses
+    bundles = buildable_walks(rescaled)
+    table = [encoding_row(bundle) for bundle in bundles.values()]
+    census = bundles[cfg.encoding].controlled_walk.census if cfg.encoding in bundles else None
     for gap in gaps:
         query = CostQuery(
             n=h.n_qubits,
@@ -281,7 +242,7 @@ def run_resources(cfg: RunConfig) -> tuple[dict, int]:
         "normalization": rescaled.normalization,
         "encoding_table": table,
         "rows": rows,
-        "warnings": warnings,
+        "warnings": [],
     }
     return payload, 0
 
@@ -323,18 +284,12 @@ def render(payload: dict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    cfg = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if cfg.command == "spectrum":
-            payload, code = run_spectrum(cfg)
-        elif cfg.command == "zeno":
-            payload, code = run_zeno(cfg)
-        elif cfg.command == "resources":
-            payload, code = run_resources(cfg)
-        else:
-            raise InputError(f"unknown command {cfg.command!r}")
+        if cfg.config:
+            cfg = build_parser(read_config(cfg.config)).parse_args(argv)
+        run = {"spectrum": run_spectrum, "zeno": run_zeno, "resources": run_resources}
+        payload, code = run[cfg.command](cfg)
         text = render(payload, cfg.format)
     except (InputError, HamiltonianFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

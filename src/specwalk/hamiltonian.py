@@ -157,20 +157,18 @@ def normalize(h: LcuHamiltonian, shift_policy: str = "auto") -> RescaledLcu:
     return RescaledLcu(h.n_qubits, norm, shift, tuple(weights))
 
 
-def group(rescaled: RescaledLcu, tol: float = GROUP_TOL) -> GroupedLcu:
-    """Group equal weights (relative tolerance `tol`) and pad each group with
-    identity members to the next power of two.
+def group(rescaled: RescaledLcu) -> GroupedLcu:
+    """Group equal weights (relative tolerance GROUP_TOL) and pad each group
+    with identity members to the next power of two.
 
     Padding draws its weight from the identity budget; raises if beta0_sq is
     too small to cover it (never the case after an 'auto' shift).
     """
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
     clusters: list[list[PauliString]] = []
     strengths: list[float] = []
     for w, p in rescaled.weights[1:]:
         for i, s in enumerate(strengths):
-            if abs(w - s) <= tol * max(abs(w), abs(s)):
+            if abs(w - s) <= GROUP_TOL * max(abs(w), abs(s)):
                 clusters[i].append(p)
                 break
         else:

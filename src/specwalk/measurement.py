@@ -3,8 +3,12 @@ ground-state preparation, and observable recovery from walk eigenstates.
 
 One ancilla drives the estimation: prepared |+>, a controlled walk, then an
 X-basis measurement whose outcome probabilities are (1 +- E_k)/2 on a walk
-eigenstate.  Analysis-mode routines compute exact probabilities and
-posteriors; sample-mode routines consume an explicit seeded generator.
+eigenstate.  Projection back to a bare eigenstate measures whether the
+unprepared control register is in vacuum.  Both are `QuantumState.measure`
+on a qubit pattern.  Analysis-mode routines compute exact probabilities and
+posteriors and follow a branch by projecting onto walk-eigenbasis vectors
+from `invariant_blocks` (`_project`); sample-mode routines re-measure
+instead and consume an explicit seeded generator.
 Energies are always the rescaled ones in [-1, 1]; containers carry the
 normalization and shift needed to map back to the physical scale.
 """
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BOUNDARY_EPS, InvariantBlock, invariant_blocks
+from .blocks import BOUNDARY_EPS, invariant_blocks
 from .hamiltonian import InterpolatedModel, RescaledLcu, eigensystem, interpolate, normalize
 from .pauli import PauliString, apply_pauli, star
 from .simulator import QuantumState, make_rng
@@ -52,10 +56,8 @@ def pe_step(state: QuantumState, controlled_walk, mode: str = "analyze", rng=Non
     work.apply(Gate.h(pe))
     work.apply_circuit(controlled_walk)
     work.apply(Gate.h(pe))
-    result = work.measure(pe)
-    p_plus = result.p_zero
-    post_plus = result.posterior_zero
-    post_minus = result.posterior_one
+    p_minus, post_minus, post_plus = work.measure({pe: 1})
+    p_plus = 1.0 - p_minus
     if post_minus is not None:
         post_minus.apply(Gate.pauli_word(PauliString.single(1, 0, "X"), (pe,)))
     if mode == "analyze":
@@ -87,14 +89,20 @@ class MeasurementRecord:
         }
 
 
+ESTIMATE_BLOCKS = 10
+ZENO_MAX_ROUNDS = 40
+GROUND_TOL = 1e-12  # energies within this of the lowest share the ground branch
+
+
 def estimate_energy(
-    state: QuantumState, controlled_walk, shots: int, seed: int, n_blocks: int = 10
+    state: QuantumState, controlled_walk, shots: int, seed: int
 ) -> MeasurementRecord:
     """Repeated sampled estimation rounds on a refreshed ancilla.
 
-    The shots are split into blocks; each block starts from a fresh copy of
-    the input state and carries the measurement posterior within the block
-    (re-preparation per block is how a finite-coherence run behaves).  The
+    The shots are split into up to ESTIMATE_BLOCKS blocks; each block starts
+    from a fresh copy of the input state and carries the measurement
+    posterior within the block (re-preparation per block is how a
+    finite-coherence run behaves).  The
     estimate is 2*(fraction of '+') - 1 with a fixed z=2 binomial half-width.
     On a walk eigenstate the rounds are i.i.d.; on anything else each block
     collapses toward a random eigenstate, the long-run estimate converges to
@@ -106,7 +114,7 @@ def estimate_energy(
         raise ValueError("need at least one shot")
     rng = make_rng(seed)
     initial = state.vec.copy()
-    n_blocks = max(1, min(n_blocks, shots // 2)) if shots >= 4 else 1
+    n_blocks = max(1, min(ESTIMATE_BLOCKS, shots // 2)) if shots >= 4 else 1
     bounds = [round(i * shots / n_blocks) for i in range(n_blocks + 1)]
     outcomes: list[int] = []
     block_means: list[float] = []
@@ -148,20 +156,20 @@ def estimate_energy(
     )
 
 
-def _fixed_point(vec, posterior, tol: float = 1e-12) -> bool:
+def _fixed_point(vec, posterior) -> bool:
     if posterior is None:
         return True
-    return abs(abs(np.vdot(vec, posterior.vec)) - 1.0) < tol
+    return abs(abs(np.vdot(vec, posterior.vec)) - 1.0) < 1e-12
 
 
-def _drifting(block_means, p_hat, shots, factor: float = 4.0) -> bool:
+def _drifting(block_means, p_hat, shots) -> bool:
     if len(block_means) < 2:
         return False
     size = shots / len(block_means)
     expected = p_hat * (1.0 - p_hat) / size
     if expected == 0.0:
         return bool(np.var(block_means) > 0.0)
-    return bool(np.var(block_means) > factor * expected)
+    return bool(np.var(block_means) > 4.0 * expected)
 
 
 # --- deterministic projection -----------------------------------------------
@@ -176,10 +184,18 @@ class ProjectionResult:
     cumulative_success: tuple[float, ...]
 
 
-def _eigenspace_projection(state_vec, blocks, rng=None):
+def _project(state_vec, vecs) -> tuple[float, np.ndarray]:
+    """Weight and unnormalized projection of `state_vec` on the span of the
+    orthonormal `vecs`."""
+    proj = np.zeros_like(state_vec)
+    for v in vecs:
+        proj += v * np.vdot(v, state_vec)
+    return float(np.vdot(proj, proj).real), proj
+
+
+def _eigenspace_projection(state_vec, blocks):
     """Projective measurement onto the walk eigenspaces (phases grouped
-    within BOUNDARY_EPS).  Analysis mode (rng None) takes the most probable
-    branch; sample mode draws one."""
+    within BOUNDARY_EPS); the most probable branch is taken."""
     spaces: list[tuple[float, list[np.ndarray]]] = []
     for b in blocks:
         for phase, vec in ((b.theta, b.phi_plus), (-b.theta, b.phi_minus)):
@@ -191,32 +207,20 @@ def _eigenspace_projection(state_vec, blocks, rng=None):
                     break
             else:
                 spaces.append((phase, [vec]))
-    probs = []
-    projections = []
-    for _, vecs in spaces:
-        proj = np.zeros_like(state_vec)
-        for v in vecs:
-            proj += v * np.vdot(v, state_vec)
-        p = float(np.vdot(proj, proj).real)
-        probs.append(p)
-        projections.append(proj)
+    probs, projections = zip(*(_project(state_vec, vecs) for _, vecs in spaces))
     total = sum(probs)
     if abs(total - 1.0) > 1e-8:
         raise AssertionError(f"state leaks out of the invariant subspace: {total}")
-    if rng is None:
-        i = int(np.argmax(probs))
-    else:
-        i = int(rng.choice(len(probs), p=np.array(probs) / total))
+    i = int(np.argmax(probs))
     return projections[i] / math.sqrt(probs[i]), probs[i]
 
 
 def project_to_eigenstate(
     state: QuantumState,
     bundle: WalkBundle,
-    max_rounds: int = 3,
+    max_rounds: int,
     mode: str = "analyze",
     rng=None,
-    blocks: list[InvariantBlock] | None = None,
 ) -> ProjectionResult:
     """Strip the control register off a walk eigenstate.
 
@@ -225,16 +229,18 @@ def project_to_eigenstate(
     walk eigenstate; 1 on a bare dressed eigenstate).  On failure the state
     is re-prepared and projectively re-measured in the walk eigenbasis, and
     the round repeats; the cumulative success probability after L rounds is
-    1 - 2**-L.
+    1 - 2**-L, with L = `max_rounds`.
 
-    Analysis mode follows the tree deterministically and reports exact round
-    probabilities; sample mode draws every branch from `rng`.
+    Analysis mode follows the tree deterministically, re-measuring by
+    projection onto the walk eigenbasis of `invariant_blocks`, and reports
+    exact round probabilities; sample mode re-measures with an estimation
+    round, draws every branch from `rng` and never diagonalizes the walk.
     """
-    if blocks is None:
-        blocks = invariant_blocks(bundle)
     sampling = mode == "sample"
     if sampling:
         rng = make_rng(rng)
+    else:
+        blocks = invariant_blocks(bundle)
     current = state.copy()
     round_probs: list[float] = []
     cumulative: list[float] = []
@@ -244,7 +250,9 @@ def project_to_eigenstate(
     for _ in range(max_rounds):
         work = current.copy()
         work.apply_circuit(bundle.prepare_dagger)
-        p, success_state, failure_state = work.project_control_vacuum()
+        p, success_state, failure_state = work.measure(
+            dict.fromkeys(bundle.layout.control, 0)
+        )
         rounds_used += 1
         round_probs.append(p)
         cumulative.append(1.0 - remaining * (1.0 - p))
@@ -287,20 +295,18 @@ def gamma(sigma: PauliString, rescaled: RescaledLcu) -> float:
     return total
 
 
-def recovery_scale(e_k: float, gamma_sigma: float, eps: float = BOUNDARY_EPS) -> float:
+def recovery_scale(e_k: float, gamma_sigma: float) -> float:
     """(1 + (Gamma - E^2)/(1 - E^2)) / 2, the attenuation of a system
     observable measured on a two-dimensional walk eigenstate."""
-    if abs(e_k) >= 1.0 - eps:
+    if abs(e_k) >= 1.0 - BOUNDARY_EPS:
         raise BoundaryEnergyError(f"eigenvalue {e_k} is at the spectral boundary")
     return 0.5 * (1.0 + (gamma_sigma - e_k * e_k) / (1.0 - e_k * e_k))
 
 
-def recover_expectation(
-    measured: float, e_k: float, gamma_sigma: float, eps: float = BOUNDARY_EPS
-) -> float:
+def recover_expectation(measured: float, e_k: float, gamma_sigma: float) -> float:
     """Invert the attenuation: the system-eigenstate expectation value."""
-    scale = recovery_scale(e_k, gamma_sigma, eps)
-    if abs(scale) <= eps:
+    scale = recovery_scale(e_k, gamma_sigma)
+    if abs(scale) <= BOUNDARY_EPS:
         raise UnrecoverableExpectationError(
             f"recovery scale {scale} vanishes; observable not extractable"
         )
@@ -374,7 +380,6 @@ class ZenoTrace:
     seed: int | None
     steps: list[ZenoStep]
     success_probability: float
-    final_state: np.ndarray
     final_fidelity: float
 
     def to_json(self) -> dict:
@@ -421,7 +426,6 @@ def zeno_prepare(
     mode: str = "analyze",
     seed: int | None = None,
     shots: int = 200,
-    max_rounds: int = 40,
 ) -> ZenoTrace:
     """Drag the supplied g=0 ground state to g=1 by a sequence of energy
     measurements along the interpolation schedule.
@@ -430,7 +434,10 @@ def zeno_prepare(
     the walk eigenspaces of H(g_j), the ground branch is followed, and the
     trace records exact branch probabilities, whose product telescopes into
     prod_j |<phi0(g_{j-1})|phi0(g_j)>|^2.  Sample mode: finite-shot
-    estimation rounds followed by sampled projection, one trajectory.
+    estimation rounds followed by sampled projection (at most
+    ZENO_MAX_ROUNDS rounds), one trajectory; it reads no invariant blocks.
+    Ground fidelities are weights on the whole ground eigenspace of the
+    dense oracle.
     """
     if model.h0_ground is None:
         raise ValueError("the model must supply the g=0 ground state")
@@ -449,6 +456,8 @@ def zeno_prepare(
         h = interpolate(model, g)
         bundle = build_walk(normalize(h, "auto"), encoding, with_pe=sampling)
         rescaled = bundle.rescaled
+        # Built in both modes: the benchmark's sampled Zeno workload covers
+        # the blocks layer, and its tracer test checks that it does.
         blocks = invariant_blocks(bundle)
         oracle_vals, oracle_vecs = eigensystem(rescaled)
         ground_vec = oracle_vecs[:, 0]
@@ -458,12 +467,12 @@ def zeno_prepare(
         if sampling:
             estimate_energy(state, bundle.controlled_walk, shots, int(rng.integers(2**31)))
             projection = project_to_eigenstate(
-                state, bundle, max_rounds=max_rounds, mode="sample", rng=rng, blocks=blocks
+                state, bundle, max_rounds=ZENO_MAX_ROUNDS, mode="sample", rng=rng
             )
             if not projection.success:
-                raise RuntimeError("projection did not succeed within max_rounds")
+                raise RuntimeError(f"projection did not succeed within {ZENO_MAX_ROUNDS} rounds")
             psi_next = projection.system_state
-            ground_fid = float(abs(np.vdot(psi_next, ground_vec)) ** 2)
+            ground_fid = _ground_weight(psi_next, oracle_vals, oracle_vecs)
             e_bar = _state_energy(psi_next, rescaled)
             step_success = ground_fid > 0.5
             p_ground = ground_fid
@@ -472,7 +481,7 @@ def zeno_prepare(
             success_probability *= p_ground
             walk_state = QuantumState(bundle.layout, posterior)
             walk_state.apply_circuit(bundle.prepare_dagger)
-            p_vac, succ, _ = walk_state.project_control_vacuum()
+            p_vac, succ, _ = walk_state.measure(dict.fromkeys(bundle.layout.control, 0))
             if abs(p_vac - 1.0) > 1e-9:
                 raise AssertionError(
                     f"unprepared dressed eigenstate left the control register dirty: {p_vac}"
@@ -484,9 +493,7 @@ def zeno_prepare(
         steps.append(ZenoStep(g, e_bar, e_phys, p_ground, overlap, step_success))
         psi = psi_next
         prev_ground = ground_vec
-    final_h = interpolate(model, 1.0)
-    _, final_vecs = eigensystem(final_h)
-    final_fidelity = float(abs(np.vdot(psi, final_vecs[:, 0])) ** 2)
+    final_fidelity = _ground_weight(psi, *eigensystem(interpolate(model, 1.0)))
     if sampling:
         success_probability = float(
             np.prod([s.ground_probability for s in steps])
@@ -498,7 +505,6 @@ def zeno_prepare(
         seed,
         steps,
         success_probability,
-        psi,
         final_fidelity,
     )
 
@@ -519,16 +525,23 @@ def _state_energy(psi: np.ndarray, rescaled: RescaledLcu) -> float:
     return float(np.vdot(psi, dense_matrix(rescaled) @ psi).real)
 
 
+def _ground_weight(psi: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """Weight of `psi` on the ground eigenspace of the eigensystem (vals, vecs)."""
+    ground = np.flatnonzero(vals <= vals[0] + GROUND_TOL)
+    return float(sum(abs(np.vdot(psi, vecs[:, k])) ** 2 for k in ground))
+
+
 def _ground_branch(state_vec, blocks):
     """Probability and normalized posterior of the lowest-energy branch of an
     exact energy measurement (degenerate ground energies share the branch)."""
     e0 = min(b.energy for b in blocks)
-    proj = np.zeros_like(state_vec)
-    for b in blocks:
-        if b.energy <= e0 + 1e-12:
-            for vec in (b.phi0,) if b.phi1 is None else (b.phi0, b.phi1):
-                proj += vec * np.vdot(vec, state_vec)
-    p = float(np.vdot(proj, proj).real)
+    vecs = [
+        vec
+        for b in blocks
+        if b.energy <= e0 + GROUND_TOL
+        for vec in ((b.phi0,) if b.phi1 is None else (b.phi0, b.phi1))
+    ]
+    p, proj = _project(state_vec, vecs)
     if p <= 0.0:
         raise ValueError("the state has no weight on the ground branch")
     return p, proj / math.sqrt(p)

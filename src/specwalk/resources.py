@@ -58,7 +58,8 @@ class CostQuery:
     """Problem parameters for the comparison formulas.
 
     gap is the target energy resolution on the physical scale; delta the
-    per-gate accuracy; time defaults to time_constant / gap.
+    per-gate accuracy; the evolution time is time_constant / gap.  The
+    normalization stands in for the operator norm.
     """
 
     n: int  # system size
@@ -67,24 +68,18 @@ class CostQuery:
     normalization: float
     gap: float
     delta: float
-    time: float | None = None
-    norm_h: float | None = None
     time_constant: float = 1.0
 
     def __post_init__(self):
         for name in ("n", "n_terms", "k_distinct", "normalization", "gap", "delta"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.hamiltonian_norm < self.gap:
+        if self.normalization < self.gap:
             raise ValueError("the resolution target cannot exceed the operator norm")
 
     @property
     def evolution_time(self) -> float:
-        return self.time if self.time is not None else self.time_constant / self.gap
-
-    @property
-    def hamiltonian_norm(self) -> float:
-        return self.norm_h if self.norm_h is not None else self.normalization
+        return self.time_constant / self.gap
 
 
 def walk_cost(query: CostQuery, model: CostModel, census: GateCensus | None = None) -> dict:
@@ -158,7 +153,7 @@ def taylor_cost(
     """Truncated-series baseline: r segments of an order-M expansion, each
     segment costing about M times one walk call; the walk needs r*M times
     fewer gates by using one first-order segment."""
-    norm = query.hamiltonian_norm
+    norm = query.normalization
     r = math.ceil(norm / query.gap)
     m = math.ceil(math.log(norm / query.gap**2))
     m = max(m, 1)

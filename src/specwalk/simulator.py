@@ -1,10 +1,13 @@
 """Exact dense statevector simulation over a partitioned register.
 
 States are owned values; applying a gate mutates the owner's amplitude
-vector in place and preserves the norm.  A measurement returns both outcome
-probabilities and both renormalized posteriors and consumes no randomness;
-callers that sample draw from a generator made by `make_rng` from an explicit
-seed.  No global randomness anywhere.
+vector in place and preserves the norm.  `QuantumState.measure` is the one
+measurement: it splits a state on a pattern of qubit values into the weight
+of the matching slice and the renormalized posteriors on and off it, and it
+consumes no randomness.  The phase-estimation ancilla (one qubit) and the
+control-vacuum projection (the whole control register) both use it.
+Callers that sample draw from a generator made by `make_rng` from an
+explicit seed.  No global randomness anywhere.
 
 Gate kernel.  A gate acts on strided views of ``vec.reshape((2,) * total)``,
 where qubit ``q`` is axis ``total - 1 - q`` and each control value is fixed
@@ -56,6 +59,7 @@ from .circuits import (
 from .pauli import PauliString, apply_view_action, view_action
 
 SIMULATION_QUBIT_CAP = 22
+UNITARY_QUBIT_CAP = 12
 
 _SQRT2_INV = 1 / math.sqrt(2)
 _FIXED_1Q = {
@@ -183,33 +187,24 @@ def _plan(gate: Gate, total: int) -> tuple:
 
 
 @dataclass
-class MeasureResult:
-    qubit: int
-    p_zero: float
-    p_one: float
-    posterior_zero: "QuantumState | None" = None
-    posterior_one: "QuantumState | None" = None
-
-
-@dataclass
 class QuantumState:
     layout: RegisterLayout
     vec: np.ndarray
 
     @classmethod
-    def zero_state(cls, layout: RegisterLayout, cap: int = SIMULATION_QUBIT_CAP):
-        if layout.total_qubits > cap:
+    def zero_state(cls, layout: RegisterLayout):
+        if layout.total_qubits > SIMULATION_QUBIT_CAP:
             raise ValueError(
-                f"{layout.total_qubits} qubits exceeds the dense cap of {cap}"
+                f"{layout.total_qubits} qubits exceeds the dense cap of {SIMULATION_QUBIT_CAP}"
             )
         vec = np.zeros(1 << layout.total_qubits, dtype=complex)
         vec[0] = 1.0
         return cls(layout, vec)
 
     @classmethod
-    def from_system_state(cls, layout, system_vec, cap: int = SIMULATION_QUBIT_CAP):
+    def from_system_state(cls, layout, system_vec):
         """All non-system qubits |0>, the system register in `system_vec`."""
-        state = cls.zero_state(layout, cap)
+        state = cls.zero_state(layout)
         dim = 1 << layout.system_qubits
         if system_vec.shape != (dim,):
             raise ValueError("system vector has the wrong dimension")
@@ -241,10 +236,10 @@ class QuantumState:
         return self
 
     # --- observables ----------------------------------------------------------
-    def expectation(self, sigma: PauliString, qubits: tuple[int, ...] | None = None) -> float:
-        """<state| sigma |state> with sigma acting on `qubits` (default: the
-        system register).  Real for +-1 signs; the imaginary residue is checked."""
-        targets = qubits if qubits is not None else self.layout.system
+    def expectation(self, sigma: PauliString) -> float:
+        """<state| sigma |state> with sigma acting on the system register.
+        Real for +-1 signs; the imaginary residue is checked."""
+        targets = self.layout.system
         if sigma.n_qubits != len(targets):
             raise ValueError("operator width does not match the target register")
         if sigma.phase_exp % 2:
@@ -259,73 +254,40 @@ class QuantumState:
         return float(val.real)
 
     # --- measurement --------------------------------------------------------
-    def probability_one(self, qubit: int) -> float:
-        ten = self.vec.reshape((2,) * self.layout.total_qubits)
-        idx = [slice(None)] * self.layout.total_qubits
-        idx[self.layout.total_qubits - 1 - qubit] = 1
-        return float(np.sum(np.abs(ten[tuple(idx)]) ** 2))
+    def measure(self, bits: dict[int, int]):
+        """Measure the qubits of `bits` against the pattern they name.
 
-    def _collapsed(self, qubit: int, outcome: int, prob: float) -> "QuantumState":
-        out = self.copy()
-        ten = out.vec.reshape((2,) * out.layout.total_qubits)
-        idx = [slice(None)] * out.layout.total_qubits
-        idx[out.layout.total_qubits - 1 - qubit] = 1 - outcome
-        ten[tuple(idx)] = 0.0
-        out.vec /= math.sqrt(prob)
-        return out
-
-    def measure(self, qubit: int) -> MeasureResult:
-        """Both outcome probabilities of `qubit` and the posterior of each
-        outcome that has weight (None for one that has none)."""
-        if not 0 <= qubit < self.layout.total_qubits:
-            raise ValueError(f"qubit {qubit} outside the register")
-        p1 = self.probability_one(qubit)
-        p0 = 1.0 - p1
-        if abs(p0 + p1 - 1.0) > 1e-12:
-            raise AssertionError("measurement probabilities do not sum to 1")
-        return MeasureResult(
-            qubit,
-            p0,
-            p1,
-            posterior_zero=self._collapsed(qubit, 0, p0) if p0 > 1e-300 else None,
-            posterior_one=self._collapsed(qubit, 1, p1) if p1 > 1e-300 else None,
-        )
-
-    def project_control_vacuum(self):
-        """Project the control register onto all-zeros vs its complement.
-
-        Returns (success probability, success posterior, failure posterior);
-        a posterior is None when its branch has no weight.
+        Returns (p, hit, miss): the weight of the slice where every qubit q
+        reads bits[q], the renormalized posterior on that slice and the one
+        off it.  A posterior whose branch weighs <= 1e-300 is None; an empty
+        pattern always hits.
         """
-        layout = self.layout
-        if layout.control_qubits == 0:
-            return 1.0, self.copy(), None
-        total = layout.total_qubits
-        ten = self.vec.reshape((2,) * total)
-        idx = [slice(None)] * total
-        for q in layout.control:
-            idx[total - 1 - q] = 0
-        block = ten[tuple(idx)]
+        layout, total = self.layout, self.layout.total_qubits
+        for q in bits:
+            if not 0 <= q < total:
+                raise ValueError(f"qubit {q} outside the register")
+        if not bits:
+            return 1.0, QuantumState(layout, self.vec.copy()), None
+        idx = _index(total, bits.items())
+        block = self.vec.reshape((2,) * total)[idx]
         p = float(np.sum(np.abs(block) ** 2))
-        success = None
-        failure = None
+        hit = miss = None
         if p > 1e-300:
-            sv = np.zeros_like(self.vec)
-            sten = sv.reshape((2,) * total)
-            sten[tuple(idx)] = block
-            success = QuantumState(layout, sv / math.sqrt(p))
+            hit = QuantumState(layout, np.zeros_like(self.vec))
+            hit.vec.reshape((2,) * total)[idx] = block
+            hit.vec /= math.sqrt(p)
         if 1.0 - p > 1e-300:
-            fv = self.vec.copy()
-            ften = fv.reshape((2,) * total)
-            ften[tuple(idx)] = 0.0
-            failure = QuantumState(layout, fv / math.sqrt(1.0 - p))
-        return p, success, failure
+            miss = QuantumState(layout, self.vec.copy())
+            miss.vec.reshape((2,) * total)[idx] = 0.0
+            miss.vec /= math.sqrt(1.0 - p)
+        return p, hit, miss
 
-    def extract_system(self, tol: float = 1e-9) -> np.ndarray:
-        """System-register vector, requiring all other qubits to be |0>."""
+    def extract_system(self) -> np.ndarray:
+        """System-register vector, requiring all other qubits to be |0>
+        (residual weight at most 1e-9)."""
         dim = 1 << self.layout.system_qubits
         residue = float(np.sum(np.abs(self.vec[dim:]) ** 2))
-        if residue > tol:
+        if residue > 1e-9:
             raise ValueError(
                 f"non-system registers are not in |0>: residual weight {residue:.3e}"
             )
@@ -333,11 +295,11 @@ class QuantumState:
         return out / np.linalg.norm(out)
 
 
-def circuit_unitary(circuit: Circuit, cap: int = 12) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (small registers only)."""
     n = circuit.layout.total_qubits
-    if n > cap:
-        raise ValueError(f"{n} qubits exceeds the unitary-export cap of {cap}")
+    if n > UNITARY_QUBIT_CAP:
+        raise ValueError(f"{n} qubits exceeds the unitary-export cap of {UNITARY_QUBIT_CAP}")
     dim = 1 << n
     cols = np.empty((dim, dim), dtype=complex)
     for b in range(dim):
@@ -349,9 +311,3 @@ def circuit_unitary(circuit: Circuit, cap: int = 12) -> np.ndarray:
         cols[:, b] = state.vec
     return cols
 
-
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < tol or nb < tol:
-        return na < tol and nb < tol
-    return abs(abs(np.vdot(a, b)) / (na * nb) - 1.0) < tol

@@ -109,7 +109,6 @@ def binary_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkBundle:
     layout = RegisterLayout(
         system_qubits=n,
         control_qubits=c,
-        control_encoding="binary",
         ancilla_qubits=max(0, n_inputs - 1),
         has_pe_qubit=with_pe,
     )

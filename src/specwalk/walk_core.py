@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .circuits import Circuit, Gate, RegisterLayout
-from .hamiltonian import GroupedLcu, RescaledLcu, group
+from .hamiltonian import RescaledLcu, group
 from .pauli import PauliString, to_matrix
 
 
@@ -52,7 +52,6 @@ class WalkBundle:
     walk: Circuit
     controlled_walk: Circuit
     rescaled: RescaledLcu | None = None
-    grouped: GroupedLcu | None = None
 
     @property
     def n_system(self) -> int:
@@ -85,7 +84,6 @@ def assemble_bundle(
     prepare: Circuit,
     build_select: Callable[[bool], Circuit],
     rescaled: RescaledLcu | None,
-    grouped: GroupedLcu | None = None,
 ) -> WalkBundle:
     """B', S, W and the controlled walk from the prepare circuit and the
     select builder; `build_select(pe_control)` conditions select on the pe
@@ -112,7 +110,6 @@ def assemble_bundle(
         walk=walk,
         controlled_walk=controlled,
         rescaled=rescaled,
-        grouped=grouped,
     )
 
 

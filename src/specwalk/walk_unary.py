@@ -42,23 +42,21 @@ def _chain_rotation(circ, target, control, cos_half, sin_half):
     circ.append(Gate.rot("y", angle, target, controls))
 
 
-def build_head_prep(grouped: GroupedLcu, layout: RegisterLayout) -> Circuit:
-    """Chain preparation of  beta0 |vac> + sum_k sqrt(N_k s_k) |head_k>.
+def build_head_prep(layout: RegisterLayout, beta0_sq: float, heads, positions) -> Circuit:
+    """Chain preparation of  sqrt(beta0_sq) |vac> + sum_k heads[k] |positions[k]>.
 
-    One initial rotation moves all non-vacuum weight onto head 1; each of
-    the K-1 transfer links is one controlled rotation plus a CNOT, keeping
-    the state one-hot.  Census: at most K generic rotations.
+    One initial rotation moves all non-vacuum weight onto the first head;
+    each of the K-1 transfer links is one controlled rotation plus a CNOT,
+    keeping the state one-hot.  Census: at most K generic rotations.
     """
-    heads = [math.sqrt(g.n_padded * g.strength_sq) for g in grouped.groups]
-    total = grouped.beta0_sq + sum(h * h for h in heads)
+    total = beta0_sq + sum(h * h for h in heads)
     if abs(total - 1.0) > 1e-9:
         raise ValueError("group weights do not sum to 1")
     circ = Circuit(layout)
     if not heads:
         return circ
-    positions = [layout.control[g.offset - 1] for g in grouped.groups]
-    tail = math.sqrt(max(0.0, 1.0 - grouped.beta0_sq))
-    _chain_rotation(circ, positions[0], None, math.sqrt(grouped.beta0_sq), tail)
+    tail = math.sqrt(max(0.0, 1.0 - beta0_sq))
+    _chain_rotation(circ, positions[0], None, math.sqrt(beta0_sq), tail)
     for k in range(1, len(heads)):
         keep = heads[k - 1]
         rest = math.sqrt(max(0.0, tail * tail - keep * keep))
@@ -91,9 +89,12 @@ def build_fanout(layout: RegisterLayout, head: int, size: int) -> Circuit:
 
 
 def build_prepare_unary(grouped: GroupedLcu, layout: RegisterLayout) -> Circuit:
-    circ = build_head_prep(grouped, layout)
-    for g in grouped.groups:
-        circ.extend(build_fanout(layout, layout.control[g.offset - 1], g.n_padded))
+    """Heads sqrt(N_k s_k) on each group's first qubit, then fanout trees."""
+    heads = [math.sqrt(g.n_padded * g.strength_sq) for g in grouped.groups]
+    positions = [layout.control[g.offset - 1] for g in grouped.groups]
+    circ = build_head_prep(layout, grouped.beta0_sq, heads, positions)
+    for g, head in zip(grouped.groups, positions):
+        circ.extend(build_fanout(layout, head, g.n_padded))
     return circ
 
 
@@ -129,7 +130,6 @@ def unary_walk(grouped: GroupedLcu, rescaled: RescaledLcu | None = None, with_pe
     layout = RegisterLayout(
         system_qubits=grouped.n_qubits,
         control_qubits=grouped.n_control,
-        control_encoding="unary",
         ancilla_qubits=0,
         has_pe_qubit=with_pe,
     )
@@ -140,7 +140,6 @@ def unary_walk(grouped: GroupedLcu, rescaled: RescaledLcu | None = None, with_pe
         build_prepare_unary(grouped, layout),
         lambda pe_control: build_select_v_unary(grouped, layout, pe_control),
         rescaled,
-        grouped,
     )
 
 
@@ -224,7 +223,6 @@ def hybrid_long_range_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkB
     layout = RegisterLayout(
         system_qubits=n,
         control_qubits=k_registers + site_width,
-        control_encoding="hybrid",
         ancilla_qubits=0,
         has_pe_qubit=with_pe,
     )
@@ -250,19 +248,10 @@ def hybrid_long_range_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkB
             branches.append(Branch(amp, word, ctrl))
 
     # prepare: strength chain on the one-hot register, Hadamards on the site
-    # register (Clifford) -- only the K chain links cost rotations
-    chain = GroupedLcu(
-        n_qubits=n,
-        normalization=rescaled.normalization,
-        shift_added=rescaled.shift_added,
-        beta0_sq=beta0_sq,
-        groups=tuple(
-            # one head per distance, weight n*w spread over the site register
-            _chain_group(per_distance[k][0], n, pos + 1)
-            for pos, k in enumerate(distances)
-        ),
-    )
-    prepare = build_head_prep(chain, layout)
+    # register (Clifford) -- only the K chain links cost rotations.  Each
+    # distance has one head of weight n*w, spread over the site register.
+    heads = [math.sqrt(per_distance[k][0] * n) for k in distances]
+    prepare = build_head_prep(layout, beta0_sq, heads, coupling)
     for q in site_bits:
         prepare.append(Gate.h(q))
 
@@ -293,15 +282,3 @@ def hybrid_long_range_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkB
 
     return assemble_bundle("hybrid", layout, branches, prepare, build_select, rescaled)
 
-
-def _chain_group(weight: float, n_sites: int, offset: int):
-    from .hamiltonian import StrengthGroup
-
-    # placeholder members: the chain prep only reads strengths and offsets
-    return StrengthGroup(
-        strength_sq=weight * n_sites,
-        members=(),
-        n_real=0,
-        n_padded=1,
-        offset=offset,
-    )

@@ -76,6 +76,14 @@ def test_zeno_single_jump(tmp_path):
     assert abs(payload["success_probability"] - payload["steps"][0]["oracle_overlap"]) < 1e-9
 
 
+def test_zeno_fidelity_counts_a_degenerate_ground_space():
+    # at g = 0 the final Hamiltonian is Z0 Z1, whose ground space is
+    # two-dimensional; the prepared state lies wholly inside it
+    code, out = run_cli(["zeno", "--n", "2", "--g", "0", "--schedule-steps", "2"])
+    assert code == 0
+    assert json.loads(out)["final_fidelity"] == 1.0
+
+
 def test_zeno_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["zeno", "--model", "tfim", "--n", "2", "--schedule-steps", "2",
@@ -129,16 +137,21 @@ def test_resources_gap_sweep_monotone(tmp_path):
     assert walk_totals == sorted(walk_totals)  # shrinking gap raises the cost
 
 
-def test_resources_estimates_only_above_cap(tmp_path):
+def test_resources_measures_above_simulation_cap(tmp_path):
+    # building a census simulates nothing, so 12 sites (far above the dense
+    # cap once control and pe qubits are added) still get measured rows
     out = tmp_path / "big.json"
     code, _ = run_cli(
         ["resources", "--model", "tfim", "--n", "12", "--gap", "0.1", "--out", str(out)]
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["warnings"]
-    assert payload["encoding_table"] == []
-    assert all(row["kind"] == "estimate" for row in payload["rows"])
+    assert payload["warnings"] == []
+    by = {row["encoding"]: row for row in payload["encoding_table"]}
+    assert set(by) == {"binary", "unary"}
+    assert all(row["kind"] == "measured" for row in by.values())
+    walk = next(row for row in payload["rows"] if row["method"] == "walk")
+    assert walk["kind"] == "measured"
 
 
 def test_config_file_with_flag_precedence(tmp_path):

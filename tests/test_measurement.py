@@ -149,7 +149,7 @@ def test_projection_success_probability_half(tfim3_bundle):
         if block.is_boundary:
             continue
         state = eigenstate(bundle, block)
-        res = project_to_eigenstate(state, bundle, max_rounds=3, blocks=blocks)
+        res = project_to_eigenstate(state, bundle, max_rounds=3)
         for p in res.round_probs:
             assert abs(p - 0.5) < 1e-10
         for ell, cum in enumerate(res.cumulative_success, start=1):
@@ -163,7 +163,7 @@ def test_projection_recovers_eigenvector(tfim3_bundle):
         if block.is_boundary:
             continue
         state = eigenstate(bundle, block, "-")
-        res = project_to_eigenstate(state, bundle, blocks=blocks)
+        res = project_to_eigenstate(state, bundle, max_rounds=3)
         assert res.success
         fid = abs(np.vdot(res.system_state, vecs[:, k])) ** 2
         assert fid >= 1 - 1e-9
@@ -174,7 +174,7 @@ def test_projection_identity_on_dressed_state(tfim3_bundle):
     bundle, blocks = tfim3_bundle
     state = QuantumState(bundle.layout, blocks[0].phi0.copy())
     state.apply_circuit(bundle.prepare_dagger)
-    p, succ, _ = state.project_control_vacuum()
+    p, succ, _ = state.measure(dict.fromkeys(bundle.layout.control, 0))
     assert abs(p - 1.0) < 1e-10
 
 
@@ -184,14 +184,28 @@ def test_projection_sampled(tfim3_bundle):
     successes = 0
     for seed in range(30):
         state = eigenstate(bundle, block)
-        res = project_to_eigenstate(
-            state, bundle, max_rounds=8, mode="sample", rng=seed, blocks=blocks
-        )
+        res = project_to_eigenstate(state, bundle, max_rounds=8, mode="sample", rng=seed)
         successes += res.success
         if res.success:
             fid = abs(np.vdot(res.system_state, block.system_vector)) ** 2
             assert fid > 1 - 1e-8
     assert successes >= 25  # 1 - 2**-8 each
+
+
+def test_sampled_projection_builds_no_blocks(tfim3_bundle, monkeypatch):
+    import specwalk.measurement as measurement
+
+    def refuse(bundle):
+        raise AssertionError("sampled projection must not diagonalize the walk")
+
+    bundle, blocks = tfim3_bundle
+    block = [b for b in blocks if not b.is_boundary][0]
+    monkeypatch.setattr(measurement, "invariant_blocks", refuse)
+    state = eigenstate(bundle, block)
+    res = project_to_eigenstate(state, bundle, max_rounds=8, mode="sample", rng=3)
+    assert res.rounds >= 1
+    with pytest.raises(AssertionError):
+        project_to_eigenstate(eigenstate(bundle, block), bundle, max_rounds=3)  # analyze mode
 
 
 def test_sampling_requires_a_seed(tfim3_bundle):
@@ -200,7 +214,7 @@ def test_sampling_requires_a_seed(tfim3_bundle):
     with pytest.raises(ValueError):
         pe_step(state, bundle.controlled_walk, mode="sample", rng=None)
     with pytest.raises(ValueError):
-        project_to_eigenstate(state, bundle, mode="sample", rng=None, blocks=blocks)
+        project_to_eigenstate(state, bundle, max_rounds=3, mode="sample", rng=None)
 
 
 # --- observable recovery ---------------------------------------------------------

@@ -66,14 +66,14 @@ def test_trotter_hand_values():
 
 
 def test_taylor_hand_values():
-    query = q(norm_h=8.0, gap=0.5, normalization=8.0)
+    query = q(gap=0.5, normalization=8.0)
     report = taylor_cost(query, UNIT)
     assert report["segments"] == 16
     assert report["order"] == math.ceil(math.log(8.0 / 0.25))  # ceil(ln 32) = 4
     assert report["savings_ratio"] == 64
     assert report["total_estimate"] == 64 * report["per_walk_call"]
     # boundary: norm equals the gap resolves in one segment
-    edge = taylor_cost(q(norm_h=0.5, gap=0.5, normalization=0.5), UNIT)
+    edge = taylor_cost(q(gap=0.5, normalization=0.5), UNIT)
     assert edge["segments"] == 1
 
 
@@ -114,8 +114,9 @@ def test_cost_monotonicity_sweep():
         assert bumped(normalization=base["normalization"] * 1.5) >= total
         assert bumped(gap=base["gap"] * 1.5) <= total  # larger gap, cheaper
         assert bumped(delta=min(0.5, base["delta"] * 4)) <= total
-        t = CostQuery(**base).evolution_time
-        assert walk_cost(CostQuery(**base, time=2 * t), model)["total_estimate"] >= total
+        longer = CostQuery(**base, time_constant=2.0)
+        assert longer.evolution_time == 2 * CostQuery(**base).evolution_time
+        assert walk_cost(longer, model)["total_estimate"] >= total
 
 
 def test_walk_vs_taylor_census_agreement():

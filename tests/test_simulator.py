@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from specwalk.census import GateCensus
 from specwalk.circuits import Circuit, Gate, RegisterLayout, distinct_rotation_count
 from specwalk.pauli import PauliString
-from specwalk.simulator import (
-    QuantumState,
-    circuit_unitary,
-    make_rng,
-    states_equal_up_to_phase,
-)
+from specwalk.simulator import QuantumState, circuit_unitary, make_rng
 
 
 def plain_layout(n):
@@ -98,7 +93,7 @@ def test_multiplexed_rotation_pattern_indexing():
         if pattern & 1:
             st_.apply(Gate.x(1))
         st_.apply(g)
-        p1 = st_.probability_one(0)
+        p1, _, _ = st_.measure({0: 1})
         assert abs(p1 - math.sin(angles[pattern] / 2) ** 2) < 1e-12
 
 
@@ -127,16 +122,19 @@ def test_measure_analyze_and_determinism():
     layout = plain_layout(1)
     plus = QuantumState.zero_state(layout)
     plus.apply(Gate.h(0))
-    res = plus.measure(0)
-    assert res.p_zero == pytest.approx(0.5, abs=1e-12)
-    assert res.p_one == pytest.approx(0.5, abs=1e-12)
-    again = plus.measure(0)
-    assert (again.p_zero, again.p_one) == (res.p_zero, res.p_one)
-    assert np.array_equal(again.posterior_one.vec, res.posterior_one.vec)
+    p1, one, zero_post = plus.measure({0: 1})
+    assert p1 == pytest.approx(0.5, abs=1e-12)
+    again = plus.measure({0: 1})
+    assert again[0] == p1
+    assert np.array_equal(again[1].vec, one.vec)
+    assert np.array_equal(again[2].vec, zero_post.vec)
     zero = QuantumState.zero_state(layout)
-    res0 = zero.measure(0)
-    assert res0.p_zero == pytest.approx(1.0, abs=1e-14)
-    assert res0.posterior_one is None
+    p1, one, zero_post = zero.measure({0: 1})
+    assert p1 == 0.0
+    assert one is None
+    assert np.array_equal(zero_post.vec, zero.vec)
+    with pytest.raises(ValueError):
+        zero.measure({1: 0})
 
 
 def test_make_rng_needs_an_explicit_seed():
@@ -148,16 +146,17 @@ def test_make_rng_needs_an_explicit_seed():
 
 
 def test_project_control_vacuum():
-    layout = RegisterLayout(system_qubits=1, control_qubits=2, control_encoding="binary")
+    layout = RegisterLayout(system_qubits=1, control_qubits=2)
+    vacuum = dict.fromkeys(layout.control, 0)
     state = QuantumState.zero_state(layout)
-    p, succ, fail = state.project_control_vacuum()
+    p, succ, fail = state.measure(vacuum)
     assert p == pytest.approx(1.0)
     assert fail is None
     # put weight 1/3 on a nonzero control state
     state.vec[:] = 0
     state.vec[0] = math.sqrt(1 / 3)
     state.vec[1 << 1] = math.sqrt(2 / 3)  # control bit 0 set
-    p, succ, fail = state.project_control_vacuum()
+    p, succ, fail = state.measure(vacuum)
     assert p == pytest.approx(1 / 3, abs=1e-12)
     # brute-force cross-check over the raw amplitudes
     brute = sum(
@@ -170,7 +169,7 @@ def test_project_control_vacuum():
 
 
 def test_extract_system_requires_clean_registers():
-    layout = RegisterLayout(system_qubits=1, control_qubits=1, control_encoding="binary")
+    layout = RegisterLayout(system_qubits=1, control_qubits=1)
     state = QuantumState.zero_state(layout)
     state.apply(Gate.h(1))
     with pytest.raises(ValueError):
@@ -178,7 +177,7 @@ def test_extract_system_requires_clean_registers():
 
 
 def test_census_against_hand_counts():
-    layout = RegisterLayout(system_qubits=2, control_qubits=3, control_encoding="unary")
+    layout = RegisterLayout(system_qubits=2, control_qubits=3)
     circ = Circuit(layout)
     circ.append(Gate.h(0))  # 1 Clifford
     circ.append(Gate.mcz((2, 3, 4)))  # 2 controls: 1 Toffoli, 1 work qubit
@@ -200,7 +199,7 @@ def test_census_against_hand_counts():
 
 
 def test_census_additivity():
-    layout = RegisterLayout(system_qubits=2, control_qubits=2, control_encoding="binary")
+    layout = RegisterLayout(system_qubits=2, control_qubits=2)
     a = Circuit(layout, [Gate.h(0), Gate.t(1), Gate.rot("z", 0.5, 2)])
     b = Circuit(layout, [Gate.toffoli(0, 1, 2), Gate.cswap(0, 1, 2)])
     merged = Circuit(layout, a.gates + b.gates)
@@ -211,7 +210,7 @@ def test_census_additivity():
 
 
 def test_census_tiers():
-    layout = RegisterLayout(system_qubits=3, control_qubits=2, control_encoding="binary")
+    layout = RegisterLayout(system_qubits=3, control_qubits=2)
     x = PauliString.from_label("X")
     assert Gate.pauli_word(x, (0,), (3,)).census().clifford == 1  # one control: Clifford
     two_ctrl = Gate.pauli_word(x, (0,), (3, 4)).census()
@@ -252,12 +251,6 @@ def test_gate_index_validation():
 def test_simulation_cap():
     with pytest.raises(ValueError):
         QuantumState.zero_state(plain_layout(23))
-
-
-def test_states_equal_up_to_phase():
-    v = np.array([1, 1j]) / math.sqrt(2)
-    assert states_equal_up_to_phase(v, np.exp(0.3j) * v)
-    assert not states_equal_up_to_phase(v, np.array([1.0, 0.0]))
 
 
 def test_expectation_against_eigenvector_oracle():
@@ -453,3 +446,27 @@ def test_gates_fixing_every_axis_still_write(n, gate):
     """Slices that fix every axis of the register must still be written."""
     vec = np.arange(1, (1 << n) + 1) * np.exp(0.3j * np.arange(1 << n))
     _check_against_reference(gate, n, vec / np.linalg.norm(vec))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_measure_matches_dense_projector(data):
+    n = data.draw(st.integers(1, 5))
+    qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    bits = {q: data.draw(st.integers(0, 1)) for q in qubits}
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    vec /= np.linalg.norm(vec)
+    state = QuantumState(plain_layout(n), vec.copy())
+    on = _kron_on(n, {q: _E[b, b] for q, b in bits.items()})
+    off = np.eye(1 << n) - on
+    p, hit, miss = state.measure(bits)
+    assert np.array_equal(state.vec, vec)  # the input is left as it was
+    p_on = float(np.vdot(vec, on @ vec).real)
+    assert p == pytest.approx(p_on, abs=1e-12)
+    if not bits:
+        assert p == 1.0 and miss is None
+    for post, proj, weight in ((hit, on, p_on), (miss, off, 1.0 - p_on)):
+        if weight < 1e-12:
+            continue
+        assert np.allclose(post.vec, proj @ vec / math.sqrt(weight), atol=1e-10)

@@ -23,7 +23,7 @@ def small_walk(h):
 
 
 def unitary_on(bundle, circuit):
-    return circuit_unitary(circuit, cap=12)
+    return circuit_unitary(circuit)
 
 
 def control_block(bundle, u):
@@ -51,11 +51,11 @@ def test_prepare_degenerate_weights():
     from specwalk.circuits import Circuit, RegisterLayout
     from specwalk.walk_binary import build_prepare_b
 
-    layout = RegisterLayout(system_qubits=1, control_qubits=2, control_encoding="binary")
+    layout = RegisterLayout(system_qubits=1, control_qubits=2)
     circ = build_prepare_b([1.0, 0.0, 0.0, 0.0], layout)
     assert len(circ) == 0  # weight already on the vacuum
 
-    layout1 = RegisterLayout(system_qubits=1, control_qubits=1, control_encoding="binary")
+    layout1 = RegisterLayout(system_qubits=1, control_qubits=1)
     circ2 = build_prepare_b([0.5, 0.5], layout1)
     state = QuantumState.zero_state(layout1)
     state.apply_circuit(circ2)
@@ -73,7 +73,7 @@ def test_prepare_rotation_budget(suite_models, random_models):
 def test_reflection_matrix_is_householder(suite_models):
     r = normalize(suite_models["tfim2"])
     b = binary_walk(r)
-    u = control_block(b, circuit_unitary(b.reflect, cap=12))
+    u = control_block(b, circuit_unitary(b.reflect))
     beta = dressed_state(b.branches, b.layout, np.array([1.0, 0, 0, 0], dtype=complex))
     # reflection about |beta> x |system>: build the oracle from the outer product
     dim = u.shape[0]
@@ -120,14 +120,14 @@ def test_select_v_squares_to_identity(suite_models):
     # an involution on the physical (ancilla-vacuum) sector
     r = normalize(suite_models["tfim2"])
     b = binary_walk(r)
-    u = control_block(b, circuit_unitary(b.select, cap=12))
+    u = control_block(b, circuit_unitary(b.select))
     assert np.max(np.abs(u @ u - np.eye(u.shape[0]))) < 1e-10
 
 
 def test_s_and_v_square_to_identity_as_matrices(suite_models):
     r = normalize(suite_models["tfim2"])
     b = binary_walk(r)
-    s = control_block(b, circuit_unitary(b.reflect, cap=12))
+    s = control_block(b, circuit_unitary(b.reflect))
     assert np.max(np.abs(s @ s - np.eye(s.shape[0]))) < 1e-10
 
 
@@ -238,7 +238,7 @@ def test_eigenstate_relation(suite_models):
 def test_circuit_matrix_agreement(suite_models):
     r = normalize(suite_models["tfim2"])
     b = binary_walk(r)
-    u = control_block(b, circuit_unitary(b.walk, cap=12))
+    u = control_block(b, circuit_unitary(b.walk))
     # direct construction: -S V from the branch table
     n_sys = 1 << b.layout.system_qubits
     ctrl_dim = (1 << b.layout.control_qubits)
@@ -261,13 +261,13 @@ def test_controlled_walk_exact(suite_models):
     r = normalize(suite_models["tfim2"])
     b = binary_walk(r)
     total = b.layout.total_qubits
-    u = circuit_unitary(b.controlled_walk, cap=12)
+    u = circuit_unitary(b.controlled_walk)
     half = 1 << (total - 1)  # pe is the top qubit
     dim = 1 << (b.layout.system_qubits + b.layout.control_qubits)
     off = u[:dim, :dim]  # pe=0, ancillas |0>
     assert np.max(np.abs(off - np.eye(dim))) < 1e-10
     on = u[half : half + dim, half : half + dim]  # pe=1, ancillas |0>
-    w = circuit_unitary(b.walk, cap=12)
+    w = circuit_unitary(b.walk)
     assert np.max(np.abs(on - w[:dim, :dim])) < 1e-10
     assert np.max(np.abs(u[:half, half : half + dim])) < 1e-12
 

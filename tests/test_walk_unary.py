@@ -43,7 +43,9 @@ def test_head_prep_amplitudes():
     from specwalk.walk_unary import build_head_prep
 
     layout = bundle.layout
-    circ = build_head_prep(g, layout)
+    heads = [math.sqrt(grp.n_padded * grp.strength_sq) for grp in g.groups]
+    positions = [layout.control[grp.offset - 1] for grp in g.groups]
+    circ = build_head_prep(layout, g.beta0_sq, heads, positions)
     state = QuantumState.zero_state(layout)
     state.apply_circuit(circ)
     amps = np.array(
@@ -93,7 +95,7 @@ def test_head_prep_equal_halves():
 
 
 def test_fanout_tree_counts_and_uniformity():
-    layout = RegisterLayout(system_qubits=1, control_qubits=8, control_encoding="unary")
+    layout = RegisterLayout(system_qubits=1, control_qubits=8)
     circ = build_fanout(layout, 1, 8)
     assert sum(1 for g in circ.gates if g.kind == FANOUT) == 7
     state = QuantumState.zero_state(layout)
