@@ -243,12 +243,14 @@ class Gate:
         return ()
 
 
-@dataclass
+@dataclass(eq=False)
 class Circuit:
     """An ordered gate list over a register layout; each gate's qubits are
     checked against the layout when it is added.
 
     Built once by the walk constructors and treated as immutable afterwards.
+    Circuits compare and hash by identity, which keys the simulator's cache
+    of compiled circuits; compare `.gates` for equal content.
     """
 
     layout: RegisterLayout

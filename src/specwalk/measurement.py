@@ -48,6 +48,7 @@ def pe_step(state: QuantumState, controlled_walk, mode: str = "analyze", rng=Non
     """
     from .circuits import Gate
 
+    _check_mode(mode)
     layout = state.layout
     if not layout.has_pe_qubit:
         raise ValueError("state layout has no phase-estimation qubit")
@@ -62,11 +63,14 @@ def pe_step(state: QuantumState, controlled_walk, mode: str = "analyze", rng=Non
         post_minus.apply(Gate.pauli_word(PauliString.single(1, 0, "X"), (pe,)))
     if mode == "analyze":
         return p_plus, post_plus, post_minus
-    if mode == "sample":
-        if make_rng(rng).random() < p_plus:
-            return 1, p_plus, post_plus
-        return -1, 1.0 - p_plus, post_minus
-    raise ValueError(f"unknown mode {mode!r}")
+    if make_rng(rng).random() < p_plus:
+        return 1, p_plus, post_plus
+    return -1, 1.0 - p_plus, post_minus
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("analyze", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -236,6 +240,7 @@ def project_to_eigenstate(
     exact round probabilities; sample mode re-measures with an estimation
     round, draws every branch from `rng` and never diagonalizes the walk.
     """
+    _check_mode(mode)
     sampling = mode == "sample"
     if sampling:
         rng = make_rng(rng)
@@ -439,6 +444,7 @@ def zeno_prepare(
     Ground fidelities are weights on the whole ground eigenspace of the
     dense oracle.
     """
+    _check_mode(mode)
     if model.h0_ground is None:
         raise ValueError("the model must supply the g=0 ground state")
     schedule = _validate_schedule(schedule)

@@ -196,18 +196,30 @@ def view_action(
 
 
 def apply_view_action(view: np.ndarray, action) -> None:
-    """Apply a `view_action` result to `view` in place."""
+    """Apply a `view_action` result to `view` in place.
+
+    Only copies and sign flips touch the floats, never a complex multiply,
+    so every float of the result is exactly + or - an input float, signed
+    zeros included, and runs of these actions compose exactly.
+    """
     signs, flips, coef = action
     for idx in signs:
-        view[idx] *= -1
-    if flips:
-        # numpy buffers the overlapping reversed view before writing back
-        if coef == 1:
-            view[...] = np.flip(view, flips)
-        else:
-            np.multiply(np.flip(view, flips), coef, out=view)
-    elif coef != 1:
-        view *= coef
+        part = view[idx]
+        np.negative(part, out=part)
+    # numpy buffers the overlapping reversed view before writing back
+    src = np.flip(view, flips) if flips else view
+    if coef == -1:
+        np.negative(src, out=view)
+    elif coef == 1j:  # i (a + bi) = -b + ai
+        src = src.copy()
+        np.negative(src.imag, out=view.real)
+        view.imag[...] = src.real
+    elif coef == -1j:  # -i (a + bi) = b - ai
+        src = src.copy()
+        view.real[...] = src.imag
+        np.negative(src.real, out=view.imag)
+    elif flips:
+        view[...] = src
 
 
 def apply_pauli(vec: np.ndarray, p: PauliString) -> np.ndarray:

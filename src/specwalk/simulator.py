@@ -14,26 +14,50 @@ where qubit ``q`` is axis ``total - 1 - q`` and each control value is fixed
 by basic indexing, so no gate copies or transposes the whole vector:
 
 - a Pauli word (X, Z, CNOT and Toffoli included) negates the slice where
-  each Z axis reads 1, reverses its X axes with `np.flip` and multiplies by
-  its scalar power of i (`pauli.view_action`, shared with `expectation`
-  and `pauli.apply_pauli`);
+  each Z axis reads 1, reverses its X axes with `np.flip` and applies its
+  scalar power of i by negation and a real/imaginary swap
+  (`pauli.view_action`, shared with `expectation` and `pauli.apply_pauli`);
 - SWAP and CSWAP exchange the |10> and |01> slices of their two qubits;
-- MCZ, S, T, their adjoints, z rotations and GPHASE multiply slices by a
-  scalar;
+- MCZ negates the slice where all its qubits read 1;
+- S, T, their adjoints, z rotations and GPHASE multiply slices by a scalar;
 - H, x/y rotations, FANOUT (on the |10> and |01> slices) and each non-zero
   MROT angle mix two slices by a 2x2 matrix.
 
 `_plan` compiles a gate into these steps once per (gate, total qubits) and
-keeps the most recent ones in a bounded cache.  A plan holds only index
+keeps the most recent ones in a bounded cache.  A gate plan holds only index
 tuples, axis numbers and matrix entries, never an amplitude-sized array.
 Every index ends in an Ellipsis, so it yields a writable view even when it
 fixes every axis (an all-integer index would return a scalar copy).
+
+Fused runs.  `apply_circuit` runs a circuit as one flat tuple of steps,
+compiled once per (circuit, total qubits) by `_circuit_plan` and kept in a
+second bounded cache of the 8 most recent plans.  Circuits hash by
+identity, so a lookup hashes no gates; the key also holds the gate count,
+so a circuit extended after a pass compiles again.  Each maximal run of two
+or more PAULI, TOFFOLI, CSWAP, SWAP or MCZ gates becomes one gather
+``vec[j] <- i**k[j] * vec[src[j]]``: these kinds map each basis state to
+one basis state times a power of i, and the kernel applies them with copies
+and sign flips only, never a complex multiply.  `_signed_permutation`
+derives `src` and `k` by running the run's own gate steps over the basis
+labels 1..2**total, which are exact in float64, and refuses any result
+that is not a signed permutation, so the gates, not a branch table, define
+the map.  The gather works on the (re, im) floats, with one source index
+and one +-1 factor per float, so it moves and negates exactly the floats
+the gates would, signed zeros included: a fused pass equals the
+gate-by-gate pass bit for bit.  Every other gate keeps its own steps.  H,
+rotations, T and FANOUT are not monomial with power-of-i phases, and S and
+GPHASE multiply by a complex scalar, which a gather of signed floats would
+not repeat bit for bit.  `apply` and `circuit_unitary` still run gate by
+gate, so the unitary stays an independent oracle for the fused path.  A
+state's vector is a contiguous complex128 array, so the gather can view it
+as floats; the constructor copies any other array.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -70,6 +94,7 @@ _FIXED_1Q = {
     TDG: np.diag([1, np.exp(-1j * math.pi / 4)]),
 }
 _X = PauliString.single(1, 0, "X")
+_FUSED_KINDS = frozenset({PAULI, TOFFOLI, CSWAP, SWAP, MCZ})
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -105,6 +130,11 @@ def _scale(ten, idx, factor):
     ten[idx] *= factor
 
 
+def _negate(ten, idx):
+    part = ten[idx]
+    np.negative(part, out=part)
+
+
 def _pauli(ten, idx, action):
     apply_view_action(ten[idx], action)
 
@@ -124,6 +154,16 @@ def _mix(ten, lo, hi, m00, m01, m10, m11):
     b *= m11
     b += m10 * a
     a[...] = new_a
+
+
+def _gather(ten, src, sign):
+    """Fused run: float m of the vector becomes sign[m] * float src[m]
+    (`sign` None: no float changes sign)."""
+    flat = ten.reshape(-1).view(np.float64)
+    if sign is None:
+        flat[...] = flat.take(src)
+    else:
+        np.multiply(flat.take(src), sign, out=flat)
 
 
 def _index(total: int, values) -> tuple:
@@ -155,7 +195,7 @@ def _plan(gate: Gate, total: int) -> tuple:
         axes = tuple(free.index(q) for q in gate.qubits)
         return ((_pauli, _index(total, on), view_action(word, axes, len(free))),)
     if kind == MCZ:
-        return ((_scale, _index(total, on + tuple((q, 1) for q in gate.qubits)), -1.0),)
+        return ((_negate, _index(total, on + tuple((q, 1) for q in gate.qubits))),)
     if kind == GPHASE:
         return ((_scale, _index(total, on), complex(np.exp(1j * gate.angle))),)
     if kind in (SWAP, CSWAP, FANOUT):
@@ -186,10 +226,62 @@ def _plan(gate: Gate, total: int) -> tuple:
     return tuple(_matrix_steps(total, on + ((target, 0),), on + ((target, 1),), mat))
 
 
+def _signed_permutation(gates, total: int) -> tuple:
+    """`_gather`'s (src, sign) for the product of `gates` on `total` qubits.
+
+    The gates' own steps run over the basis labels 1..2**total, so entry j
+    ends as i**k[j] * (src[j] + 1).  Raises ValueError unless every entry is
+    a label times a power of i and every label is used once.
+    """
+    dim = 1 << total
+    labels = np.arange(1, dim + 1, dtype=complex)
+    ten = labels.reshape((2,) * total)
+    for gate in gates:
+        for fn, *args in _plan(gate, total):
+            fn(ten, *args)
+    re, im = labels.real, labels.imag
+    odd = im != 0  # k odd: the label sits in the imaginary part
+    signed = np.where(odd, im, re)
+    neg = signed < 0  # k is 2 or 3
+    if not (
+        np.all(odd != (re != 0))
+        and np.array_equal(np.sort(np.abs(signed)), np.arange(1, dim + 1))
+    ):
+        raise ValueError("gate run is not a signed permutation of the basis")
+    re_src = 2 * (np.abs(signed).astype(np.intp) - 1)
+    # i (a + bi) = -b + ai and -i (a + bi) = b - ai
+    fsrc = np.empty(2 * dim, dtype=np.intp)
+    fsrc[0::2] = re_src + odd
+    fsrc[1::2] = re_src + ~odd
+    sign = np.empty(2 * dim)
+    sign[0::2] = np.where(odd ^ neg, -1.0, 1.0)
+    sign[1::2] = np.where(neg, -1.0, 1.0)
+    return fsrc, (sign if np.any(sign < 0) else None)
+
+
+@lru_cache(maxsize=8)
+def _circuit_plan(circuit: Circuit, total: int, n_gates: int) -> tuple:
+    """The first `n_gates` gates of `circuit` as kernel steps on `total`
+    qubits: a `_gather` per run of two or more gates of `_FUSED_KINDS`, the
+    `_plan` steps of every other gate."""
+    steps = []
+    runs = groupby(circuit.gates[:n_gates], key=lambda g: g.kind in _FUSED_KINDS)
+    for fused, run in runs:
+        run = list(run)
+        if fused and len(run) >= 2:
+            steps.append((_gather, *_signed_permutation(run, total)))
+        else:
+            steps += [step for gate in run for step in _plan(gate, total)]
+    return tuple(steps)
+
+
 @dataclass
 class QuantumState:
     layout: RegisterLayout
     vec: np.ndarray
+
+    def __post_init__(self):
+        self.vec = np.ascontiguousarray(self.vec, dtype=complex)
 
     @classmethod
     def zero_state(cls, layout: RegisterLayout):
@@ -228,9 +320,11 @@ class QuantumState:
         return self
 
     def apply_circuit(self, circuit: Circuit) -> "QuantumState":
+        total = self.layout.total_qubits
         before = self.norm
-        for gate in circuit.gates:
-            self.apply(gate)
+        ten = self.vec.reshape((2,) * total)
+        for fn, *args in _circuit_plan(circuit, total, len(circuit.gates)):
+            fn(ten, *args)
         if abs(self.norm - before) > 1e-9:
             raise AssertionError("statevector norm drifted across the circuit")
         return self

@@ -154,6 +154,22 @@ def test_resources_measures_above_simulation_cap(tmp_path):
     assert walk["kind"] == "measured"
 
 
+@pytest.mark.parametrize("n, binary_rotation_gates", [(8, 30), (16, 62), (32, 126)])
+def test_resources_unary_rotations_do_not_grow_with_the_lattice(
+    tmp_path, n, binary_rotation_gates
+):
+    # The paper's second claim: the unary encoding's rotations scale with the
+    # number of distinct coefficients (one for TFIM at the default g = J),
+    # not with the lattice; the binary prepare tree grows with the terms.
+    out = tmp_path / "res.json"
+    code, _ = run_cli(["resources", "--model", "tfim", "--n", str(n), "--out", str(out)])
+    assert code == 0
+    by = {row["encoding"]: row for row in json.loads(out.read_text())["encoding_table"]}
+    assert by["binary"]["rotation_gates"] == binary_rotation_gates
+    assert (by["unary"]["rotation_gates"], by["unary"]["rotations"]) == (2, 1)
+    assert all(row["kind"] == "measured" for row in by.values())
+
+
 def test_config_file_with_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "tfim", "n": 2, "g": 1.0, "J": 1.0}))

@@ -217,6 +217,15 @@ def test_sampling_requires_a_seed(tfim3_bundle):
         project_to_eigenstate(state, bundle, max_rounds=3, mode="sample", rng=None)
 
 
+def test_projection_refuses_an_unknown_mode(tfim3_bundle):
+    bundle, blocks = tfim3_bundle
+    state = eigenstate(bundle, blocks[0])
+    with pytest.raises(ValueError, match="unknown mode 'smaple'"):
+        project_to_eigenstate(state, bundle, max_rounds=3, mode="smaple", rng=1)
+    with pytest.raises(ValueError, match="unknown mode"):
+        pe_step(state, bundle.controlled_walk, mode="smaple", rng=1)
+
+
 # --- observable recovery ---------------------------------------------------------
 
 
@@ -312,6 +321,11 @@ def test_zeno_schedule_validation():
         zeno_prepare(model, [0.5, 0.5, 1.0], mode="analyze")  # not increasing
     with pytest.raises(ValueError):
         zeno_prepare(model, [1.0], mode="sample")  # sample mode needs a seed
+
+
+def test_zeno_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'smaple'"):
+        zeno_prepare(tfim_model(2), [1.0], mode="smaple", seed=1)
 
 
 def test_zeno_requires_ground_state():

@@ -470,3 +470,132 @@ def test_measure_matches_dense_projector(data):
         if weight < 1e-12:
             continue
         assert np.allclose(post.vec, proj @ vec / math.sqrt(weight), atol=1e-10)
+
+
+# --- fused permutation runs -----------------------------------------------------
+
+_RUN_KINDS = ("pauli", "toffoli", "cswap", "swap", "mcz")
+_OTHER_KINDS = tuple(sorted(set(_BUILDERS) - set(_RUN_KINDS)))
+
+
+def _draw_gate(kinds, n, d):
+    _, build = _BUILDERS[d(st.sampled_from(kinds))]
+    return build(d(st.permutations(range(n))), d)
+
+
+def _draw_state(n, d):
+    """A random state in which some amplitudes have a zero, of either sign,
+    in the real or the imaginary part, so signed zeros are compared too."""
+    rng = np.random.default_rng(d(st.integers(0, 2**32 - 1)))
+    parts = rng.normal(size=(2, 1 << n))
+    zeros = rng.random(size=parts.shape) < 0.3
+    parts[zeros] = np.copysign(0.0, rng.normal(size=int(zeros.sum())))
+    parts /= np.linalg.norm(parts)
+    vec = np.empty(1 << n, dtype=complex)
+    vec.real, vec.imag = parts  # complex arithmetic could change a zero's sign
+    return vec
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fused_circuit_equals_gate_by_gate(data):
+    """Runs of permutation gates (length 1 included, possibly at the end)
+    between other gates: the fused pass repeats every float of the
+    gate-by-gate pass, signed zeros included."""
+    n, draw = data.draw(st.integers(3, 6)), data.draw
+    gates = []
+    for _ in range(draw(st.integers(1, 5))):
+        gates += [_draw_gate(_RUN_KINDS, n, draw) for _ in range(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):
+            gates.append(_draw_gate(_OTHER_KINDS, n, draw))
+    layout, vec = plain_layout(n), _draw_state(n, draw)
+    fused = QuantumState(layout, vec.copy()).apply_circuit(Circuit(layout, gates))
+    stepwise = QuantumState(layout, vec.copy())
+    for gate in gates:
+        stepwise.apply(gate)
+    _assert_same_bits(fused.vec, stepwise.vec)
+
+
+def test_fused_run_with_controlled_imaginary_phases():
+    """Controlled words with an odd number of Y letters multiply by +-i."""
+    layout = plain_layout(4)
+    gates = [
+        Gate.pauli_word(PauliString.from_label("Y"), (0,), (3,)),
+        Gate.pauli_word(PauliString.from_label("-XY"), (1, 2), (0,)),
+        Gate.toffoli(0, 1, 2),
+        Gate.mcz((1, 2, 3)),
+        Gate.pauli_word(PauliString.from_label("YZ"), (3, 0)),
+        Gate.cswap(1, 2, 3),
+    ]
+    circuit = Circuit(layout, gates)
+    u = circuit_unitary(circuit)
+    for b, vec in enumerate(np.eye(16, dtype=complex)):  # all other amplitudes +0
+        fused = QuantumState(layout, vec.copy()).apply_circuit(circuit)
+        stepwise = QuantumState(layout, vec.copy())
+        for gate in gates:
+            stepwise.apply(gate)
+        _assert_same_bits(fused.vec, stepwise.vec)
+        assert np.max(np.abs(fused.vec - u[:, b])) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [
+        [Gate.x(0), Gate.h(1)],  # mixes amplitudes
+        [Gate.t(0), Gate.x(0)],  # a phase that is not a power of i
+        [Gate.rot("y", 0.3, 1), Gate.cnot(0, 1)],
+        [Gate.x(0), Gate.global_phase(math.pi)],  # exp(i pi) is not exactly -1
+    ],
+)
+def test_non_monomial_run_is_refused(gates):
+    from specwalk.simulator import _signed_permutation
+
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        _signed_permutation(gates, 2)
+
+
+@pytest.mark.parametrize(
+    "model, encoding",
+    [("tfim3", "binary"), ("long_range3", "unary"), ("long_range4", "hybrid")],
+)
+def test_walk_passes_match_the_gate_by_gate_unitary(suite_models, model, encoding):
+    from specwalk import normalize
+    from specwalk.walk_core import build_walk
+
+    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=True)
+    rng = np.random.default_rng(5)
+    for circuit in (bundle.walk, bundle.controlled_walk):
+        assert circuit.layout.total_qubits <= 12
+        u = circuit_unitary(circuit)
+        for _ in range(3):
+            vec = rng.normal(size=len(u)) + 1j * rng.normal(size=len(u))
+            vec /= np.linalg.norm(vec)
+            state = QuantumState(circuit.layout, vec.copy()).apply_circuit(circuit)
+            assert np.max(np.abs(state.vec - u @ vec)) < 1e-12
+
+
+def test_extended_circuit_compiles_again():
+    layout = plain_layout(3)
+    circ = Circuit(layout, [Gate.x(0), Gate.cnot(0, 1)])
+    state = QuantumState.zero_state(layout).apply_circuit(circ)
+    assert state.vec[3] == 1.0
+    circ.extend([Gate.toffoli(0, 1, 2), Gate.z(2)])
+    state = QuantumState.zero_state(layout).apply_circuit(circ)
+    assert state.vec[7] == -1.0
+
+
+def test_state_from_a_strided_real_column():
+    """The gather views the vector as floats; the constructor makes it a
+    contiguous complex array, leaving the caller's array alone."""
+    layout = plain_layout(2)
+    columns = np.eye(4)[:, ::-1]
+    state = QuantumState(layout, columns[:, 0])
+    state.apply_circuit(Circuit(layout, [Gate.x(0), Gate.swap(0, 1)]))
+    assert np.array_equal(state.vec, [0, 1, 0, 0])  # |11> -> |10> -> |01>
+    assert np.array_equal(columns, np.eye(4)[:, ::-1])
