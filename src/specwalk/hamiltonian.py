@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, PauliWidthError, to_matrix
+from .pauli import PauliString, PauliWidthError, check_matrix_width, to_matrix
 
-DENSE_QUBIT_CAP = 14
 GROUP_TOL = 1e-12
 
 
@@ -280,14 +279,9 @@ def interpolate(model: InterpolatedModel, g: float) -> LcuHamiltonian:
     return LcuHamiltonian.from_terms(n, pairs)
 
 
-def _dense_cap_check(n: int) -> None:
-    if n > DENSE_QUBIT_CAP:
-        raise PauliWidthError(f"{n} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}")
-
-
 def dense_matrix(h: LcuHamiltonian | RescaledLcu) -> np.ndarray:
     """Dense Hermitian matrix sum_j c_j P_j (weights for a rescaled input)."""
-    _dense_cap_check(h.n_qubits)
+    check_matrix_width(h.n_qubits)
     pairs = h.terms if isinstance(h, LcuHamiltonian) else h.weights
     out = np.zeros((2**h.n_qubits, 2**h.n_qubits), dtype=complex)
     for coeff, p in pairs:

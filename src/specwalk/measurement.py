@@ -82,16 +82,6 @@ class MeasurementRecord:
     seed: int
     non_eigenstate: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "outcomes": list(self.outcomes),
-            "estimate": self.estimate,
-            "half_width": self.half_width,
-            "shots": self.shots,
-            "seed": self.seed,
-            "non_eigenstate": self.non_eigenstate,
-        }
-
 
 ESTIMATE_BLOCKS = 10
 ZENO_MAX_ROUNDS = 40

@@ -159,12 +159,16 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     return PauliString(a.n_qubits, x3, z3, exp % 4)
 
 
+def check_matrix_width(n: int) -> None:
+    """Refuse a dense 2**n x 2**n export wider than MATRIX_QUBIT_CAP; callers
+    check before they allocate the matrix."""
+    if n > MATRIX_QUBIT_CAP:
+        raise PauliWidthError(f"{n} qubits exceeds the dense cap of {MATRIX_QUBIT_CAP}")
+
+
 def to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2**n matrix of the word (phase included)."""
-    if p.n_qubits > MATRIX_QUBIT_CAP:
-        raise PauliWidthError(
-            f"{p.n_qubits} qubits exceeds the dense cap of {MATRIX_QUBIT_CAP}"
-        )
+    check_matrix_width(p.n_qubits)
     letters = [
         _LETTER_MATRICES[(p.x_bits >> q) & 1, (p.z_bits >> q) & 1]
         for q in range(p.n_qubits - 1, -1, -1)

@@ -107,6 +107,15 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def check_width(layout: RegisterLayout) -> None:
+    """Refuse a register wider than SIMULATION_QUBIT_CAP; callers check
+    before they allocate anything of size 2**total."""
+    if layout.total_qubits > SIMULATION_QUBIT_CAP:
+        raise ValueError(
+            f"{layout.total_qubits} qubits exceeds the dense cap of {SIMULATION_QUBIT_CAP}"
+        )
+
+
 def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     if axis == "x":
@@ -285,10 +294,7 @@ class QuantumState:
 
     @classmethod
     def zero_state(cls, layout: RegisterLayout):
-        if layout.total_qubits > SIMULATION_QUBIT_CAP:
-            raise ValueError(
-                f"{layout.total_qubits} qubits exceeds the dense cap of {SIMULATION_QUBIT_CAP}"
-            )
+        check_width(layout)
         vec = np.zeros(1 << layout.total_qubits, dtype=complex)
         vec[0] = 1.0
         return cls(layout, vec)

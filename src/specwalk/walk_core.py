@@ -28,7 +28,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, RegisterLayout
 from .hamiltonian import RescaledLcu, group
-from .pauli import PauliString, to_matrix
+from .pauli import PauliString, check_matrix_width, to_matrix
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,7 @@ def assemble_bundle(
 
 def encoded_dense(branches, n_system: int) -> np.ndarray:
     """sum_b amp_b^2 * word_b as a dense matrix; the operator the walk encodes."""
+    check_matrix_width(n_system)
     out = np.zeros((1 << n_system, 1 << n_system), dtype=complex)
     for b in branches:
         out += b.amplitude**2 * to_matrix(b.word)

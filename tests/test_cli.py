@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from specwalk.cli import main
+from specwalk.simulator import SIMULATION_QUBIT_CAP
 
 
 def run_cli(args, tmp_path=None):
@@ -209,6 +211,20 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory")
     assert "Traceback" not in err
+
+
+def test_spectrum_above_the_simulation_cap_is_refused_before_allocating(capsys):
+    # unary TFIM n=6 with its pe qubit is 23 qubits: one dense vector is
+    # 128 MiB, so the refusal must come before the first one is built
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["spectrum", "--model", "tfim", "--n", "6", "--encoding", "unary"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"23 qubits exceeds the dense cap of {SIMULATION_QUBIT_CAP}" in capsys.readouterr().err
+    assert peak < 64 * 2**20
 
 
 def test_missing_hamiltonian_file_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from specwalk.pauli import (
     star,
     to_matrix,
 )
+from specwalk.walk_core import Branch, encoded_dense
 
 from conftest import kron_oracle
 
@@ -92,6 +95,19 @@ def test_star_consistency_with_matrices():
 def test_matrix_cap():
     with pytest.raises(PauliWidthError):
         to_matrix(PauliString.identity(MATRIX_QUBIT_CAP + 1))
+
+
+def test_wide_branch_table_is_refused_before_allocating():
+    # a 15-qubit operator would be a 16 GiB dense matrix
+    n = MATRIX_QUBIT_CAP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(PauliWidthError, match="dense cap"):
+            encoded_dense([Branch(1.0, PauliString.identity(n), 0)], n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_label_round_trip():

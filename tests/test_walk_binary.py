@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from specwalk import binary_walk, dense_matrix, normalize, tfim
-from specwalk.blocks import (
-    block_matrices,
-    invariant_blocks,
-    subspace_basis,
-    walk_eigenphases,
-)
+from specwalk.blocks import _subspace, block_matrices, invariant_blocks, walk_eigenphases
 from specwalk.circuits import MROT, ROT
 from specwalk.pauli import PauliString, to_matrix
 from specwalk.simulator import QuantumState, circuit_unitary
@@ -207,15 +202,16 @@ def blk_boundary(block):
 def test_basis_orthonormal_and_walk_confined(suite_models):
     r = normalize(suite_models["tfim3"])
     b = binary_walk(r)
-    basis = subspace_basis(invariant_blocks(b))
-    gram = basis.conj().T @ basis
+    blocks, basis = _subspace(b)
+    assert np.shares_memory(blocks[0].phi0, basis)
+    gram = basis.conj() @ basis.T
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
     # W^m stays inside the subspace
     psi = np.zeros(1 << b.layout.system_qubits, dtype=complex)
     psi[5] = 1.0
     vec = dressed_state(b.branches, b.layout, psi)
     state = QuantumState(b.layout, vec)
-    proj = basis @ basis.conj().T
+    proj = basis.T @ basis.conj()
     for _ in range(8):
         state.apply_circuit(b.walk)
         leak = np.linalg.norm(state.vec - proj @ state.vec)
