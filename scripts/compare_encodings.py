@@ -22,13 +22,14 @@ from specwalk import (
     walk_cost,
 )
 from specwalk.blocks import walk_eigenphases
+from specwalk.cli import finite_float
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=4)
-    ap.add_argument("--gap", type=float, default=0.1)
-    ap.add_argument("--delta", type=float, default=1e-4)
+    ap.add_argument("--gap", type=finite_float, default=0.1)
+    ap.add_argument("--delta", type=finite_float, default=1e-4)
     args = ap.parse_args()
 
     for label, h in (

@@ -7,8 +7,6 @@ probabilities; pass --sample for stochastic trajectories.
 """
 import argparse
 
-import numpy as np
-
 from specwalk import InterpolatedModel, product_state, tfim, uniform_schedule, zeno_prepare
 
 

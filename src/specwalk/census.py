@@ -1,7 +1,7 @@
 """Gate-tier bookkeeping.
 
 Gates fall into three fault-tolerance tiers: Clifford (cheap), third-level
-(one magic-state distillation each: Toffoli, T, the fanout square-root-swap,
+(one magic-state distillation each: Toffoli, the fanout square-root-swap,
 controlled-SWAP), and generic rotations (distillation times synthesis).
 
 `rotations` counts rotation-gate instances and is additive under circuit
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 class GateCensus:
     clifford: int = 0
     toffoli: int = 0
-    t: int = 0
     fanout_sqrt_swap: int = 0
     controlled_swap: int = 0
     rotations: int = 0
@@ -26,14 +25,13 @@ class GateCensus:
 
     @property
     def third_level_total(self) -> int:
-        return self.toffoli + self.t + self.fanout_sqrt_swap + self.controlled_swap
+        return self.toffoli + self.fanout_sqrt_swap + self.controlled_swap
 
     def __add__(self, other: "GateCensus") -> "GateCensus":
         # Gate counts add; the qubit figure is a width, so it takes the max.
         return GateCensus(
             self.clifford + other.clifford,
             self.toffoli + other.toffoli,
-            self.t + other.t,
             self.fanout_sqrt_swap + other.fanout_sqrt_swap,
             self.controlled_swap + other.controlled_swap,
             self.rotations + other.rotations,

@@ -4,16 +4,17 @@ A gate record carries enough structure to be simulated exactly and to be
 costed by fault-tolerant tier.  Its census contribution is a pure function
 of the record:
 
-    Clifford     H, S/Sdg, SWAP, global phase, Pauli words with <= 1 control,
-                 and multi-controlled Z with <= 1 control
-    third level  Toffoli, T/Tdg, fanout square-root-swap (+2 Clifford phase
+    Clifford     H, global phase, Pauli words with <= 1 control, and
+                 multi-controlled Z with <= 1 control
+    third level  Toffoli, fanout square-root-swap (+2 Clifford phase
                  corrections), controlled-SWAP; a multi-controlled Z with
                  m >= 2 controls is costed as its staircase of m-1 Toffolis
                  (m-1 work qubits); a Pauli word with m >= 2 controls as a
                  compute/uncompute AND ladder of 2(m-1) Toffolis
-    rotation     single-qubit rotations (controlled or not) and multiplexed
-                 rotations, which cost one generic rotation per nonzero angle
-                 slot plus 2**d Cliffords of multiplexing for d select bits
+    rotation     y-rotations (controlled or not) and multiplexed
+                 y-rotations, which cost one generic rotation per nonzero
+                 angle slot plus 2**d Cliffords of multiplexing for d select
+                 bits
 
 A circuit's census is the sum over its gates, taken each time it is read.
 
@@ -30,21 +31,16 @@ from .pauli import PauliString
 
 # gate kinds
 H = "h"
-S = "s"
-SDG = "sdg"
-T = "t"
-TDG = "tdg"
-SWAP = "swap"
 PAULI = "pauli"  # signed Pauli word, 0..m controls
 TOFFOLI = "toffoli"
 CSWAP = "cswap"
 FANOUT = "fanout"  # amplitude-splitting square-root-swap variant
 MCZ = "mcz"  # -1 on the all-ones state of its qubits
-ROT = "rot"  # exp(-i angle/2 * axis), 0 or 1 control
-MROT = "mrot"  # rotation multiplexed over select bits
+ROT = "rot"  # Ry(angle) = exp(-i angle/2 Y), 0 or 1 control
+MROT = "mrot"  # Ry multiplexed over select bits
 GPHASE = "gphase"  # global phase exp(i*angle)
 
-_SELF_INVERSE = {H, SWAP, TOFFOLI, CSWAP, MCZ}
+_SELF_INVERSE = {H, TOFFOLI, CSWAP, MCZ}
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,6 @@ class Gate:
     qubits: tuple[int, ...] = ()
     controls: tuple[int, ...] = ()
     angle: float = 0.0
-    axis: str = ""
     pauli: PauliString | None = None
     angles: tuple[float, ...] = ()
 
@@ -110,14 +105,6 @@ class Gate:
         return cls(H, (q,))
 
     @classmethod
-    def s(cls, q):
-        return cls(S, (q,))
-
-    @classmethod
-    def t(cls, q):
-        return cls(T, (q,))
-
-    @classmethod
     def x(cls, q):
         return cls.pauli_word(PauliString.single(1, 0, "X"), (q,))
 
@@ -130,10 +117,6 @@ class Gate:
         return cls.pauli_word(PauliString.single(1, 0, "X"), (target,), (control,))
 
     @classmethod
-    def swap(cls, a, b):
-        return cls(SWAP, (a, b))
-
-    @classmethod
     def toffoli(cls, c1, c2, target):
         return cls(TOFFOLI, (target,), (c1, c2))
 
@@ -142,9 +125,10 @@ class Gate:
         return cls(CSWAP, (a, b), (control,))
 
     @classmethod
-    def fanout(cls, src, dst, adjoint: bool = False):
-        """Splits a one-hot excitation: |1>|0> -> (|1>|0> + |0>|1>)/sqrt(2)."""
-        return cls(FANOUT, (src, dst), angle=-math.pi / 4 if adjoint else math.pi / 4)
+    def fanout(cls, src, dst):
+        """Splits a one-hot excitation: |1>|0> -> (|1>|0> + |0>|1>)/sqrt(2);
+        `inverse()` gives the adjoint."""
+        return cls(FANOUT, (src, dst), angle=math.pi / 4)
 
     @classmethod
     def mcz(cls, qubits):
@@ -153,10 +137,8 @@ class Gate:
         return cls(MCZ, tuple(qubits))
 
     @classmethod
-    def rot(cls, axis, angle, q, controls=()):
-        if axis not in ("x", "y", "z"):
-            raise ValueError(f"unknown rotation axis {axis!r}")
-        return cls(ROT, (q,), tuple(controls), angle=float(angle), axis=axis)
+    def ry(cls, angle, q, controls=()):
+        return cls(ROT, (q,), tuple(controls), angle=float(angle))
 
     @classmethod
     def multiplexed_ry(cls, target, select, angles):
@@ -164,7 +146,7 @@ class Gate:
         the most-significant pattern bit."""
         if len(angles) != 1 << len(select):
             raise ValueError("need one angle per select pattern")
-        return cls(MROT, (target,), tuple(select), axis="y", angles=tuple(float(a) for a in angles))
+        return cls(MROT, (target,), tuple(select), angles=tuple(float(a) for a in angles))
 
     @classmethod
     def pauli_word(cls, word: PauliString, qubits, controls=()):
@@ -184,14 +166,6 @@ class Gate:
     def inverse(self) -> "Gate":
         if self.kind in _SELF_INVERSE or (self.kind == PAULI):
             return self
-        if self.kind == S:
-            return replace(self, kind=SDG)
-        if self.kind == SDG:
-            return replace(self, kind=S)
-        if self.kind == T:
-            return replace(self, kind=TDG)
-        if self.kind == TDG:
-            return replace(self, kind=T)
         if self.kind in (ROT, GPHASE, FANOUT):
             return replace(self, angle=-self.angle)
         if self.kind == MROT:
@@ -199,10 +173,8 @@ class Gate:
         raise ValueError(f"no inverse rule for kind {self.kind!r}")
 
     def census(self) -> GateCensus:
-        if self.kind in (H, S, SDG, SWAP, GPHASE):
+        if self.kind in (H, GPHASE):
             return GateCensus(clifford=1)
-        if self.kind in (T, TDG):
-            return GateCensus(t=1)
         if self.kind == TOFFOLI:
             return GateCensus(toffoli=1)
         if self.kind == CSWAP:

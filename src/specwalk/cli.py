@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,28 +50,49 @@ class InputError(ValueError):
     pass
 
 
+def finite_float(text: str) -> float:
+    """argparse type of every float option: a number that is neither
+    infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def finite_floats(text: str) -> list[float]:
+    """argparse type of a comma-separated list of finite numbers."""
+    return [finite_float(item) for item in text.split(",")]
+
+
 def add_options(parser: argparse.ArgumentParser) -> None:
     """The options every subcommand takes, with their defaults; config files
     are checked by them too."""
     parser.add_argument("--model", choices=["tfim", "long-range", "file"], default="tfim")
     parser.add_argument("--hamiltonian-file", default=None)
     parser.add_argument("--n", type=int, default=3)
-    parser.add_argument("--g", type=float, default=1.0)
-    parser.add_argument("--J", type=float, default=1.0)
-    parser.add_argument("--alpha", type=float, default=2.0)
+    parser.add_argument("--g", type=finite_float, default=1.0)
+    parser.add_argument("--J", type=finite_float, default=1.0)
+    parser.add_argument("--alpha", type=finite_float, default=2.0)
     parser.add_argument("--boundary", choices=["open", "periodic"], default="open")
     parser.add_argument("--encoding", choices=["binary", "unary", "hybrid"], default="binary")
     parser.add_argument("--mode", choices=["analyze", "sample"], default="analyze")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--shots", type=int, default=200)
     parser.add_argument("--schedule-steps", type=int, default=8)
-    parser.add_argument("--schedule", default=None, help="comma-separated g values ending at 1")
-    parser.add_argument("--delta", type=float, default=1e-3, help="per-gate accuracy")
-    parser.add_argument("--gap", default="0.1", help="target resolution(s), comma-separated")
-    parser.add_argument("--time-constant", type=float, default=1.0)
-    parser.add_argument("--cost-a", type=float, default=1.0)
-    parser.add_argument("--cost-b", type=float, default=1.0)
-    parser.add_argument("--cost-c", type=float, default=1.0)
+    parser.add_argument(
+        "--schedule", type=finite_floats, default=None, help="comma-separated g values ending at 1"
+    )
+    parser.add_argument("--delta", type=finite_float, default=1e-3, help="per-gate accuracy")
+    parser.add_argument(
+        "--gap", type=finite_floats, default="0.1", help="target resolution(s), comma-separated"
+    )
+    parser.add_argument("--time-constant", type=finite_float, default=1.0)
+    parser.add_argument("--cost-a", type=finite_float, default=1.0)
+    parser.add_argument("--cost-b", type=finite_float, default=1.0)
+    parser.add_argument("--cost-c", type=finite_float, default=1.0)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -174,13 +196,7 @@ def run_zeno(cfg: argparse.Namespace) -> tuple[dict, int]:
         cfg.n, [(c, p) for c, p in tfim(cfg.n, 0.0, cfg.J, cfg.boundary).terms]
     )
     model = InterpolatedModel(h0, v, h0_ground=product_state("+" * cfg.n))
-    if cfg.schedule:
-        try:
-            schedule = [float(x) for x in cfg.schedule.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad schedule: {exc}") from exc
-    else:
-        schedule = uniform_schedule(cfg.schedule_steps)
+    schedule = cfg.schedule or uniform_schedule(cfg.schedule_steps)
     try:
         trace = zeno_prepare(
             model,
@@ -199,10 +215,6 @@ def run_zeno(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 def run_resources(cfg: argparse.Namespace) -> tuple[dict, int]:
     model = CostModel(cfg.cost_a, cfg.cost_b, cfg.cost_c)
-    try:
-        gaps = [float(x) for x in str(cfg.gap).split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad gap list: {exc}") from exc
     rows = []
     h = build_model(cfg)
     rescaled = normalize(h, "auto")
@@ -212,7 +224,7 @@ def run_resources(cfg: argparse.Namespace) -> tuple[dict, int]:
     bundles = buildable_walks(rescaled)
     table = [encoding_row(bundle) for bundle in bundles.values()]
     census = bundles[cfg.encoding].controlled_walk.census if cfg.encoding in bundles else None
-    for gap in gaps:
+    for gap in cfg.gap:
         query = CostQuery(
             n=h.n_qubits,
             n_terms=n_terms,
@@ -270,7 +282,7 @@ def _round_floats(obj):
 def render(payload: dict, fmt: str) -> str:
     payload = _round_floats(payload)
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if fmt == "csv":
         rows = payload.get("rows", [])
         buf = io.StringIO()

@@ -51,17 +51,21 @@ class LcuHamiltonian:
     def from_terms(cls, n_qubits, pairs) -> "LcuHamiltonian":
         """Build from (coeff, word) pairs: merges duplicates, folds any -1
         word phases into coefficients, drops zero non-identity terms, and
-        inserts the identity term if absent."""
+        inserts the identity term if absent.  A NaN or infinite coefficient
+        is refused."""
         merged: dict[tuple[int, int], float] = {(0, 0): 0.0}
         for coeff, p in pairs:
             if p.n_qubits != n_qubits:
                 raise PauliWidthError("term width does not match the Hamiltonian")
+            coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise ValueError(f"non-finite coefficient {coeff} on {p.label()}")
             if p.phase_exp == 2:
                 coeff, p = -coeff, p.bare()
             elif p.phase_exp != 0:
                 raise ValueError("Hamiltonian terms must have real sign")
             key = (p.x_bits, p.z_bits)
-            merged[key] = merged.get(key, 0.0) + float(coeff)
+            merged[key] = merged.get(key, 0.0) + coeff
         terms = [(merged.pop((0, 0)), PauliString.identity(n_qubits))]
         for (x, z), coeff in merged.items():
             if coeff != 0.0:
@@ -119,8 +123,6 @@ class GroupedLcu:
     """
 
     n_qubits: int
-    normalization: float
-    shift_added: float
     beta0_sq: float
     groups: tuple[StrengthGroup, ...]
 
@@ -194,13 +196,7 @@ def group(rescaled: RescaledLcu) -> GroupedLcu:
     total = beta0 + sum(g.strength_sq * g.n_padded for g in groups)
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"padded weights sum to {total}, not 1")
-    return GroupedLcu(
-        rescaled.n_qubits,
-        rescaled.normalization,
-        rescaled.shift_added,
-        beta0,
-        tuple(groups),
-    )
+    return GroupedLcu(rescaled.n_qubits, beta0, tuple(groups))
 
 
 def tfim(n: int, g: float, j: float, boundary: str = "open") -> LcuHamiltonian:

@@ -17,11 +17,12 @@ by basic indexing, so no gate copies or transposes the whole vector:
   each Z axis reads 1, reverses its X axes with `np.flip` and applies its
   scalar power of i by negation and a real/imaginary swap
   (`pauli.view_action`, shared with `expectation` and `pauli.apply_pauli`);
-- SWAP and CSWAP exchange the |10> and |01> slices of their two qubits;
+- CSWAP exchanges the |10> and |01> slices of its two qubits;
 - MCZ negates the slice where all its qubits read 1;
-- S, T, their adjoints, z rotations and GPHASE multiply slices by a scalar;
-- H, x/y rotations, FANOUT (on the |10> and |01> slices) and each non-zero
-  MROT angle mix two slices by a 2x2 matrix.
+- GPHASE multiplies the vector by a scalar;
+- H, ROT, each non-zero MROT angle and FANOUT mix two slices by a 2x2
+  matrix.  `_ry` builds every rotation among them: Ry(angle) for ROT and an
+  MROT slot, and Ry(2 * angle) on the |10> and |01> slices for FANOUT.
 
 `_plan` compiles a gate into these steps once per (gate, total qubits) and
 keeps the most recent ones in a bounded cache.  A gate plan holds only index
@@ -34,7 +35,7 @@ compiled once per (circuit, total qubits) by `_circuit_plan` and kept in a
 second bounded cache of the 8 most recent plans.  Circuits hash by
 identity, so a lookup hashes no gates; the key also holds the gate count,
 so a circuit extended after a pass compiles again.  Each maximal run of two
-or more PAULI, TOFFOLI, CSWAP, SWAP or MCZ gates becomes one gather
+or more PAULI, TOFFOLI, CSWAP or MCZ gates becomes one gather
 ``vec[j] <- i**k[j] * vec[src[j]]``: these kinds map each basis state to
 one basis state times a power of i, and the kernel applies them with copies
 and sign flips only, never a complex multiply.  `_signed_permutation`
@@ -45,12 +46,12 @@ the map.  The gather works on the (re, im) floats, with one source index
 and one +-1 factor per float, so it moves and negates exactly the floats
 the gates would, signed zeros included: a fused pass equals the
 gate-by-gate pass bit for bit.  Every other gate keeps its own steps.  H,
-rotations, T and FANOUT are not monomial with power-of-i phases, and S and
-GPHASE multiply by a complex scalar, which a gather of signed floats would
-not repeat bit for bit.  `apply` and `circuit_unitary` still run gate by
-gate, so the unitary stays an independent oracle for the fused path.  A
-state's vector is a contiguous complex128 array, so the gather can view it
-as floats; the constructor copies any other array.
+rotations and FANOUT are not monomial, and GPHASE multiplies by a complex
+scalar, which a gather of signed floats would not repeat bit for bit.
+`apply` and `circuit_unitary` still run gate by gate, so the unitary stays
+an independent oracle for the fused path.  A state's vector is a contiguous
+complex128 array, so the gather can view it as floats; the constructor
+copies any other array.
 """
 from __future__ import annotations
 
@@ -70,11 +71,6 @@ from .circuits import (
     MROT,
     PAULI,
     ROT,
-    S,
-    SDG,
-    SWAP,
-    T,
-    TDG,
     TOFFOLI,
     Circuit,
     Gate,
@@ -85,16 +81,9 @@ from .pauli import PauliString, apply_view_action, view_action
 SIMULATION_QUBIT_CAP = 22
 UNITARY_QUBIT_CAP = 12
 
-_SQRT2_INV = 1 / math.sqrt(2)
-_FIXED_1Q = {
-    H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    S: np.diag([1, 1j]).astype(complex),
-    SDG: np.diag([1, -1j]).astype(complex),
-    T: np.diag([1, np.exp(1j * math.pi / 4)]),
-    TDG: np.diag([1, np.exp(-1j * math.pi / 4)]),
-}
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * (1 / math.sqrt(2))
 _X = PauliString.single(1, 0, "X")
-_FUSED_KINDS = frozenset({PAULI, TOFFOLI, CSWAP, SWAP, MCZ})
+_FUSED_KINDS = frozenset({PAULI, TOFFOLI, CSWAP, MCZ})
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -116,19 +105,8 @@ def check_width(layout: RegisterLayout) -> None:
         )
 
 
-def _rotation_matrix(axis: str, angle: float) -> np.ndarray:
+def _ry(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
-    if axis == "x":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if axis == "y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
-
-
-def _fanout_matrix(angle: float) -> np.ndarray:
-    # Givens rotation on (|10>, |01>) of (src, dst); angle=pi/4 realizes
-    # |1,0> -> (|1,0> + |0,1>)/sqrt(2) with real amplitudes.
-    c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
@@ -183,14 +161,10 @@ def _index(total: int, values) -> tuple:
     return (*idx, Ellipsis)
 
 
-def _matrix_steps(total, lo_values, hi_values, mat) -> list:
-    """Steps applying the 2x2 `mat` to the slices (lo, hi); a diagonal
-    matrix becomes at most two scalar multiplies."""
+def _mix_step(total, lo_values, hi_values, mat) -> tuple:
+    """The step applying the 2x2 `mat` to the slices (lo, hi)."""
     (m00, m01), (m10, m11) = (tuple(complex(v) for v in row) for row in mat)
-    lo, hi = _index(total, lo_values), _index(total, hi_values)
-    if m01 == 0 and m10 == 0:
-        return [(_scale, idx, m) for idx, m in ((lo, m00), (hi, m11)) if m != 1]
-    return [(_mix, lo, hi, m00, m01, m10, m11)]
+    return (_mix, _index(total, lo_values), _index(total, hi_values), m00, m01, m10, m11)
 
 
 @lru_cache(maxsize=4096)
@@ -207,32 +181,27 @@ def _plan(gate: Gate, total: int) -> tuple:
         return ((_negate, _index(total, on + tuple((q, 1) for q in gate.qubits))),)
     if kind == GPHASE:
         return ((_scale, _index(total, on), complex(np.exp(1j * gate.angle))),)
-    if kind in (SWAP, CSWAP, FANOUT):
+    if kind in (CSWAP, FANOUT):
         a, b = gate.qubits
         lo, hi = on + ((a, 1), (b, 0)), on + ((a, 0), (b, 1))
         if kind == FANOUT:
-            return tuple(_matrix_steps(total, lo, hi, _fanout_matrix(gate.angle)))
+            # Ry(pi/2) on (|10>, |01>): |10> -> (|10> + |01>)/sqrt(2)
+            return (_mix_step(total, lo, hi, _ry(2 * gate.angle)),)
         return ((_swap, _index(total, lo), _index(total, hi)),)
+    if kind not in (H, ROT, MROT):
+        raise ValueError(f"unknown gate kind {kind!r}")
+    (target,) = gate.qubits
     if kind == MROT:
-        (target,) = gate.qubits
         d = len(gate.controls)
         steps = []
         for p, angle in enumerate(gate.angles):
             if angle == 0.0:
                 continue
             sel = tuple((q, (p >> (d - 1 - i)) & 1) for i, q in enumerate(gate.controls))
-            steps += _matrix_steps(
-                total, sel + ((target, 0),), sel + ((target, 1),), _rotation_matrix("y", angle)
-            )
+            steps.append(_mix_step(total, sel + ((target, 0),), sel + ((target, 1),), _ry(angle)))
         return tuple(steps)
-    if kind in _FIXED_1Q:
-        mat = _FIXED_1Q[kind]
-    elif kind == ROT:
-        mat = _rotation_matrix(gate.axis, gate.angle)
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    (target,) = gate.qubits
-    return tuple(_matrix_steps(total, on + ((target, 0),), on + ((target, 1),), mat))
+    mat = _HADAMARD if kind == H else _ry(gate.angle)
+    return (_mix_step(total, on + ((target, 0),), on + ((target, 1),), mat),)
 
 
 def _signed_permutation(gates, total: int) -> tuple:

@@ -48,7 +48,7 @@ def build_prepare_b(weights, layout: RegisterLayout) -> Circuit:
         target = base + c - 1 - d
         if d == 0:
             if angles[0] != 0.0:
-                circ.append(Gate.rot("y", angles[0], target))
+                circ.append(Gate.ry(angles[0], target))
         elif any(a != 0.0 for a in angles):
             select = tuple(base + c - 1 - i for i in range(d))  # MSB first
             circ.append(Gate.multiplexed_ry(target, select, angles))

@@ -39,7 +39,7 @@ def _chain_rotation(circ, target, control, cos_half, sin_half):
         return
     angle = 2.0 * math.atan2(sin_half, cos_half)
     controls = () if control is None else (control,)
-    circ.append(Gate.rot("y", angle, target, controls))
+    circ.append(Gate.ry(angle, target, controls))
 
 
 def build_head_prep(layout: RegisterLayout, beta0_sq: float, heads, positions) -> Circuit:

@@ -285,3 +285,69 @@ def test_hybrid_row_and_spectrum_for_an_eligible_file_model(tmp_path):
     spec = tmp_path / "spec.json"
     assert run_cli(["spectrum", *model, "--encoding", "hybrid", "--out", str(spec)])[0] == 0
     assert json.loads(spec.read_text())["pass"] is True
+
+
+def _config_file(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return ["--config", str(path)]
+
+
+def _nan_hamiltonian_file(tmp_path):
+    path = tmp_path / "h.json"
+    path.write_text('{"n_qubits": 2, "terms": [{"pauli": "ZZ", "coeff": NaN}]}')
+    return ["--model", "file", "--hamiltonian-file", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make_args, named",
+    [
+        pytest.param(lambda _: ["resources", "--n", "3", "--cost-b", "inf"], "'inf'", id="cost-b"),
+        pytest.param(
+            lambda _: ["resources", "--n", "3", "--cost-c", "nan", "--format", "csv"], "'nan'",
+            id="cost-c-csv",
+        ),
+        pytest.param(lambda _: ["resources", "--n", "3", "--gap", "0.2,nan"], "'nan'", id="gap"),
+        pytest.param(
+            lambda _: ["resources", "--n", "3", "--time-constant", "nan"], "'nan'",
+            id="time-constant",
+        ),
+        pytest.param(lambda _: ["resources", "--n", "3", "--delta=-inf"], "'-inf'", id="delta"),
+        pytest.param(lambda _: ["spectrum", "--g", "nan"], "'nan'", id="g"),
+        pytest.param(lambda _: ["spectrum", "--J", "inf"], "'inf'", id="J"),
+        pytest.param(
+            lambda _: ["spectrum", "--model", "long-range", "--n", "3", "--alpha", "nan"], "'nan'",
+            id="alpha",
+        ),
+        pytest.param(
+            lambda _: ["zeno", "--n", "2", "--schedule", "0.5,inf,1"], "'inf'", id="schedule"
+        ),
+        pytest.param(
+            lambda tmp: ["resources", "--n", "3", *_config_file(tmp, '{"cost_a": "nan"}')],
+            "'nan'", id="config-text",
+        ),
+        pytest.param(
+            lambda tmp: ["resources", "--n", "3", *_config_file(tmp, '{"delta": NaN}')],
+            "'nan'", id="config-literal",
+        ),
+        pytest.param(
+            lambda tmp: ["spectrum", *_nan_hamiltonian_file(tmp)], "coefficient nan",
+            id="hamiltonian-file",
+        ),
+    ],
+)
+def test_non_finite_inputs_exit_2(tmp_path, capsys, make_args, named):
+    try:
+        code = main(make_args(tmp_path))
+    except SystemExit as exc:  # argparse refuses a flag value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert named in captured.err and "Traceback" not in captured.err
+
+
+def test_render_refuses_non_finite_json():
+    from specwalk.cli import render
+
+    with pytest.raises(ValueError):
+        render({"rows": [], "x": float("inf")}, "json")

@@ -47,18 +47,20 @@ def test_random_circuit_matches_matrix_oracle():
     layout = plain_layout(3)
     gates = []
     for _ in range(25):
-        kind = rng.integers(5)
-        qs = rng.permutation(3)
+        kind = rng.integers(6)
+        a, b, c = (int(q) for q in rng.permutation(3))
         if kind == 0:
-            gates.append(Gate.h(int(qs[0])))
+            gates.append(Gate.h(a))
         elif kind == 1:
-            gates.append(Gate.rot("xyz"[rng.integers(3)], float(rng.uniform(-3, 3)), int(qs[0])))
+            gates.append(Gate.ry(float(rng.uniform(-3, 3)), a))
         elif kind == 2:
-            gates.append(Gate.cnot(int(qs[0]), int(qs[1])))
+            gates.append(Gate.cnot(a, b))
         elif kind == 3:
-            gates.append(Gate.toffoli(int(qs[0]), int(qs[1]), int(qs[2])))
+            gates.append(Gate.toffoli(a, b, c))
+        elif kind == 4:
+            gates.append(Gate.cswap(a, b, c))
         else:
-            gates.append(Gate.swap(int(qs[0]), int(qs[1])))
+            gates.append(Gate.fanout(a, b))
     circ = Circuit(layout, gates)
     u = circuit_unitary(circ)
     assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-10
@@ -77,7 +79,7 @@ def test_norm_preserved_under_random_rotations(spec):
     st_.apply(Gate.h(0))
     st_.apply(Gate.cnot(0, 1))
     for q, angle in spec:
-        st_.apply(Gate.rot("y", angle, q))
+        st_.apply(Gate.ry(angle, q))
     assert abs(st_.norm - 1.0) < 1e-12
 
 
@@ -181,7 +183,7 @@ def test_census_against_hand_counts():
     circ = Circuit(layout)
     circ.append(Gate.h(0))  # 1 Clifford
     circ.append(Gate.mcz((2, 3, 4)))  # 2 controls: 1 Toffoli, 1 work qubit
-    circ.append(Gate.rot("y", 0.4, 2, (3,)))  # 1 rotation
+    circ.append(Gate.ry(0.4, 2, (3,)))  # 1 rotation
     circ.append(Gate.fanout(2, 3))  # 1 fanout, 2 Clifford corrections
     circ.append(Gate.multiplexed_ry(0, (2, 3), [0.1, 0.0, 0.2, 0.3]))  # 3 rotations, 4 Clifford
     # 5 layout qubits, no ancilla register, so the MCZ work qubit adds one
@@ -200,10 +202,10 @@ def test_census_against_hand_counts():
 
 def test_census_additivity():
     layout = RegisterLayout(system_qubits=2, control_qubits=2)
-    a = Circuit(layout, [Gate.h(0), Gate.t(1), Gate.rot("z", 0.5, 2)])
+    a = Circuit(layout, [Gate.h(0), Gate.fanout(1, 3), Gate.ry(0.5, 2)])
     b = Circuit(layout, [Gate.toffoli(0, 1, 2), Gate.cswap(0, 1, 2)])
     merged = Circuit(layout, a.gates + b.gates)
-    for field in ("clifford", "toffoli", "t", "fanout_sqrt_swap", "controlled_swap", "rotations"):
+    for field in ("clifford", "toffoli", "fanout_sqrt_swap", "controlled_swap", "rotations"):
         assert getattr(merged.census, field) == getattr(a.census, field) + getattr(
             b.census, field
         )
@@ -226,10 +228,10 @@ def test_distinct_rotation_count_identifies_adjoint_pairs():
     circ = Circuit(
         layout,
         [
-            Gate.rot("y", 0.7, 0),
-            Gate.rot("y", -0.7, 1),
-            Gate.rot("y", 0.7, 1),
-            Gate.rot("y", 0.2, 0),
+            Gate.ry(0.7, 0),
+            Gate.ry(-0.7, 1),
+            Gate.ry(0.7, 1),
+            Gate.ry(0.2, 0),
         ],
     )
     assert circ.census.rotations == 4
@@ -238,7 +240,7 @@ def test_distinct_rotation_count_identifies_adjoint_pairs():
 
 def test_nan_angle_rejected():
     with pytest.raises(ValueError):
-        Gate.rot("y", float("nan"), 0)
+        Gate.ry(float("nan"), 0)
 
 
 def test_gate_index_validation():
@@ -294,7 +296,6 @@ _PAULI_1Q = {
     "Z": np.diag([1.0, -1.0]).astype(complex),
 }
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_PHASE_1Q = {"s": 1j, "sdg": -1j, "t": np.exp(0.25j * math.pi), "tdg": np.exp(-0.25j * math.pi)}
 
 
 def _kron_on(n, factors):
@@ -320,17 +321,15 @@ def _lift(n, qubits, local, controls=()):
     return out
 
 
-def _rot(axis, angle):
-    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * _PAULI_1Q[axis.upper()]
+def _ry(angle):
+    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * _PAULI_1Q["Y"]
 
 
 def _reference(gate, n):
     kind, qs, cs = gate.kind, gate.qubits, gate.controls
     if kind == "h":
         return _lift(n, qs, _H, cs)
-    if kind in _PHASE_1Q:
-        return _lift(n, qs, np.diag([1, _PHASE_1Q[kind]]), cs)
-    if kind in ("swap", "cswap"):
+    if kind == "cswap":
         return _lift(n, qs, np.eye(4)[[0, 2, 1, 3]], cs)
     if kind == "toffoli":
         return _lift(n, qs, _PAULI_1Q["X"], cs)
@@ -347,13 +346,13 @@ def _reference(gate, n):
     if kind == "mcz":
         return np.eye(1 << n) - 2 * _kron_on(n, {q: _E[1, 1] for q in qs})
     if kind == "rot":
-        return _lift(n, qs, _rot(gate.axis, gate.angle), cs)
+        return _lift(n, qs, _ry(gate.angle), cs)
     if kind == "mrot":
         d = len(cs)
         out = np.zeros((1 << n, 1 << n), dtype=complex)
         for p, angle in enumerate(gate.angles):  # cs[0] is the most significant bit
             sel = {c: _E[b, b] for c, b in ((c, (p >> (d - 1 - i)) & 1) for i, c in enumerate(cs))}
-            rot = {qs[0]: _rot("y", angle)}
+            rot = {qs[0]: _ry(angle)}
             out += _kron_on(n, {**sel, **rot})
         return out
     if kind == "gphase":
@@ -381,25 +380,52 @@ def _draw_mrot(q, d):
     return Gate.multiplexed_ry(q[n_sel], q[:n_sel], angles)
 
 
+def _draw_fanout(q, d):
+    gate = Gate.fanout(q[0], q[1])
+    return gate.inverse() if d(st.booleans()) else gate
+
+
 # kind -> (qubits the gate needs, builder from (shuffled qubits, draw))
 _BUILDERS = {
     "h": (1, lambda q, d: Gate.h(q[0])),
-    "s": (1, lambda q, d: Gate.s(q[0])),
-    "sdg": (1, lambda q, d: Gate.s(q[0]).inverse()),
-    "t": (1, lambda q, d: Gate.t(q[0])),
-    "tdg": (1, lambda q, d: Gate.t(q[0]).inverse()),
-    "swap": (2, lambda q, d: Gate.swap(q[0], q[1])),
     "pauli": (1, _draw_pauli),
     "toffoli": (3, lambda q, d: Gate.toffoli(q[0], q[1], q[2])),
     "cswap": (3, lambda q, d: Gate.cswap(q[0], q[1], q[2])),
-    "fanout": (2, lambda q, d: Gate.fanout(q[0], q[1], adjoint=d(st.booleans()))),
+    "fanout": (2, _draw_fanout),
     "mcz": (1, lambda q, d: Gate.mcz(q[: d(st.integers(1, len(q)))])),
-    "rot": (1, lambda q, d: Gate.rot(
-        d(st.sampled_from("xyz")), d(_ANGLES), q[0], q[1: 1 + d(st.integers(0, min(1, len(q) - 1)))]
+    "rot": (1, lambda q, d: Gate.ry(
+        d(_ANGLES), q[0], q[1: 1 + d(st.integers(0, min(1, len(q) - 1)))]
     )),
     "mrot": (1, _draw_mrot),
     "gphase": (0, lambda q, d: Gate.global_phase(d(_ANGLES))),
 }
+
+
+def test_dense_reference_covers_the_emitted_gate_set(suite_models, monkeypatch):
+    """The dense reference has a builder for exactly the gate kinds that the
+    walk builders and `pe_step` emit."""
+    from specwalk import normalize
+    from specwalk.measurement import pe_step
+    from specwalk.walk_core import build_walk
+
+    kinds = set()
+    for model in ("tfim3", "long_range4"):
+        rescaled = normalize(suite_models[model], "auto")
+        for encoding in ("binary", "unary", "hybrid"):
+            if encoding == "hybrid" and model == "tfim3":
+                continue  # the hybrid walk needs a power-of-two chain
+            for with_pe in (False, True):
+                bundle = build_walk(rescaled, encoding, with_pe=with_pe)
+                for circuit in (bundle.prepare, bundle.walk, bundle.controlled_walk):
+                    kinds |= {gate.kind for gate in circuit}
+    # a state with p_minus > 0, so pe_step also applies its X
+    state = QuantumState.zero_state(bundle.layout).apply(Gate.h(0))
+    apply = QuantumState.apply
+    monkeypatch.setattr(
+        QuantumState, "apply", lambda state, gate: kinds.add(gate.kind) or apply(state, gate)
+    )
+    pe_step(state, bundle.controlled_walk)
+    assert kinds == set(_BUILDERS)
 
 
 def _check_against_reference(gate, n, vec):
@@ -427,14 +453,14 @@ def test_every_gate_kind_matches_dense_reference(data):
 @pytest.mark.parametrize(
     "n, gate",
     [
-        (1, Gate.s(0)),
-        (1, Gate.t(0).inverse()),
+        (1, Gate.h(0)),
+        (1, Gate.ry(0.7, 0).inverse()),
         (1, Gate.mcz((0,))),
         (1, Gate.z(0)),
-        (2, Gate.swap(0, 1)),
+        (2, Gate.fanout(0, 1).inverse()),
         (2, Gate.fanout(1, 0)),
         (2, Gate.mcz((1, 0))),
-        (2, Gate.rot("z", 0.7, 0, (1,))),
+        (2, Gate.ry(0.7, 0, (1,))),
         (2, Gate.multiplexed_ry(0, (1,), [0.4, -0.9])),
         (2, Gate.pauli_word(PauliString.from_label("Z"), (0,), (1,))),
         (3, Gate.cswap(2, 0, 1)),
@@ -474,7 +500,7 @@ def test_measure_matches_dense_projector(data):
 
 # --- fused permutation runs -----------------------------------------------------
 
-_RUN_KINDS = ("pauli", "toffoli", "cswap", "swap", "mcz")
+_RUN_KINDS = ("pauli", "toffoli", "cswap", "mcz")
 _OTHER_KINDS = tuple(sorted(set(_BUILDERS) - set(_RUN_KINDS)))
 
 
@@ -548,8 +574,8 @@ def test_fused_run_with_controlled_imaginary_phases():
     "gates",
     [
         [Gate.x(0), Gate.h(1)],  # mixes amplitudes
-        [Gate.t(0), Gate.x(0)],  # a phase that is not a power of i
-        [Gate.rot("y", 0.3, 1), Gate.cnot(0, 1)],
+        [Gate.global_phase(math.pi / 4), Gate.x(0)],  # a phase that is not a power of i
+        [Gate.ry(0.3, 1), Gate.cnot(0, 1)],
         [Gate.x(0), Gate.global_phase(math.pi)],  # exp(i pi) is not exactly -1
     ],
 )
@@ -596,6 +622,6 @@ def test_state_from_a_strided_real_column():
     layout = plain_layout(2)
     columns = np.eye(4)[:, ::-1]
     state = QuantumState(layout, columns[:, 0])
-    state.apply_circuit(Circuit(layout, [Gate.x(0), Gate.swap(0, 1)]))
-    assert np.array_equal(state.vec, [0, 1, 0, 0])  # |11> -> |10> -> |01>
+    state.apply_circuit(Circuit(layout, [Gate.cnot(0, 1), Gate.x(0)]))
+    assert np.array_equal(state.vec, [1, 0, 0, 0])  # |11> -> |01> -> |00>
     assert np.array_equal(columns, np.eye(4)[:, ::-1])
