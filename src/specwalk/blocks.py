@@ -14,18 +14,18 @@ so the walk has eigenvalues exp(+-i arccos E_k) with eigenvectors
 (phi0 -+ +- i phi1)/sqrt(2).  Eigenvalues within BOUNDARY_EPS of +-1 give a
 one-dimensional block (phi1 has a 0/0 form there).
 
-The subspace is one array.  `_subspace` allocates a C-order
-(rows, 2**total) array whose rows are, block by block, phi0 and then (for
-an interior block) phi1; a block's `phi0` and `phi1` are views of its rows,
-so a caller copies a block vector before running a circuit on it.
-`_restrict` restricts a circuit to the span of such rows: it copies them
-once, runs the circuit in place on each row, and forms the restricted
-matrix and the part that leaves the span with two whole-matrix products.
-They stay whole-matrix: on a 128 x 2**15 basis (2 vCPUs) the two gemms
-took 0.15-0.32 s, and the same products taken row by row 0.50-0.95 s.
+Each plane is checked on its own.  A block owns a C-order
+(1 or 2, 2**total) array whose rows are phi0 and, off the boundary, phi1.
+`_restrict` restricts a circuit to the span of such rows: it runs the
+circuit on a copy of each row and returns the restricted matrix and the
+norm of the images' part outside the span.  `walk_eigenphases` builds the
+planes one at a time, so it holds one plane and its images, never the
+whole subspace, and its closure error also fails a walk that mixes two
+planes.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -42,35 +42,42 @@ class InvariantBlock:
     energy: float
     theta: float
     system_vector: np.ndarray
-    phi0: np.ndarray
-    phi1: np.ndarray | None
+    plane: np.ndarray  # rows: phi0, then phi1 off the boundary
+
+    @property
+    def phi0(self) -> np.ndarray:
+        return self.plane[0]
+
+    @property
+    def phi1(self) -> np.ndarray | None:
+        return None if self.is_boundary else self.plane[1]
 
     @property
     def is_boundary(self) -> bool:
-        return self.phi1 is None
+        return len(self.plane) == 1
 
     @property
     def phi_plus(self) -> np.ndarray:
-        if self.phi1 is None:
+        if self.is_boundary:
             return self.phi0
         return (self.phi0 + 1j * self.phi1) / math.sqrt(2)
 
     @property
     def phi_minus(self) -> np.ndarray:
-        if self.phi1 is None:
+        if self.is_boundary:
             return self.phi0
         return (self.phi0 - 1j * self.phi1) / math.sqrt(2)
 
     def eigenphases(self) -> tuple[float, ...]:
         """Walk eigenphases contributed by this block."""
-        if self.phi1 is None:
+        if self.is_boundary:
             return (self.theta,)
         return (self.theta, -self.theta)
 
 
-def _subspace(bundle: WalkBundle) -> tuple[list[InvariantBlock], np.ndarray]:
-    """One block per eigenvector of the encoded operator, and the array
-    whose rows are their vectors (orthonormal by construction).
+def _blocks(bundle: WalkBundle):
+    """One block per eigenvector of the encoded operator, built one at a
+    time; the rows of each plane are orthonormal by construction.
 
     phi1 is produced by running the select circuit, so these blocks double
     as a check that the circuit realizes the intended branch table.
@@ -78,54 +85,46 @@ def _subspace(bundle: WalkBundle) -> tuple[list[InvariantBlock], np.ndarray]:
     layout = bundle.layout
     check_width(layout)
     energies, vectors = np.linalg.eigh(encoded_dense(bundle.branches, bundle.n_system))
-    boundary = np.abs(energies) >= 1.0 - BOUNDARY_EPS
-    rows = 2 * len(energies) - int(np.count_nonzero(boundary))
-    basis = np.empty((rows, 1 << layout.total_qubits), dtype=complex)
-    blocks = []
-    row = 0
     for k, e in enumerate(energies.tolist()):
         phi = vectors[:, k]
-        phi0 = basis[row]
-        phi0[:] = dressed_state(bundle.branches, layout, phi)
-        row += 1
-        if boundary[k]:
+        boundary = abs(e) >= 1.0 - BOUNDARY_EPS
+        plane = np.empty((1 if boundary else 2, 1 << layout.total_qubits), dtype=complex)
+        plane[0] = dressed_state(bundle.branches, layout, phi)
+        if boundary:
             # A bare walk eigenvector with eigenvalue +-1; acos of a
             # within-epsilon energy would smear the phase by ~sqrt(eps).
-            blocks.append(InvariantBlock(e, 0.0 if e > 0 else math.pi, phi, phi0, None))
+            yield InvariantBlock(e, 0.0 if e > 0 else math.pi, phi, plane)
             continue
-        phi1 = basis[row]
-        row += 1
+        phi0, phi1 = plane
         phi1[:] = phi0
         QuantumState(layout, phi1).apply_circuit(bundle.select)
         phi1 -= e * phi0
         phi1 /= math.sqrt(1.0 - e * e)
-        blocks.append(InvariantBlock(e, math.acos(e), phi, phi0, phi1))
-    return blocks, basis
+        yield InvariantBlock(e, math.acos(e), phi, plane)
 
 
 def invariant_blocks(bundle: WalkBundle) -> list[InvariantBlock]:
-    """One block per eigenvector of the encoded operator (see `_subspace`)."""
-    return _subspace(bundle)[0]
+    """One block per eigenvector of the encoded operator (see `_blocks`)."""
+    return list(_blocks(bundle))
 
 
-def _restrict(circuit, basis: np.ndarray) -> tuple[np.ndarray, float]:
-    """`circuit` on the span of the orthonormal rows of `basis`: the matrix
-    m[i, j] = <basis_i| circuit |basis_j> and the norm of the images' part
+def _restrict(circuit, plane: np.ndarray) -> tuple[np.ndarray, float]:
+    """`circuit` on the span of the orthonormal rows of `plane`: the matrix
+    m[i, j] = <plane_i| circuit |plane_j> and the norm of the images' part
     outside the span."""
-    images = basis.copy()
+    images = plane.copy()
     for row in images:
         QuantumState(circuit.layout, row).apply_circuit(circuit)
-    m = basis.conj() @ images.T
-    images -= m.T @ basis
+    m = plane.conj() @ images.T
+    images -= m.T @ plane
     return m, float(np.linalg.norm(images))
 
 
 def block_matrices(bundle: WalkBundle, block: InvariantBlock):
     """2x2 matrices of S and V on span{phi0, phi1} (non-boundary blocks)."""
-    if block.phi1 is None:
+    if block.is_boundary:
         raise ValueError("boundary blocks are one-dimensional")
-    plane = np.stack([block.phi0, block.phi1])
-    return _restrict(bundle.reflect, plane)[0], _restrict(bundle.select, plane)[0]
+    return _restrict(bundle.reflect, block.plane)[0], _restrict(bundle.select, block.plane)[0]
 
 
 @dataclass
@@ -140,25 +139,18 @@ class PhaseReport:
 
 
 def walk_eigenphases(bundle: WalkBundle) -> PhaseReport:
-    """Diagonalize the walk circuit restricted to the initialized subspace and
-    match its phases against +-arccos(E_k) on the unit circle."""
-    blocks, basis = _subspace(bundle)
-    m, closure = _restrict(bundle.walk, basis)
-    measured = np.angle(np.linalg.eigvals(m))
-    expected = np.concatenate([b.eigenphases() for b in blocks])
-    return PhaseReport(np.sort(expected), _match_phases(expected, measured), closure)
-
-
-def _match_phases(expected, measured) -> list[tuple[float, float, float]]:
-    """Greedy nearest matching on the unit circle (handles the +-pi seam)."""
-    free = list(measured)
-    pairs = []
-    for e in sorted(expected):
-        ze = complex(math.cos(e), math.sin(e))
-        dists = [abs(ze - complex(math.cos(m), math.sin(m))) for m in free]
-        i = int(np.argmin(dists))
-        m = free.pop(i)
-        # chord distance -> arc distance
-        err = 2.0 * math.asin(min(1.0, dists[i] / 2.0))
-        pairs.append((e, m, err))
-    return pairs
+    """Restrict the walk circuit to each block's plane and match the phases
+    of the restricted matrix against that block's own +-arccos(E_k) on the
+    unit circle, nearest first; the pairs come sorted by expected phase."""
+    pairs, residuals = [], []
+    for block in _blocks(bundle):
+        m, residual = _restrict(bundle.walk, block.plane)
+        residuals.append(residual)
+        free = list(np.angle(np.linalg.eigvals(m)))
+        for e in sorted(block.eigenphases()):
+            chords = [abs(cmath.exp(1j * e) - cmath.exp(1j * p)) for p in free]
+            i = int(np.argmin(chords))
+            # chord distance -> arc distance
+            pairs.append((e, free.pop(i), 2.0 * math.asin(min(1.0, chords[i] / 2.0))))
+    pairs.sort(key=lambda p: p[0])
+    return PhaseReport(np.array([p[0] for p in pairs]), pairs, math.hypot(*residuals))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -192,9 +193,7 @@ def run_zeno(cfg: argparse.Namespace) -> tuple[dict, int]:
     if cfg.mode == "sample" and cfg.seed is None:
         raise InputError("sample mode requires --seed")
     h0 = tfim(cfg.n, -abs(cfg.g), 0.0, cfg.boundary)
-    v = LcuHamiltonian.from_terms(
-        cfg.n, [(c, p) for c, p in tfim(cfg.n, 0.0, cfg.J, cfg.boundary).terms]
-    )
+    v = tfim(cfg.n, 0.0, cfg.J, cfg.boundary)
     model = InterpolatedModel(h0, v, h0_ground=product_state("+" * cfg.n))
     schedule = cfg.schedule or uniform_schedule(cfg.schedule_steps)
     try:
@@ -209,7 +208,7 @@ def run_zeno(cfg: argparse.Namespace) -> tuple[dict, int]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     payload = {"schema_version": SCHEMA_VERSION, "command": "zeno", "n": cfg.n}
-    payload.update(trace.to_json())
+    payload.update(dataclasses.asdict(trace))
     return payload, 0
 
 

@@ -152,6 +152,8 @@ def normalize(h: LcuHamiltonian, shift_policy: str = "auto") -> RescaledLcu:
     norm = alpha0 + tail
     if norm <= 0.0:
         raise ValueError("cannot rescale an all-zero Hamiltonian")
+    if not math.isfinite(norm):
+        raise ValueError(f"the coefficient 1-norm overflows a float ({norm})")
     weights = [(alpha0 / norm, PauliString.identity(h.n_qubits))]
     for coeff, p in h.terms[1:]:
         weights.append((abs(coeff) / norm, p if coeff > 0 else -p))

@@ -193,7 +193,7 @@ def _eigenspace_projection(state_vec, blocks):
     spaces: list[tuple[float, list[np.ndarray]]] = []
     for b in blocks:
         for phase, vec in ((b.theta, b.phi_plus), (-b.theta, b.phi_minus)):
-            if b.phi1 is None and phase < 0:
+            if b.is_boundary and phase < 0:
                 continue
             for i, (p0, vecs) in enumerate(spaces):
                 if abs(math.remainder(phase - p0, 2 * math.pi)) < BOUNDARY_EPS:
@@ -377,27 +377,6 @@ class ZenoTrace:
     success_probability: float
     final_fidelity: float
 
-    def to_json(self) -> dict:
-        return {
-            "schedule": list(self.schedule),
-            "mode": self.mode,
-            "encoding": self.encoding,
-            "seed": self.seed,
-            "steps": [
-                {
-                    "g": s.g,
-                    "energy_rescaled": s.energy_rescaled,
-                    "energy": s.energy,
-                    "ground_probability": s.ground_probability,
-                    "oracle_overlap": s.oracle_overlap,
-                    "success": s.success,
-                }
-                for s in self.steps
-            ],
-            "success_probability": self.success_probability,
-            "final_fidelity": self.final_fidelity,
-        }
-
 
 def uniform_schedule(steps: int) -> tuple[float, ...]:
     if steps < 1:
@@ -531,12 +510,7 @@ def _ground_branch(state_vec, blocks):
     """Probability and normalized posterior of the lowest-energy branch of an
     exact energy measurement (degenerate ground energies share the branch)."""
     e0 = min(b.energy for b in blocks)
-    vecs = [
-        vec
-        for b in blocks
-        if b.energy <= e0 + GROUND_TOL
-        for vec in ((b.phi0,) if b.phi1 is None else (b.phi0, b.phi1))
-    ]
+    vecs = [vec for b in blocks if b.energy <= e0 + GROUND_TOL for vec in b.plane]
     p, proj = _project(state_vec, vecs)
     if p <= 0.0:
         raise ValueError("the state has no weight on the ground branch")

@@ -8,6 +8,7 @@ interpreted as the rotation-synthesis cost C_S (flagged in reports).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -82,6 +83,30 @@ class CostQuery:
         return self.time_constant / self.gap
 
 
+def _finite(cost):
+    """`cost`, refusing a report with a term that overflows a float.  Python
+    raises OverflowError or ZeroDivisionError for some overflows (a float
+    power, the ceiling of inf, a quotient by an underflowed gap**2) and
+    returns inf for others, so both are checked."""
+
+    @functools.wraps(cost)
+    def checked(query: CostQuery, *args) -> dict:
+        try:
+            report = cost(query, *args)
+        except (OverflowError, ZeroDivisionError) as exc:
+            detail = str(exc)
+        else:
+            detail = ", ".join(
+                k for k, v in report.items() if isinstance(v, float) and not math.isfinite(v)
+            )
+            if not detail:
+                return report
+        raise ValueError(f"{cost.__name__} at gap {query.gap} overflows a float: {detail}")
+
+    return checked
+
+
+@_finite
 def walk_cost(query: CostQuery, model: CostModel, census: GateCensus | None = None) -> dict:
     """Repetition count and per-call cost of the walk-based measurement.
 
@@ -118,6 +143,7 @@ def walk_cost(query: CostQuery, model: CostModel, census: GateCensus | None = No
     return report
 
 
+@_finite
 def trotter_cost(query: CostQuery, model: CostModel, regime: str = "lattice") -> dict:
     """Product-formula baseline at ground-state resolution (t ~ 1/gap,
     per-step accuracy ~ gap), constants set to 1.
@@ -147,6 +173,7 @@ def trotter_cost(query: CostQuery, model: CostModel, regime: str = "lattice") ->
     }
 
 
+@_finite
 def taylor_cost(
     query: CostQuery, model: CostModel, census: GateCensus | None = None
 ) -> dict:

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +200,20 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["pass"] is True
 
 
+def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count():
+    argv = [sys.executable, "-m", "specwalk.cli", "spectrum", "--model", "tfim", "--n", "6",
+            "--g", "0.7", "--J", "1.3", "--encoding", "binary"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_out_of_memory_exits_2(monkeypatch, capsys):
     import specwalk.cli as cli
 
@@ -334,6 +350,23 @@ def _nan_hamiltonian_file(tmp_path):
             lambda tmp: ["spectrum", *_nan_hamiltonian_file(tmp)], "coefficient nan",
             id="hamiltonian-file",
         ),
+        # finite inputs whose 1-norm, cost terms or derived quantities overflow
+        pytest.param(lambda _: ["resources", "--n", "3", "--g", "1e308"], "1-norm overflows",
+                     id="norm"),
+        pytest.param(lambda _: ["spectrum", "--n", "3", "--g", "1e308"], "1-norm overflows",
+                     id="spectrum-norm"),
+        pytest.param(lambda _: ["resources", "--n", "3", "--g", "1e200", "--gap", "1e-200"],
+                     "walk_cost at gap 1e-200 overflows", id="repetitions"),
+        pytest.param(
+            lambda _: ["resources", "--n", "3", "--time-constant", "1e308", "--gap", "1e-3"],
+            "walk_cost at gap 0.001 overflows", id="evolution-time",
+        ),
+        pytest.param(lambda _: ["resources", "--n", "3", "--cost-a", "1e308", "--cost-b", "1e308"],
+                     "walk_cost at gap 0.1 overflows", id="distillation"),
+        pytest.param(lambda _: ["resources", "--n", "3", "--gap", "1e-300"],
+                     "trotter_cost at gap 1e-300 overflows", id="gap-squared"),
+        pytest.param(lambda _: ["resources", "--n", "3", "--gap", "1e-160", "--format", "csv"],
+                     "rotations_total", id="csv-steps"),
     ],
 )
 def test_non_finite_inputs_exit_2(tmp_path, capsys, make_args, named):
@@ -351,3 +384,4 @@ def test_render_refuses_non_finite_json():
 
     with pytest.raises(ValueError):
         render({"rows": [], "x": float("inf")}, "json")
+

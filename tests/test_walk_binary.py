@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from specwalk import binary_walk, dense_matrix, normalize, tfim
-from specwalk.blocks import _subspace, block_matrices, invariant_blocks, walk_eigenphases
-from specwalk.circuits import MROT, ROT
+from specwalk.blocks import block_matrices, invariant_blocks, walk_eigenphases
+from specwalk.circuits import MROT, ROT, Circuit, Gate
 from specwalk.pauli import PauliString, to_matrix
 from specwalk.simulator import QuantumState, circuit_unitary
 from specwalk.walk_core import dressed_state, encoded_dense
@@ -202,8 +204,7 @@ def blk_boundary(block):
 def test_basis_orthonormal_and_walk_confined(suite_models):
     r = normalize(suite_models["tfim3"])
     b = binary_walk(r)
-    blocks, basis = _subspace(b)
-    assert np.shares_memory(blocks[0].phi0, basis)
+    basis = np.vstack([block.plane for block in invariant_blocks(b)])
     gram = basis.conj() @ basis.T
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
     # W^m stays inside the subspace
@@ -216,6 +217,29 @@ def test_basis_orthonormal_and_walk_confined(suite_models):
         state.apply_circuit(b.walk)
         leak = np.linalg.norm(state.vec - proj @ state.vec)
         assert leak < 1e-9
+
+
+def test_walk_eigenphases_holds_one_plane_at_a_time():
+    b = binary_walk(normalize(tfim(5, 0.7, 1.3)), with_pe=True)
+    walk_eigenphases(b)  # compiles and caches the circuit plans
+    tracemalloc.start()
+    try:
+        walk_eigenphases(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole subspace is 64 register vectors here; one plane and its
+    # images are a few
+    assert peak < 16 * (1 << b.layout.total_qubits) * 16
+
+
+def test_a_walk_that_mixes_two_planes_fails_the_closure():
+    # X0 X1 commutes with Z0 Z1, so W X0 X1 keeps the whole invariant
+    # subspace but swaps the boundary planes of |00> and |11>
+    b = binary_walk(normalize(tfim(2, 0.0, 1.0)))
+    walk = Circuit(b.layout, [*b.walk, *(Gate.x(q) for q in b.layout.system)])
+    rep = walk_eigenphases(dataclasses.replace(b, walk=walk))
+    assert rep.closure_error > 1e-6
 
 
 def test_eigenstate_relation(suite_models):
