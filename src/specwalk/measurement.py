@@ -8,7 +8,9 @@ unprepared control register is in vacuum.  Both are `QuantumState.measure`
 on a qubit pattern.  Analysis-mode routines compute exact probabilities and
 posteriors and follow a branch by projecting onto walk-eigenbasis vectors
 from `invariant_blocks` (`_project`); sample-mode routines re-measure
-instead and consume an explicit seeded generator.
+instead and consume an explicit seeded generator.  `estimate_energy` is one
+loop of exact rounds, each with one draw; a block's first round is its
+eigenstate probe, and the eigenstate batch is a branch of that loop.
 Energies are always the rescaled ones in [-1, 1]; containers carry the
 normalization and shift needed to map back to the physical scale.
 """
@@ -96,44 +98,38 @@ def estimate_energy(
     The shots are split into up to ESTIMATE_BLOCKS blocks; each block starts
     from a fresh copy of the input state and carries the measurement
     posterior within the block (re-preparation per block is how a
-    finite-coherence run behaves).  The
-    estimate is 2*(fraction of '+') - 1 with a fixed z=2 binomial half-width.
-    On a walk eigenstate the rounds are i.i.d.; on anything else each block
-    collapses toward a random eigenstate, the long-run estimate converges to
-    the mixture mean, and the excess variance of the block means (threshold:
-    four times the binomial expectation) raises the non_eigenstate flag.
+    finite-coherence run behaves).  Every round is an analysis-mode `pe_step`
+    and one draw from the generator, which picks the posterior the state
+    moves to.  A block's first round is also its eigenstate probe: if both
+    posteriors stay on the input ray, the rounds are i.i.d., and a branch of
+    the loop draws the whole block in one batch, which consumes the generator
+    stream exactly as one draw per round would.  The estimate is
+    2*(fraction of '+') - 1 with a fixed z=2 binomial half-width.  Off a walk
+    eigenstate each block collapses toward a random eigenstate, the long-run
+    estimate converges to the mixture mean, and the excess variance of the
+    block means (threshold: four times the binomial expectation) raises the
+    non_eigenstate flag.
     `state` is left in the final block's posterior.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
     rng = make_rng(seed)
     initial = state.vec.copy()
-    n_blocks = max(1, min(ESTIMATE_BLOCKS, shots // 2)) if shots >= 4 else 1
+    n_blocks = max(1, min(ESTIMATE_BLOCKS, shots // 2))
     bounds = [round(i * shots / n_blocks) for i in range(n_blocks + 1)]
     outcomes: list[int] = []
     block_means: list[float] = []
     for i in range(n_blocks):
         state.vec[:] = initial
         size = bounds[i + 1] - bounds[i]
-        if size == 0:
-            continue
-        # On a walk eigenstate both posteriors stay on the input ray, so the
-        # remaining rounds are i.i.d.; drawing them in one batch consumes the
-        # generator stream exactly like the sequential loop would.
-        p_plus, post_plus, post_minus = pe_step(state, controlled_walk, mode="analyze")
-        if _fixed_point(initial, post_plus) and _fixed_point(initial, post_minus):
-            draws = rng.random(size)
-            block = [1 if u < p_plus else -1 for u in draws]
-            last = post_plus if block[-1] > 0 else post_minus
-            state.vec[:] = last.vec
-        else:
-            block = []
-            for _ in range(size):
-                outcome, _, posterior = pe_step(
-                    state, controlled_walk, mode="sample", rng=rng
-                )
-                block.append(outcome)
-                state.vec[:] = posterior.vec
+        block: list[int] = []
+        while len(block) < size:
+            p_plus, post_plus, post_minus = pe_step(state, controlled_walk)
+            if not block and _fixed_point(initial, post_plus, post_minus):
+                block = [1 if u < p_plus else -1 for u in rng.random(size)]
+            else:
+                block.append(1 if rng.random() < p_plus else -1)
+            state.vec[:] = (post_plus if block[-1] > 0 else post_minus).vec
         outcomes.extend(block)
         block_means.append(sum(1 for o in block if o > 0) / len(block))
     plus = sum(1 for o in outcomes if o > 0)
@@ -150,10 +146,9 @@ def estimate_energy(
     )
 
 
-def _fixed_point(vec, posterior) -> bool:
-    if posterior is None:
-        return True
-    return abs(abs(np.vdot(vec, posterior.vec)) - 1.0) < 1e-12
+def _fixed_point(vec, *posteriors) -> bool:
+    """Every posterior (None: a branch of zero weight) lies on the ray of `vec`."""
+    return all(p is None or abs(abs(np.vdot(vec, p.vec)) - 1.0) < 1e-12 for p in posteriors)
 
 
 def _drifting(block_means, p_hat, shots) -> bool:
@@ -487,8 +482,11 @@ def zeno_prepare(
 def _check_supplied_ground(model: InterpolatedModel, psi: np.ndarray) -> None:
     from .hamiltonian import dense_matrix
 
-    vals, _ = eigensystem(model.h0)
-    energy = float(np.vdot(psi, dense_matrix(model.h0) @ psi).real)
+    matrix = dense_matrix(model.h0)
+    vals = np.linalg.eigvalsh(matrix)
+    energy = float(np.vdot(psi, matrix @ psi).real)
+    if not (math.isfinite(energy) and np.isfinite(vals).all()):
+        raise ValueError("the energy or spectrum of h0 overflows a float")
     scale = max(1.0, abs(vals[0]))
     if abs(energy - vals[0]) > 1e-9 * scale:
         raise ValueError("supplied state is not a ground state of h0")

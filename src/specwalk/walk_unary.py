@@ -98,7 +98,7 @@ def build_prepare_unary(grouped: GroupedLcu, layout: RegisterLayout) -> Circuit:
     return circ
 
 
-def unary_branches(grouped: GroupedLcu, layout: RegisterLayout) -> tuple[Branch, ...]:
+def unary_branches(grouped: GroupedLcu) -> tuple[Branch, ...]:
     branches = [
         Branch(math.sqrt(grouped.beta0_sq), PauliString.identity(grouped.n_qubits), 0)
     ]
@@ -136,7 +136,7 @@ def unary_walk(grouped: GroupedLcu, rescaled: RescaledLcu | None = None, with_pe
     return assemble_bundle(
         "unary",
         layout,
-        unary_branches(grouped, layout),
+        unary_branches(grouped),
         build_prepare_unary(grouped, layout),
         lambda pe_control: build_select_v_unary(grouped, layout, pe_control),
         rescaled,
@@ -174,7 +174,7 @@ def _long_range_structure(rescaled: RescaledLcu, n_sites: int):
     return dict(sorted(per_distance.items()))
 
 
-def _cyclic_shift_gates(layout, site_bits, n_sites):
+def _cyclic_shift_gates(site_bits, n_sites):
     """Controlled-SWAP network rotating the system register left by the site
     index: after it, system position p holds the original qubit (i + p) % n."""
     gates = []
@@ -258,7 +258,7 @@ def hybrid_long_range_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkB
     def build_select(pe_control: bool) -> Circuit:
         circ = Circuit(layout)
         pe = (layout.pe_qubit,) if pe_control else ()
-        shift = _cyclic_shift_gates(layout, site_bits, n)
+        shift = _cyclic_shift_gates(site_bits, n)
         for g in shift:
             circ.append(g)
         for idx, k in enumerate(distances):

@@ -193,6 +193,7 @@ def test_hybrid_requires_long_range():
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "specwalk.cli", "spectrum", "--model", "tfim", "--n", "2"],
+        env=dict(os.environ, PYTHONWARNINGS="error"),
         capture_output=True,
         text=True,
     )
@@ -206,7 +207,7 @@ def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count():
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONWARNINGS="error")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -355,6 +356,10 @@ def _nan_hamiltonian_file(tmp_path):
                      id="norm"),
         pytest.param(lambda _: ["spectrum", "--n", "3", "--g", "1e308"], "1-norm overflows",
                      id="spectrum-norm"),
+        pytest.param(lambda _: ["zeno", "--n", "3", "--g", "1e308"],
+                     "spectrum of h0 overflows", id="zeno-h0"),
+        pytest.param(lambda _: ["zeno", "--n", "3", "--g", "1e308", "--mode", "sample",
+                                "--seed", "1"], "spectrum of h0 overflows", id="zeno-h0-sample"),
         pytest.param(lambda _: ["resources", "--n", "3", "--g", "1e200", "--gap", "1e-200"],
                      "walk_cost at gap 1e-200 overflows", id="repetitions"),
         pytest.param(

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(argv, cwd):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error")  # a warning fails the child
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

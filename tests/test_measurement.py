@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -138,6 +139,45 @@ def test_estimate_energy_flags_mixtures(tfim3_bundle):
         eigen_flagged += rec2.non_eigenstate
     assert flagged >= 6
     assert eigen_flagged <= 1
+
+
+def _digest(vec) -> str:
+    """Hash of the amplitudes rounded to 10 decimals (signed zeros merged)."""
+    parts = np.round(vec.view(float), 10) + 0.0
+    return hashlib.sha256(" ".join(f"{x:.10f}" for x in parts).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "which, calls, outcomes, digest",
+    [
+        # not a walk eigenstate: one round, one pe_step, one draw
+        ("dressed", 40, "+++--+-+--+-+++++--+++++-++-++++++++--++", "aef451f2557937d8"),
+        # a walk eigenstate: each block's probe round, then one batch of draws
+        ("phi_plus", 10, "+++----+--+-+++++--++++---+--------+--++", "24d83a114f06bd3a"),
+    ],
+    ids=["dressed", "phi_plus"],
+)
+def test_estimate_energy_runs_each_round_once(tfim3_bundle, monkeypatch, which, calls,
+                                             outcomes, digest):
+    import specwalk.measurement as measurement
+
+    bundle, blocks = tfim3_bundle
+    if which == "dressed":
+        state = QuantumState.from_system_state(bundle.layout, product_state("000"))
+        state.apply_circuit(bundle.prepare)
+    else:
+        state = eigenstate(bundle, [b for b in blocks if not b.is_boundary][0])
+    rounds = []
+
+    def counting(*args, **kwargs):
+        rounds.append(1)
+        return pe_step(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "pe_step", counting)
+    record = estimate_energy(state, bundle.controlled_walk, shots=40, seed=3)
+    assert len(rounds) == calls
+    assert record.outcomes == tuple(1 if c == "+" else -1 for c in outcomes)
+    assert _digest(state.vec) == digest
 
 
 # --- deterministic projection ---------------------------------------------------

@@ -37,3 +37,27 @@ def test_no_unused_imports():
         if (found := _unused_imports(ast.parse(p.read_text(encoding="utf-8"))))
     }
     assert not unused
+
+
+def _unused_parameters(tree: ast.Module) -> list[str]:
+    """Parameters of a function or lambda in `tree` that its body never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{node.lineno}: {name}({p.arg})" for p in params if p.arg not in read]
+    return found
+
+
+def test_no_unused_parameters():
+    unused = {
+        p.relative_to(ROOT).as_posix(): found
+        for p in SOURCES + SCRIPTS
+        if (found := _unused_parameters(ast.parse(p.read_text(encoding="utf-8"))))
+    }
+    assert not unused
