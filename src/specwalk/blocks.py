@@ -18,15 +18,17 @@ Each plane is checked on its own.  A block owns a C-order
 (1 or 2, 2**total) array whose rows are phi0 and, off the boundary, phi1.
 `_restrict` restricts a circuit to the span of such rows: it runs the
 circuit on a copy of each row and returns the restricted matrix and the
-norm of the images' part outside the span.  `walk_eigenphases` builds the
-planes one at a time, so it holds one plane and its images, never the
-whole subspace, and its closure error also fails a walk that mixes two
+norm of the images' part outside the span.  `invariant_blocks` is a
+generator that builds the planes one at a time, and every caller streams
+it, so none holds the whole subspace.  `walk_eigenphases` holds one plane
+and its images, and its closure error also fails a walk that mixes two
 planes.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +77,10 @@ class InvariantBlock:
         return (self.theta, -self.theta)
 
 
-def _blocks(bundle: WalkBundle):
-    """One block per eigenvector of the encoded operator, built one at a
-    time; the rows of each plane are orthonormal by construction.
+def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
+    """One block per eigenvector of the encoded operator, yielded one at a
+    time in ascending energy; the rows of each plane are orthonormal by
+    construction.
 
     phi1 is produced by running the select circuit, so these blocks double
     as a check that the circuit realizes the intended branch table.
@@ -89,7 +92,7 @@ def _blocks(bundle: WalkBundle):
         phi = vectors[:, k]
         boundary = abs(e) >= 1.0 - BOUNDARY_EPS
         plane = np.empty((1 if boundary else 2, 1 << layout.total_qubits), dtype=complex)
-        plane[0] = dressed_state(bundle.branches, layout, phi)
+        dressed_state(bundle.branches, phi, plane[0])
         if boundary:
             # A bare walk eigenvector with eigenvalue +-1; acos of a
             # within-epsilon energy would smear the phase by ~sqrt(eps).
@@ -101,11 +104,6 @@ def _blocks(bundle: WalkBundle):
         phi1 -= e * phi0
         phi1 /= math.sqrt(1.0 - e * e)
         yield InvariantBlock(e, math.acos(e), phi, plane)
-
-
-def invariant_blocks(bundle: WalkBundle) -> list[InvariantBlock]:
-    """One block per eigenvector of the encoded operator (see `_blocks`)."""
-    return list(_blocks(bundle))
 
 
 def _restrict(circuit, plane: np.ndarray) -> tuple[np.ndarray, float]:
@@ -143,7 +141,7 @@ def walk_eigenphases(bundle: WalkBundle) -> PhaseReport:
     of the restricted matrix against that block's own +-arccos(E_k) on the
     unit circle, nearest first; the pairs come sorted by expected phase."""
     pairs, residuals = [], []
-    for block in _blocks(bundle):
+    for block in invariant_blocks(bundle):
         m, residual = _restrict(bundle.walk, block.plane)
         residuals.append(residual)
         free = list(np.angle(np.linalg.eigvals(m)))

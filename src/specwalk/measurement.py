@@ -7,15 +7,21 @@ eigenstate.  Projection back to a bare eigenstate measures whether the
 unprepared control register is in vacuum.  Both are `QuantumState.measure`
 on a qubit pattern.  Analysis-mode routines compute exact probabilities and
 posteriors and follow a branch by projecting onto walk-eigenbasis vectors
-from `invariant_blocks` (`_project`); sample-mode routines re-measure
-instead and consume an explicit seeded generator.  `estimate_energy` is one
-loop of exact rounds, each with one draw; a block's first round is its
-eigenstate probe, and the eigenstate batch is a branch of that loop.
+(`_project`); sample-mode routines re-measure instead and consume an
+explicit seeded generator.  Every analysis routine streams the blocks of
+`invariant_blocks` and none holds the whole invariant subspace: Zeno
+builds only the ground planes and the first plane above them, the
+eigenspace projection streams twice (it weighs every eigenspace, then
+rebuilds the one taken), and observable recovery reads each block once.
+`estimate_energy` is one loop of exact rounds, each with one draw; a
+block's first round is its eigenstate probe, and the eigenstate batch is a
+branch of that loop.
 Energies are always the rescaled ones in [-1, 1]; containers carry the
 normalization and shift needed to map back to the physical scale.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,6 +94,7 @@ class MeasurementRecord:
 ESTIMATE_BLOCKS = 10
 ZENO_MAX_ROUNDS = 40
 GROUND_TOL = 1e-12  # energies within this of the lowest share the ground branch
+ROUND_OFF = 1e-12  # a branch that weighs less is floating-point noise
 
 
 def estimate_energy(
@@ -182,26 +189,40 @@ def _project(state_vec, vecs) -> tuple[float, np.ndarray]:
     return float(np.vdot(proj, proj).real), proj
 
 
-def _eigenspace_projection(state_vec, blocks):
+def _eigenvectors(bundle: WalkBundle):
+    """(phase, vector) for each walk eigenvector, streamed block by block."""
+    for b in invariant_blocks(bundle):
+        yield from zip(b.eigenphases(), (b.phi_plus, b.phi_minus))
+
+
+def _eigenspace_projection(state_vec, bundle: WalkBundle) -> np.ndarray:
     """Projective measurement onto the walk eigenspaces (phases grouped
-    within BOUNDARY_EPS); the most probable branch is taken."""
-    spaces: list[tuple[float, list[np.ndarray]]] = []
-    for b in blocks:
-        for phase, vec in ((b.theta, b.phi_plus), (-b.theta, b.phi_minus)):
-            if b.is_boundary and phase < 0:
-                continue
-            for i, (p0, vecs) in enumerate(spaces):
-                if abs(math.remainder(phase - p0, 2 * math.pi)) < BOUNDARY_EPS:
-                    vecs.append(vec)
-                    break
-            else:
-                spaces.append((phase, [vec]))
-    probs, projections = zip(*(_project(state_vec, vecs) for _, vecs in spaces))
-    total = sum(probs)
+    within BOUNDARY_EPS); the most probable branch is taken.  The eigenbasis
+    is streamed twice: once to weigh every eigenspace, once to rebuild the
+    one taken."""
+    phases: list[float] = []  # first phase of each eigenspace
+    weights: list[float] = []  # weight of each eigenspace
+    spaces: list[int] = []  # eigenspace of each eigenvector
+    for phase, vec in _eigenvectors(bundle):
+        for i, p0 in enumerate(phases):
+            if abs(math.remainder(phase - p0, 2 * math.pi)) < BOUNDARY_EPS:
+                break
+        else:
+            i = len(phases)
+            phases.append(phase)
+            weights.append(0.0)
+        # _project's weight, so that a one-vector space weighs exactly what
+        # its rebuilt branch does: after a failure the spaces of +theta and
+        # -theta tie at 1/2, and round-off decides the tie
+        weights[i] += _project(state_vec, (vec,))[0]
+        spaces.append(i)
+    total = sum(weights)
     if abs(total - 1.0) > 1e-8:
         raise AssertionError(f"state leaks out of the invariant subspace: {total}")
-    i = int(np.argmax(probs))
-    return projections[i] / math.sqrt(probs[i]), probs[i]
+    i = int(np.argmax(weights))
+    taken = (vec for space, (_, vec) in zip(spaces, _eigenvectors(bundle)) if space == i)
+    p, proj = _project(state_vec, taken)
+    return proj / math.sqrt(p)
 
 
 def project_to_eigenstate(
@@ -221,29 +242,28 @@ def project_to_eigenstate(
     1 - 2**-L, with L = `max_rounds`.
 
     Analysis mode follows the tree deterministically, re-measuring by
-    projection onto the walk eigenbasis of `invariant_blocks`, and reports
-    exact round probabilities; sample mode re-measures with an estimation
-    round, draws every branch from `rng` and never diagonalizes the walk.
+    projection onto the walk eigenbasis streamed from `invariant_blocks`,
+    and reports exact round probabilities.  It stops early when the failure
+    branch weighs less than ROUND_OFF, as on a dressed eigenstate, where
+    that branch is floating-point noise.  Sample mode re-measures with an
+    estimation round, draws every branch from `rng` and never diagonalizes
+    the walk.
     """
     _check_mode(mode)
     sampling = mode == "sample"
     if sampling:
         rng = make_rng(rng)
-    else:
-        blocks = invariant_blocks(bundle)
     current = state.copy()
     round_probs: list[float] = []
     cumulative: list[float] = []
     remaining = 1.0  # probability mass still on the all-failures path
     system_state = None
-    rounds_used = 0
-    for _ in range(max_rounds):
+    for rounds_used in range(1, max_rounds + 1):
         work = current.copy()
         work.apply_circuit(bundle.prepare_dagger)
         p, success_state, failure_state = work.measure(
             dict.fromkeys(bundle.layout.control, 0)
         )
-        rounds_used += 1
         round_probs.append(p)
         cumulative.append(1.0 - remaining * (1.0 - p))
         remaining *= 1.0 - p
@@ -251,8 +271,13 @@ def project_to_eigenstate(
             if rng.random() < p:
                 system_state = success_state.extract_system()
                 break
-        elif success_state is not None and system_state is None:
-            system_state = success_state.extract_system()
+        else:
+            if success_state is not None and system_state is None:
+                system_state = success_state.extract_system()
+            # a failure branch of round-off weight is noise, and no round
+            # reads the last round's re-measurement
+            if 1.0 - p < ROUND_OFF or rounds_used == max_rounds:
+                break
         if failure_state is None:
             break
         # re-prepare, re-measure in the walk eigenbasis, and retry
@@ -263,11 +288,11 @@ def project_to_eigenstate(
             )
             current = posterior
         else:
-            projected, _ = _eigenspace_projection(failure_state.vec, blocks)
+            projected = _eigenspace_projection(failure_state.vec, bundle)
             current = QuantumState(bundle.layout, projected)
     return ProjectionResult(
         system_state,
-        rounds_used,
+        len(round_probs),
         system_state is not None,
         tuple(round_probs),
         tuple(cumulative),
@@ -311,12 +336,11 @@ def verify_observable_recovery(bundle: WalkBundle, sigmas) -> list[dict]:
     'invalid-precondition' (boundary energy or vanishing scale), so coverage
     is total even where the formula does not apply.
     """
-    rescaled = bundle.rescaled
-    blocks = invariant_blocks(bundle)
-    records = []
-    for sigma in sigmas:
-        g = gamma(sigma, rescaled)
-        for k, block in enumerate(blocks):
+    # one bucket of records per sigma, so the blocks stream once and the
+    # records still come sigma-major
+    cases = [(sigma, gamma(sigma, bundle.rescaled), []) for sigma in sigmas]
+    for k, block in enumerate(invariant_blocks(bundle)):
+        for sigma, g, records in cases:
             direct = float(
                 np.vdot(block.system_vector, apply_pauli(block.system_vector, sigma)).real
             )
@@ -346,7 +370,7 @@ def verify_observable_recovery(bundle: WalkBundle, sigmas) -> list[dict]:
                 rec["error"] = abs(recovered - direct)
                 rec["status"] = "pass" if rec["error"] <= 1e-9 else "fail"
                 records.append(rec)
-    return records
+    return [rec for _, _, records in cases for rec in records]
 
 
 # --- sequential-measurement preparation ---------------------------------------
@@ -402,9 +426,12 @@ def zeno_prepare(
     Analysis mode: each measurement is the exact projective measurement onto
     the walk eigenspaces of H(g_j), the ground branch is followed, and the
     trace records exact branch probabilities, whose product telescopes into
-    prod_j |<phi0(g_{j-1})|phi0(g_j)>|^2.  Sample mode: finite-shot
-    estimation rounds followed by sampled projection (at most
-    ZENO_MAX_ROUNDS rounds), one trajectory; it reads no invariant blocks.
+    prod_j |<phi0(g_{j-1})|phi0(g_j)>|^2.  Only the ground planes, and the
+    first plane above them, are built at each point.  Sample mode:
+    finite-shot estimation rounds followed by sampled projection (at most
+    ZENO_MAX_ROUNDS rounds), one trajectory.  It reads no invariant blocks;
+    it builds and drops them only because the benchmark's sampled Zeno
+    workload covers the blocks layer, until ROADMAP item 1 removes that.
     Ground fidelities are weights on the whole ground eigenspace of the
     dense oracle.
     """
@@ -426,15 +453,16 @@ def zeno_prepare(
         h = interpolate(model, g)
         bundle = build_walk(normalize(h, "auto"), encoding, with_pe=sampling)
         rescaled = bundle.rescaled
-        # Built in both modes: the benchmark's sampled Zeno workload covers
-        # the blocks layer, and its tracer test checks that it does.
-        blocks = invariant_blocks(bundle)
         oracle_vals, oracle_vecs = eigensystem(rescaled)
         ground_vec = oracle_vecs[:, 0]
         overlap = float(abs(np.vdot(prev_ground, ground_vec)) ** 2)
         state = QuantumState.from_system_state(bundle.layout, psi)
         state.apply_circuit(bundle.prepare)
         if sampling:
+            # Built and dropped: the benchmark's sampled Zeno workload covers
+            # the blocks layer, and its tracer test checks that it does.
+            for _ in invariant_blocks(bundle):
+                pass
             estimate_energy(state, bundle.controlled_walk, shots, int(rng.integers(2**31)))
             projection = project_to_eigenstate(
                 state, bundle, max_rounds=ZENO_MAX_ROUNDS, mode="sample", rng=rng
@@ -447,7 +475,7 @@ def zeno_prepare(
             step_success = ground_fid > 0.5
             p_ground = ground_fid
         else:
-            p_ground, posterior = _ground_branch(state.vec, blocks)
+            p_ground, posterior, e_bar = _ground_branch(state.vec, bundle)
             success_probability *= p_ground
             walk_state = QuantumState(bundle.layout, posterior)
             walk_state.apply_circuit(bundle.prepare_dagger)
@@ -457,7 +485,6 @@ def zeno_prepare(
                     f"unprepared dressed eigenstate left the control register dirty: {p_vac}"
                 )
             psi_next = succ.extract_system()
-            e_bar = min(b.energy for b in blocks)
             step_success = True
         e_phys = rescaled.normalization * e_bar - rescaled.shift_added
         steps.append(ZenoStep(g, e_bar, e_phys, p_ground, overlap, step_success))
@@ -504,12 +531,17 @@ def _ground_weight(psi: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float
     return float(sum(abs(np.vdot(psi, vecs[:, k])) ** 2 for k in ground))
 
 
-def _ground_branch(state_vec, blocks):
+def _ground_branch(state_vec, bundle: WalkBundle):
     """Probability and normalized posterior of the lowest-energy branch of an
-    exact energy measurement (degenerate ground energies share the branch)."""
-    e0 = min(b.energy for b in blocks)
-    vecs = [vec for b in blocks if b.energy <= e0 + GROUND_TOL for vec in b.plane]
-    p, proj = _project(state_vec, vecs)
+    exact energy measurement (degenerate ground energies share the branch),
+    and the ground energy.  The blocks stream in ascending energy, so the
+    stream stops at the first block above the ground branch."""
+    blocks = invariant_blocks(bundle)
+    first = next(blocks)
+    ground = itertools.takewhile(
+        lambda b: b.energy <= first.energy + GROUND_TOL, itertools.chain((first,), blocks)
+    )
+    p, proj = _project(state_vec, (vec for b in ground for vec in b.plane))
     if p <= 0.0:
         raise ValueError("the state has no weight on the ground branch")
-    return p, proj / math.sqrt(p)
+    return p, proj / math.sqrt(p), first.energy

@@ -122,14 +122,14 @@ def encoded_dense(branches, n_system: int) -> np.ndarray:
     return out
 
 
-def dressed_state(branches, layout: RegisterLayout, sys_vec: np.ndarray) -> np.ndarray:
-    """B|0> tensor |psi> built from the branch table: sum_b amp_b |ctrl_b>|psi>."""
-    full = np.zeros(1 << layout.total_qubits, dtype=complex)
-    n = layout.system_qubits
+def dressed_state(branches, sys_vec: np.ndarray, out: np.ndarray) -> None:
+    """Write B|0> tensor |psi>, built from the branch table, into the
+    full-register vector `out`: sum_b amp_b |ctrl_b>|psi>."""
+    out.fill(0)
+    dim = len(sys_vec)
     for b in branches:
-        offset = b.control_state << n
-        full[offset : offset + len(sys_vec)] += b.amplitude * sys_vec
-    return full
+        offset = b.control_state * dim
+        out[offset : offset + dim] += b.amplitude * sys_vec
 
 
 def vacuum_reflection(layout: RegisterLayout, pe_control: bool = False) -> Circuit:

@@ -144,7 +144,7 @@ def test_criterion_04_projection(lattice_bundles):
     worst_prob = 0.0
     worst_fid = 1.0
     for bundle in lattice_bundles.values():
-        blocks = invariant_blocks(bundle)
+        blocks = list(invariant_blocks(bundle))
         vals = sorted(b.energy for b in blocks)
         for block in blocks:
             if block.is_boundary:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from specwalk import (
 from specwalk.blocks import invariant_blocks
 from specwalk.hamiltonian import interpolate, product_state
 from specwalk.measurement import (
+    GROUND_TOL,
     BoundaryEnergyError,
     UnrecoverableExpectationError,
     estimate_energy,
@@ -28,6 +30,7 @@ from specwalk.measurement import (
     zeno_prepare,
 )
 from specwalk.simulator import QuantumState, make_rng
+from specwalk.walk_core import build_walk
 
 from conftest import dense_oracle
 
@@ -36,7 +39,7 @@ from conftest import dense_oracle
 def tfim3_bundle():
     r = normalize(tfim(3, 1, 1))
     bundle = binary_walk(r)
-    return bundle, invariant_blocks(bundle)
+    return bundle, list(invariant_blocks(bundle))
 
 
 def eigenstate(bundle, block, sign="+"):
@@ -66,7 +69,7 @@ def test_pe_step_probabilities_on_eigenstates(tfim3_bundle):
 
 def test_pe_step_extreme_energies(half_identity_x):
     bundle = binary_walk(half_identity_x)
-    blocks = invariant_blocks(bundle)
+    blocks = list(invariant_blocks(bundle))
     zero = [b for b in blocks if abs(b.energy) < 1e-12][0]
     state = eigenstate(bundle, zero)
     p_plus, _, _ = pe_step(state, bundle.controlled_walk)
@@ -216,6 +219,19 @@ def test_projection_identity_on_dressed_state(tfim3_bundle):
     state.apply_circuit(bundle.prepare_dagger)
     p, succ, _ = state.measure(dict.fromkeys(bundle.layout.control, 0))
     assert abs(p - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("encoding", ["binary", "unary"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_projection_of_every_dressed_eigenstate_ends_in_one_round(n, encoding):
+    # the control register leaves vacuum with weight ~1e-16 here: a
+    # failure branch of pure round-off, which must not be followed
+    bundle = build_walk(normalize(tfim(n, 1.0, 0.7)), encoding, with_pe=True)
+    for block in invariant_blocks(bundle):
+        res = project_to_eigenstate(QuantumState(bundle.layout, block.phi0.copy()), bundle, 3)
+        assert res.success and res.rounds == 1
+        assert res.round_probs[0] == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(res.system_state, block.system_vector)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_projection_sampled(tfim3_bundle):
@@ -386,3 +402,40 @@ def test_zeno_sampled_trajectory():
     )
     assert len(trace.steps) == 3
     assert trace.final_fidelity > 0.9  # one lucky-but-likely trajectory
+
+
+def test_analysis_zeno_builds_only_the_ground_planes(monkeypatch):
+    import specwalk.measurement as measurement
+
+    taken = []  # [ground multiplicity, blocks built] per schedule point
+
+    def counted(bundle):
+        vals = eigensystem(bundle.rescaled)[0]
+        taken.append([int(np.sum(vals <= vals[0] + GROUND_TOL)), 0])
+        for block in invariant_blocks(bundle):
+            taken[-1][1] += 1
+            yield block
+
+    monkeypatch.setattr(measurement, "invariant_blocks", counted)
+    # H(1) = sum Z_i Z_i+1, whose two Neel states share the ground branch
+    h0 = tfim(4, -1.0, 0.0)
+    model = InterpolatedModel(h0, tfim(4, 1.0, 1.0), h0_ground=product_state("++++"))
+    zeno_prepare(model, uniform_schedule(4), mode="analyze")
+    assert len(taken) == 4
+    assert all(ground <= built <= ground + 1 for ground, built in taken)
+    assert taken[-1][0] == 2
+
+
+def test_analysis_zeno_never_holds_the_invariant_subspace():
+    model = tfim_model(6)
+    zeno_prepare(model, uniform_schedule(2), mode="analyze")  # warms the caches
+    tracemalloc.start()
+    try:
+        zeno_prepare(model, uniform_schedule(2), mode="analyze")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    total = build_walk(normalize(tfim(6, 1.0, 1.0)), "binary", with_pe=False).layout.total_qubits
+    # the whole subspace is 64 planes, 128 register vectors, here; the
+    # ground planes, the states and the compiled circuits are a few
+    assert peak < 32 * (1 << total) * 16

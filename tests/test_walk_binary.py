@@ -71,7 +71,8 @@ def test_reflection_matrix_is_householder(suite_models):
     r = normalize(suite_models["tfim2"])
     b = binary_walk(r)
     u = control_block(b, circuit_unitary(b.reflect))
-    beta = dressed_state(b.branches, b.layout, np.array([1.0, 0, 0, 0], dtype=complex))
+    beta = np.empty(1 << b.layout.total_qubits, dtype=complex)
+    dressed_state(b.branches, np.array([1.0, 0, 0, 0], dtype=complex), beta)
     # reflection about |beta> x |system>: build the oracle from the outer product
     dim = u.shape[0]
     beta_block = np.zeros((dim, dim), dtype=complex)
@@ -91,7 +92,8 @@ def test_reflection_matrix_is_householder(suite_models):
 def test_reflection_fixes_orthogonal_states(suite_models):
     r = normalize(suite_models["tfim2"])
     b = binary_walk(r)
-    beta = dressed_state(b.branches, b.layout, np.array([1, 0, 0, 0], dtype=complex))
+    beta = np.empty(1 << b.layout.total_qubits, dtype=complex)
+    dressed_state(b.branches, np.array([1, 0, 0, 0], dtype=complex), beta)
     state = QuantumState(b.layout, beta.copy())
     state.apply_circuit(b.reflect)
     assert np.max(np.abs(state.vec + beta)) < 1e-10  # S|beta> = -|beta>
@@ -210,7 +212,8 @@ def test_basis_orthonormal_and_walk_confined(suite_models):
     # W^m stays inside the subspace
     psi = np.zeros(1 << b.layout.system_qubits, dtype=complex)
     psi[5] = 1.0
-    vec = dressed_state(b.branches, b.layout, psi)
+    vec = np.empty(1 << b.layout.total_qubits, dtype=complex)
+    dressed_state(b.branches, psi, vec)
     state = QuantumState(b.layout, vec)
     proj = basis.T @ basis.conj()
     for _ in range(8):

@@ -196,7 +196,8 @@ def test_controlled_walk_identity_off_branch(suite_models):
     psi[3] = 1.0
     from specwalk.walk_core import dressed_state
 
-    vec = dressed_state(bundle.branches, bundle.layout, psi)
+    vec = np.empty(1 << bundle.layout.total_qubits, dtype=complex)
+    dressed_state(bundle.branches, psi, vec)
     state = QuantumState(bundle.layout, vec.copy())
     state.apply_circuit(bundle.controlled_walk)
     assert np.max(np.abs(state.vec - vec)) < 1e-10
