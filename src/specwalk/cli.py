@@ -31,7 +31,7 @@ from .hamiltonian import (
     read_hamiltonian,
     tfim,
 )
-from .measurement import uniform_schedule, zeno_prepare
+from .measurement import ProjectionFailedError, uniform_schedule, zeno_prepare
 from .resources import (
     CostModel,
     CostQuery,
@@ -309,6 +309,10 @@ def main(argv=None) -> int:
         # exit 1 is reserved for a failed threshold
         print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 2
+    except ProjectionFailedError as exc:
+        # the input was fine; the run missed its projection threshold
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:

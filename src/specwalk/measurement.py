@@ -13,9 +13,11 @@ explicit seeded generator.  Every analysis routine streams the blocks of
 builds only the ground planes and the first plane above them, the
 eigenspace projection streams twice (it weighs every eigenspace, then
 rebuilds the one taken), and observable recovery reads each block once.
-`estimate_energy` is one loop of exact rounds, each with one draw; a
+`estimate_energy` runs blocks of exact rounds, each round with one draw; a
 block's first round is its eigenstate probe, and the eigenstate batch is a
-branch of that loop.
+branch of the block's round loop.  Sampled Zeno keeps only the state the
+last block leaves, so it runs that block alone, through the same loop, with
+the generator advanced past the draws of the blocks it skips.
 Energies are always the rescaled ones in [-1, 1]; containers carry the
 normalization and shift needed to map back to the physical scale.
 """
@@ -41,6 +43,10 @@ class BoundaryEnergyError(ValueError):
 class UnrecoverableExpectationError(ValueError):
     """The recovery scale factor vanishes; this observable cannot be
     extracted from walk eigenstates at this energy."""
+
+
+class ProjectionFailedError(RuntimeError):
+    """A sampled projection missed the vacuum in every allowed round."""
 
 
 # --- single estimation steps -------------------------------------------------
@@ -116,29 +122,18 @@ def estimate_energy(
     estimate converges to the mixture mean, and the excess variance of the
     block means (threshold: four times the binomial expectation) raises the
     non_eigenstate flag.
-    `state` is left in the final block's posterior.
+    `state` is left in the final block's posterior, the state that sampled
+    `zeno_prepare` carries forward; it runs that block alone (`_final_block`).
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    bounds = _block_bounds(shots)
     rng = make_rng(seed)
     initial = state.vec.copy()
-    n_blocks = max(1, min(ESTIMATE_BLOCKS, shots // 2))
-    bounds = [round(i * shots / n_blocks) for i in range(n_blocks + 1)]
-    outcomes: list[int] = []
-    block_means: list[float] = []
-    for i in range(n_blocks):
-        state.vec[:] = initial
-        size = bounds[i + 1] - bounds[i]
-        block: list[int] = []
-        while len(block) < size:
-            p_plus, post_plus, post_minus = pe_step(state, controlled_walk)
-            if not block and _fixed_point(initial, post_plus, post_minus):
-                block = [1 if u < p_plus else -1 for u in rng.random(size)]
-            else:
-                block.append(1 if rng.random() < p_plus else -1)
-            state.vec[:] = (post_plus if block[-1] > 0 else post_minus).vec
-        outcomes.extend(block)
-        block_means.append(sum(1 for o in block if o > 0) / len(block))
+    blocks = [
+        _estimation_block(state, initial, controlled_walk, end - start, rng)
+        for start, end in zip(bounds, bounds[1:])
+    ]
+    outcomes = [o for block in blocks for o in block]
+    block_means = [sum(1 for o in block if o > 0) / len(block) for block in blocks]
     plus = sum(1 for o in outcomes if o > 0)
     p_hat = plus / shots
     estimate = 2.0 * p_hat - 1.0
@@ -151,6 +146,42 @@ def estimate_energy(
         seed,
         non_eigenstate=_drifting(block_means, p_hat, shots),
     )
+
+
+def _block_bounds(shots: int) -> list[int]:
+    """First shot of each estimation block, then the shot count: up to
+    ESTIMATE_BLOCKS blocks of at least two shots, as even as rounding allows."""
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    n_blocks = max(1, min(ESTIMATE_BLOCKS, shots // 2))
+    return [round(i * shots / n_blocks) for i in range(n_blocks + 1)]
+
+
+def _estimation_block(state: QuantumState, initial, controlled_walk, size: int, rng) -> list[int]:
+    """The outcomes of one block of `size` rounds started from `initial`;
+    `state` is left in the block's last posterior.  Every round takes exactly
+    one double from `rng`, the batch branch included."""
+    state.vec[:] = initial
+    block: list[int] = []
+    while len(block) < size:
+        p_plus, post_plus, post_minus = pe_step(state, controlled_walk)
+        if not block and _fixed_point(initial, post_plus, post_minus):
+            block = [1 if u < p_plus else -1 for u in rng.random(size)]
+        else:
+            block.append(1 if rng.random() < p_plus else -1)
+        state.vec[:] = (post_plus if block[-1] > 0 else post_minus).vec
+    return block
+
+
+def _final_block(state: QuantumState, controlled_walk, shots: int, seed: int) -> list[int]:
+    """The last block of `estimate_energy` with the same arguments, run alone:
+    the generator skips the draws of the blocks before it (one double per
+    round), so the outcomes and the state it leaves are bit for bit those of
+    the full run."""
+    bounds = _block_bounds(shots)
+    rng = make_rng(seed)
+    rng.random(bounds[-2])
+    return _estimation_block(state, state.vec.copy(), controlled_walk, shots - bounds[-2], rng)
 
 
 def _fixed_point(vec, *posteriors) -> bool:
@@ -429,7 +460,12 @@ def zeno_prepare(
     prod_j |<phi0(g_{j-1})|phi0(g_j)>|^2.  Only the ground planes, and the
     first plane above them, are built at each point.  Sample mode:
     finite-shot estimation rounds followed by sampled projection (at most
-    ZENO_MAX_ROUNDS rounds), one trajectory.  It reads no invariant blocks;
+    ZENO_MAX_ROUNDS rounds, else ProjectionFailedError), one trajectory.
+    Only the state the estimation leaves is carried forward, so each point
+    runs the last estimation block alone (`_final_block`), with the
+    generator advanced past the draws of the blocks it skips; the state is
+    bit for bit the one the full `estimate_energy` leaves.  It reads no
+    invariant blocks;
     it builds and drops them only because the benchmark's sampled Zeno
     workload covers the blocks layer, until ROADMAP item 1 removes that.
     Ground fidelities are weights on the whole ground eigenspace of the
@@ -463,12 +499,14 @@ def zeno_prepare(
             # the blocks layer, and its tracer test checks that it does.
             for _ in invariant_blocks(bundle):
                 pass
-            estimate_energy(state, bundle.controlled_walk, shots, int(rng.integers(2**31)))
+            _final_block(state, bundle.controlled_walk, shots, int(rng.integers(2**31)))
             projection = project_to_eigenstate(
                 state, bundle, max_rounds=ZENO_MAX_ROUNDS, mode="sample", rng=rng
             )
             if not projection.success:
-                raise RuntimeError(f"projection did not succeed within {ZENO_MAX_ROUNDS} rounds")
+                raise ProjectionFailedError(
+                    f"projection did not succeed within {ZENO_MAX_ROUNDS} rounds"
+                )
             psi_next = projection.system_state
             ground_fid = _ground_weight(psi_next, oracle_vals, oracle_vecs)
             e_bar = _state_energy(psi_next, rescaled)

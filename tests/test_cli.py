@@ -230,6 +230,19 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_failed_sampled_projection_exits_1(monkeypatch, capsys):
+    import specwalk.measurement as measurement
+
+    monkeypatch.setattr(measurement, "ZENO_MAX_ROUNDS", 0)
+    code, out = run_cli(["zeno", "--n", "2", "--mode", "sample", "--seed", "1",
+                         "--schedule-steps", "2"])
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: projection did not succeed within 0 rounds")
+    assert "Traceback" not in err
+
+
 def test_spectrum_above_the_simulation_cap_is_refused_before_allocating(capsys):
     # unary TFIM n=6 with its pe qubit is 23 qubits: one dense vector is
     # 128 MiB, so the refusal must come before the first one is built

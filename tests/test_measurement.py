@@ -20,6 +20,8 @@ from specwalk.measurement import (
     GROUND_TOL,
     BoundaryEnergyError,
     UnrecoverableExpectationError,
+    _block_bounds,
+    _final_block,
     estimate_energy,
     gamma,
     pe_step,
@@ -144,6 +146,15 @@ def test_estimate_energy_flags_mixtures(tfim3_bundle):
     assert eigen_flagged <= 1
 
 
+def _start(bundle, blocks, which) -> QuantumState:
+    """A dressed state (rounds one by one) or a walk eigenstate (one batch)."""
+    if which == "dressed":
+        state = QuantumState.from_system_state(bundle.layout, product_state("000"))
+        state.apply_circuit(bundle.prepare)
+        return state
+    return eigenstate(bundle, [b for b in blocks if not b.is_boundary][0])
+
+
 def _digest(vec) -> str:
     """Hash of the amplitudes rounded to 10 decimals (signed zeros merged)."""
     parts = np.round(vec.view(float), 10) + 0.0
@@ -165,11 +176,7 @@ def test_estimate_energy_runs_each_round_once(tfim3_bundle, monkeypatch, which, 
     import specwalk.measurement as measurement
 
     bundle, blocks = tfim3_bundle
-    if which == "dressed":
-        state = QuantumState.from_system_state(bundle.layout, product_state("000"))
-        state.apply_circuit(bundle.prepare)
-    else:
-        state = eigenstate(bundle, [b for b in blocks if not b.is_boundary][0])
+    state = _start(bundle, blocks, which)
     rounds = []
 
     def counting(*args, **kwargs):
@@ -181,6 +188,20 @@ def test_estimate_energy_runs_each_round_once(tfim3_bundle, monkeypatch, which, 
     assert len(rounds) == calls
     assert record.outcomes == tuple(1 if c == "+" else -1 for c in outcomes)
     assert _digest(state.vec) == digest
+
+
+@pytest.mark.parametrize("which", ["dressed", "phi_plus"])
+@pytest.mark.parametrize("shots", [1, 2, 3, 7, 19, 20, 21, 60, 200])
+def test_final_block_alone_repeats_the_full_run(tfim3_bundle, which, shots):
+    bundle, blocks = tfim3_bundle
+    start = _start(bundle, blocks, which).vec
+    for seed in (3, 8):
+        full = QuantumState(bundle.layout, start.copy())
+        record = estimate_energy(full, bundle.controlled_walk, shots, seed)
+        alone = QuantumState(bundle.layout, start.copy())
+        block = _final_block(alone, bundle.controlled_walk, shots, seed)
+        assert tuple(block) == record.outcomes[_block_bounds(shots)[-2]:]
+        assert alone.vec.tobytes() == full.vec.tobytes()
 
 
 # --- deterministic projection ---------------------------------------------------
@@ -402,6 +423,23 @@ def test_zeno_sampled_trajectory():
     )
     assert len(trace.steps) == 3
     assert trace.final_fidelity > 0.9  # one lucky-but-likely trajectory
+
+
+def test_sampled_zeno_runs_only_the_final_estimation_block(monkeypatch):
+    import specwalk.measurement as measurement
+
+    modes = []  # estimation rounds are analysis-mode steps; projection re-measures
+
+    def counting(*args, **kwargs):
+        modes.append(kwargs.get("mode", "analyze"))
+        return pe_step(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "pe_step", counting)
+    model = InterpolatedModel(tfim(3, -1.2, 0.0), tfim(3, 0.0, 0.8),
+                           h0_ground=product_state("+++"))
+    zeno_prepare(model, uniform_schedule(4), mode="sample", seed=11, shots=60)
+    # 60 shots are 10 blocks of 6 rounds; running them all would take 4 x 60
+    assert 0 < modes.count("analyze") <= 4 * 6
 
 
 def test_analysis_zeno_builds_only_the_ground_planes(monkeypatch):

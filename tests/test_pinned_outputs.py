@@ -29,6 +29,9 @@ CASES = {
     "zeno-analyze-unary.json": _ZENO + ["--mode", "analyze", "--encoding", "unary"],
     "zeno-sample-binary.json": _ZENO + _SAMPLE + ["--encoding", "binary"],
     "zeno-sample-unary.json": _ZENO + _SAMPLE + ["--encoding", "unary"],
+    # 7 shots are estimation blocks of 2, 3 and 2
+    "zeno-sample-uneven.json": _ZENO + ["--mode", "sample", "--seed", "11", "--shots", "7",
+                                        "--encoding", "binary"],
     "resources-long-range-unary.json": [
         "resources", "--model", "long-range", "--n", "4", "--alpha", "2",
         "--encoding", "unary", "--gap", "0.1,0.05", "--delta", "1e-4",
