@@ -4,7 +4,7 @@ A gate record carries enough structure to be simulated exactly and to be
 costed by fault-tolerant tier.  Its census contribution is a pure function
 of the record:
 
-    Clifford     H, global phase, Pauli words with <= 1 control, and
+    Clifford     H, Pauli words with <= 1 control, and
                  multi-controlled Z with <= 1 control
     third level  Toffoli, fanout square-root-swap (+2 Clifford phase
                  corrections), controlled-SWAP; a multi-controlled Z with
@@ -38,7 +38,6 @@ FANOUT = "fanout"  # amplitude-splitting square-root-swap variant
 MCZ = "mcz"  # -1 on the all-ones state of its qubits
 ROT = "rot"  # Ry(angle) = exp(-i angle/2 Y), 0 or 1 control
 MROT = "mrot"  # Ry multiplexed over select bits
-GPHASE = "gphase"  # global phase exp(i*angle)
 
 _SELF_INVERSE = {H, TOFFOLI, CSWAP, MCZ}
 
@@ -94,7 +93,7 @@ class Gate:
             raise ValueError("target and control qubits overlap")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("repeated target qubit")
-        if self.kind in (ROT, MROT, GPHASE, FANOUT):
+        if self.kind in (ROT, MROT, FANOUT):
             vals = self.angles if self.kind == MROT else (self.angle,)
             if any(math.isnan(a) or math.isinf(a) for a in vals):
                 raise ValueError("non-finite gate angle")
@@ -158,22 +157,18 @@ class Gate:
             raise ValueError("circuit Pauli gates must carry a +-1 sign")
         return cls(PAULI, tuple(qubits), tuple(controls), pauli=word)
 
-    @classmethod
-    def global_phase(cls, angle):
-        return cls(GPHASE, angle=float(angle))
-
     # --- structure --------------------------------------------------------
     def inverse(self) -> "Gate":
         if self.kind in _SELF_INVERSE or (self.kind == PAULI):
             return self
-        if self.kind in (ROT, GPHASE, FANOUT):
+        if self.kind in (ROT, FANOUT):
             return replace(self, angle=-self.angle)
         if self.kind == MROT:
             return replace(self, angles=tuple(-a for a in self.angles))
         raise ValueError(f"no inverse rule for kind {self.kind!r}")
 
     def census(self) -> GateCensus:
-        if self.kind in (H, GPHASE):
+        if self.kind == H:
             return GateCensus(clifford=1)
         if self.kind == TOFFOLI:
             return GateCensus(toffoli=1)

@@ -161,7 +161,8 @@ def build_model(cfg: argparse.Namespace) -> LcuHamiltonian:
 
 
 def run_spectrum(cfg: argparse.Namespace) -> tuple[dict, int]:
-    bundle = build_walk(normalize(build_model(cfg), "auto"), cfg.encoding, with_pe=True)
+    h = build_model(cfg)
+    bundle = build_walk(normalize(h, "auto"), cfg.encoding, with_pe=True)
     report = walk_eigenphases(bundle)
     rows = [
         {
@@ -177,7 +178,7 @@ def run_spectrum(cfg: argparse.Namespace) -> tuple[dict, int]:
         "command": "spectrum",
         "model": cfg.model,
         "encoding": cfg.encoding,
-        "n": cfg.n,
+        "n": h.n_qubits,
         "rows": rows,
         "max_error": report.max_error,
         "closure_error": report.closure_error,
@@ -283,7 +284,8 @@ def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if fmt == "csv":
-        rows = payload.get("rows", [])
+        # one line per record: zeno's schedule steps, the others' rows
+        rows = payload["steps"] if "steps" in payload else payload["rows"]
         buf = io.StringIO()
         keys = sorted({k for row in rows for k in row})
         writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")

@@ -13,13 +13,14 @@ Gate kernel.  A gate acts on strided views of ``vec.reshape((2,) * total)``,
 where qubit ``q`` is axis ``total - 1 - q`` and each control value is fixed
 by basic indexing, so no gate copies or transposes the whole vector:
 
-- a Pauli word (X, Z, CNOT and Toffoli included) negates the slice where
-  each Z axis reads 1, reverses its X axes with `np.flip` and applies its
-  scalar power of i by negation and a real/imaginary swap
-  (`pauli.view_action`, shared with `expectation` and `pauli.apply_pauli`);
+- a Pauli word (X, Z, CNOT, Toffoli and MCZ included) negates the slice
+  where each Z axis reads 1, reverses its X axes with `np.flip` and applies
+  its scalar power of i by negation and a real/imaginary swap
+  (`pauli.view_action`, shared with `expectation` and `pauli.apply_pauli`).
+  MCZ is the Z word on its last qubit, controlled by the others, so every
+  sign, the walk's word -I included, comes from `pauli.apply_view_action`
+  (a fused run below takes its signs from these same steps);
 - CSWAP exchanges the |10> and |01> slices of its two qubits;
-- MCZ negates the slice where all its qubits read 1;
-- GPHASE multiplies the vector by a scalar;
 - H, ROT, each non-zero MROT angle and FANOUT mix two slices by a 2x2
   matrix.  `_ry` builds every rotation among them: Ry(angle) for ROT and an
   MROT slot, and Ry(2 * angle) on the |10> and |01> slices for FANOUT.
@@ -45,9 +46,8 @@ that is not a signed permutation, so the gates, not a branch table, define
 the map.  The gather works on the (re, im) floats, with one source index
 and one +-1 factor per float, so it moves and negates exactly the floats
 the gates would, signed zeros included: a fused pass equals the
-gate-by-gate pass bit for bit.  Every other gate keeps its own steps.  H,
-rotations and FANOUT are not monomial, and GPHASE multiplies by a complex
-scalar, which a gather of signed floats would not repeat bit for bit.
+gate-by-gate pass bit for bit.  Every other gate keeps its own steps: H,
+rotations and FANOUT are not monomial.
 `apply` and `circuit_unitary` still run gate by gate, so the unitary stays
 an independent oracle for the fused path.  A state's vector is a contiguous
 complex128 array, so the gather can view it as floats; the constructor
@@ -65,7 +65,6 @@ import numpy as np
 from .circuits import (
     CSWAP,
     FANOUT,
-    GPHASE,
     H,
     MCZ,
     MROT,
@@ -83,6 +82,7 @@ UNITARY_QUBIT_CAP = 12
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * (1 / math.sqrt(2))
 _X = PauliString.single(1, 0, "X")
+_Z = PauliString.single(1, 0, "Z")
 _FUSED_KINDS = frozenset({PAULI, TOFFOLI, CSWAP, MCZ})
 
 
@@ -111,15 +111,6 @@ def _ry(angle: float) -> np.ndarray:
 
 
 # --- kernel steps: each takes the (2,)*total tensor first -----------------------
-
-
-def _scale(ten, idx, factor):
-    ten[idx] *= factor
-
-
-def _negate(ten, idx):
-    part = ten[idx]
-    np.negative(part, out=part)
 
 
 def _pauli(ten, idx, action):
@@ -172,15 +163,16 @@ def _plan(gate: Gate, total: int) -> tuple:
     """The gate as a tuple of kernel steps `(fn, *args)` on `total` qubits."""
     kind = gate.kind
     on = tuple((q, 1) for q in gate.controls)
-    if kind in (PAULI, TOFFOLI):
-        word = gate.pauli if kind == PAULI else _X
-        free = [q for q in range(total - 1, -1, -1) if q not in gate.controls]
-        axes = tuple(free.index(q) for q in gate.qubits)
-        return ((_pauli, _index(total, on), view_action(word, axes, len(free))),)
-    if kind == MCZ:
-        return ((_negate, _index(total, on + tuple((q, 1) for q in gate.qubits))),)
-    if kind == GPHASE:
-        return ((_scale, _index(total, on), complex(np.exp(1j * gate.angle))),)
+    if kind in (PAULI, TOFFOLI, MCZ):
+        word, controls, targets = gate.pauli, gate.controls, gate.qubits
+        if kind == TOFFOLI:
+            word = _X
+        elif kind == MCZ:  # -1 on the all-ones slice of its qubits
+            word, controls, targets = _Z, targets[:-1], targets[-1:]
+        free = [q for q in range(total - 1, -1, -1) if q not in controls]
+        axes = tuple(free.index(q) for q in targets)
+        idx = _index(total, ((q, 1) for q in controls))
+        return ((_pauli, idx, view_action(word, axes, len(free))),)
     if kind in (CSWAP, FANOUT):
         a, b = gate.qubits
         lo, hi = on + ((a, 1), (b, 0)), on + ((a, 0), (b, 1))
@@ -365,18 +357,24 @@ class QuantumState:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit (small registers only)."""
+    """Dense unitary of the circuit (small registers only), gate by gate.
+
+    The gate steps run on blocks of 32 basis columns at once: their indices
+    end in an Ellipsis, so a trailing column axis rides along.
+    """
     n = circuit.layout.total_qubits
     if n > UNITARY_QUBIT_CAP:
         raise ValueError(f"{n} qubits exceeds the unitary-export cap of {UNITARY_QUBIT_CAP}")
     dim = 1 << n
+    width = min(dim, 32)
     cols = np.empty((dim, dim), dtype=complex)
-    for b in range(dim):
-        state = QuantumState.zero_state(circuit.layout)
-        state.vec[:] = 0.0
-        state.vec[b] = 1.0
+    for lo in range(0, dim, width):
+        block = np.zeros((dim, width), dtype=complex)
+        block[lo : lo + width] = np.eye(width)
+        ten = block.reshape((2,) * n + (width,))
         for gate in circuit.gates:
-            state.apply(gate)
-        cols[:, b] = state.vec
+            for fn, *args in _plan(gate, n):
+                fn(ten, *args)
+        cols[:, lo : lo + width] = block
     return cols
 

@@ -9,10 +9,12 @@ word on each branch, and the walk is
 
 An encoding module supplies the layout, the branch table, B and a select
 builder; `assemble_bundle` turns them into the walk circuit
-[V][B'][vacuum reflection][B][global phase] and the controlled walk.
-The controlled walk conditions select, the vacuum reflection, and the phase
-on the extra qubit while leaving B and B' unconditioned; at control |0> the
-circuit collapses to B B' = 1 gate-by-gate, and at |1> it is exactly W.
+[V][-1][B'][vacuum reflection][B] and the controlled walk.  The sign -1 is
+the Pauli word -I, so every gate of the walk is real and the simulated walk
+is exactly W.  The controlled walk conditions select, the vacuum reflection,
+and the phase on the extra qubit while leaving B and B' unconditioned; at
+control |0> the circuit collapses to B B' = 1 gate-by-gate, and at |1> it
+is exactly W.
 Conditioning only the prepare rotations instead (and nothing else) is not a
 controlled-W: its off branch is -R0*V, which shifts the phase-measurement
 statistics by an identity-weight-dependent amount.
@@ -29,6 +31,9 @@ import numpy as np
 from .circuits import Circuit, Gate, RegisterLayout
 from .hamiltonian import RescaledLcu, group
 from .pauli import PauliString, check_matrix_width, to_matrix
+
+# The walk's sign; qubit 0 is always a system qubit.
+_MINUS_ONE = Gate.pauli_word(-PauliString.identity(1), (0,))
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def assemble_bundle(
     prepare_dagger = prepare.inverse()
     select = build_select(False)
     reflect = build_reflection(prepare)
-    walk = Circuit(layout, [*select, *reflect, Gate.global_phase(np.pi)])
+    walk = Circuit(layout, [*select, _MINUS_ONE, *reflect])
     controlled = Circuit(layout)
     if layout.has_pe_qubit:
         controlled.extend(build_select(True))
@@ -136,8 +141,8 @@ def vacuum_reflection(layout: RegisterLayout, pe_control: bool = False) -> Circu
     """1 - 2|0><0| on the control register, X-conjugated multi-controlled Z.
 
     With `pe_control` the phase fires only when the pe qubit is set too.
-    An empty control register degenerates to a bare (or pe-conditioned)
-    global sign.
+    An empty control register degenerates to the sign -1: the word -I (or,
+    pe-conditioned, a Z on the pe qubit).
     """
     circ = Circuit(layout)
     ctrl = layout.control
@@ -145,7 +150,7 @@ def vacuum_reflection(layout: RegisterLayout, pe_control: bool = False) -> Circu
         if pe_control:
             circ.append(Gate.z(layout.pe_qubit))
         else:
-            circ.append(Gate.global_phase(np.pi))
+            circ.append(_MINUS_ONE)
         return circ
     for q in ctrl:
         circ.append(Gate.x(q))

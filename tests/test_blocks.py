@@ -1,9 +1,10 @@
 """The spectral check has teeth: `walk_eigenphases` fails a broken walk.
 
-Each encoding's walk is mutated in two ways.  Without its final GPHASE(pi)
-the circuit is -W: every invariant plane survives, but every eigenphase
-moves by pi, so the phase match must fail.  Without one select gate the
-circuit no longer preserves the planes, so the closure must fail.
+Each encoding's walk is mutated in two ways.  Without its sign, the Pauli
+word -I after select, the circuit is -W: every invariant plane survives,
+but every eigenphase moves by pi, so the phase match must fail.  Without
+one select gate the circuit no longer preserves the planes, so the closure
+must fail.
 """
 import dataclasses
 
@@ -11,7 +12,7 @@ import pytest
 
 from specwalk import long_range_ising, normalize
 from specwalk.blocks import walk_eigenphases
-from specwalk.circuits import GPHASE, Circuit
+from specwalk.circuits import PAULI, Circuit
 from specwalk.walk_core import build_walk
 
 ROUNDOFF = 1e-9
@@ -30,8 +31,9 @@ def with_walk(bundle, gates):
 
 def test_a_walk_without_its_global_phase_fails_the_phase_match(bundle):
     gates = bundle.walk.gates
-    assert gates[-1].kind == GPHASE
-    report = walk_eigenphases(with_walk(bundle, gates[:-1]))
+    sign = len(bundle.select)
+    assert gates[sign].kind == PAULI and gates[sign].pauli.label() == "-I"
+    report = walk_eigenphases(with_walk(bundle, gates[:sign] + gates[sign + 1:]))
     assert report.closure_error < ROUNDOFF
     assert report.max_error > FAILED
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -35,16 +36,23 @@ def test_spectrum_passes_and_reports(tmp_path):
     assert all(row["abs_error"] < 1e-9 for row in payload["rows"])
 
 
-def test_spectrum_identity_only_row(tmp_path):
+@pytest.mark.parametrize("encoding", ["binary", "unary"])
+def test_spectrum_identity_only_row(tmp_path, encoding):
+    """The control register is empty, so the walk is the sign -I alone: its
+    phases are exactly 0, and `n` is the file's width, not the --n default."""
     ham = tmp_path / "ident.json"
     ham.write_text('{"n_qubits": 1, "terms": [{"pauli": "I", "coeff": 1.0}]}')
     out = tmp_path / "spec.json"
     code, _ = run_cli(
-        ["spectrum", "--model", "file", "--hamiltonian-file", str(ham), "--out", str(out)]
+        ["spectrum", "--model", "file", "--hamiltonian-file", str(ham),
+         "--encoding", encoding, "--out", str(out)]
     )
     assert code == 0
     payload = json.loads(out.read_text())
+    assert payload["n"] == 1
+    assert payload["max_error"] == 0.0
     assert all(row["theta_expected"] == 0.0 for row in payload["rows"])
+    assert all(row["matched_phase"] == 0.0 for row in payload["rows"])
 
 
 def test_spectrum_malformed_file_exits_2(tmp_path, capsys):
@@ -86,6 +94,19 @@ def test_zeno_fidelity_counts_a_degenerate_ground_space():
     code, out = run_cli(["zeno", "--n", "2", "--g", "0", "--schedule-steps", "2"])
     assert code == 0
     assert json.loads(out)["final_fidelity"] == 1.0
+
+
+def test_zeno_csv_has_one_line_per_schedule_step():
+    from specwalk.measurement import ZenoStep
+
+    code, text = run_cli(["zeno", "--model", "tfim", "--n", "2", "--schedule-steps", "3",
+                          "--format", "csv"])
+    assert code == 0
+    header, *lines = text.splitlines()
+    assert header.split(",") == sorted(f.name for f in dataclasses.fields(ZenoStep))
+    assert len(lines) == 3
+    g = header.split(",").index("g")
+    assert [float(line.split(",")[g]) for line in lines] == pytest.approx([1 / 3, 2 / 3, 1])
 
 
 def test_zeno_byte_identical_reruns(tmp_path):

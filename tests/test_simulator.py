@@ -355,8 +355,6 @@ def _reference(gate, n):
             rot = {qs[0]: _ry(angle)}
             out += _kron_on(n, {**sel, **rot})
         return out
-    if kind == "gphase":
-        return np.exp(1j * gate.angle) * np.eye(1 << n)
     raise AssertionError(kind)
 
 
@@ -397,7 +395,6 @@ _BUILDERS = {
         d(_ANGLES), q[0], q[1: 1 + d(st.integers(0, min(1, len(q) - 1)))]
     )),
     "mrot": (1, _draw_mrot),
-    "gphase": (0, lambda q, d: Gate.global_phase(d(_ANGLES))),
 }
 
 
@@ -574,9 +571,8 @@ def test_fused_run_with_controlled_imaginary_phases():
     "gates",
     [
         [Gate.x(0), Gate.h(1)],  # mixes amplitudes
-        [Gate.global_phase(math.pi / 4), Gate.x(0)],  # a phase that is not a power of i
         [Gate.ry(0.3, 1), Gate.cnot(0, 1)],
-        [Gate.x(0), Gate.global_phase(math.pi)],  # exp(i pi) is not exactly -1
+        [Gate.x(0), Gate.ry(math.pi, 1)],  # a signed permutation only up to round-off
     ],
 )
 def test_non_monomial_run_is_refused(gates):
@@ -604,6 +600,37 @@ def test_walk_passes_match_the_gate_by_gate_unitary(suite_models, model, encodin
             vec /= np.linalg.norm(vec)
             state = QuantumState(circuit.layout, vec.copy()).apply_circuit(circuit)
             assert np.max(np.abs(state.vec - u @ vec)) < 1e-12
+
+
+def test_unitary_columns_equal_gate_by_gate_basis_runs(suite_models):
+    """`circuit_unitary` runs blocks of columns; each column must equal one
+    basis state run through `apply`, bit for bit."""
+    from specwalk import normalize
+    from specwalk.walk_core import build_walk
+
+    circuit = build_walk(normalize(suite_models["long_range4"], "auto"), "hybrid", False).walk
+    u = circuit_unitary(circuit)
+    for b in range(0, len(u), 37):
+        state = QuantumState(circuit.layout, np.eye(len(u))[b])
+        for gate in circuit:
+            state.apply(gate)
+        _assert_same_bits(state.vec, u[:, b])
+
+
+@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize(
+    "model, encoding",
+    [("tfim3", "binary"), ("tfim3", "unary"), ("long_range3", "binary"),
+     ("long_range3", "unary"), ("long_range4", "hybrid")],
+)
+def test_walk_circuits_are_real(suite_models, model, encoding, with_pe):
+    """The walk's sign is the word -I, not exp(i pi), so every gate is real."""
+    from specwalk import normalize
+    from specwalk.walk_core import build_walk
+
+    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=with_pe)
+    for circuit in (bundle.prepare, bundle.walk, bundle.controlled_walk):
+        assert np.all(circuit_unitary(circuit).imag == 0.0)
 
 
 def test_extended_circuit_compiles_again():

@@ -296,4 +296,4 @@ def test_identity_only_model_has_an_empty_control_register():
     h = LcuHamiltonian.from_terms(2, [(1.0, PauliString.identity(2))])
     bundle = make_unary(h)
     assert bundle.layout.control_qubits == 0
-    assert walk_eigenphases(bundle).max_error < 1e-9
+    assert walk_eigenphases(bundle).max_error == 0.0
