@@ -2,10 +2,12 @@
 
 Subcommands: `spectrum` (walk eigenphases vs dense diagonalization),
 `zeno` (sequential-measurement ground-state preparation), and `resources`
-(measured censuses plus formula estimates).  Output is deterministic for a
-fixed configuration and seed: sorted JSON keys, floats rounded to 12
-significant digits, no timestamps.  Exit codes: 0 success, 1 an acceptance
-threshold failed, 2 invalid input or out of memory.
+(measured censuses plus formula estimates).  Each declares only the options
+its own code reads, so any other option, on the command line or in a config
+file, exits 2.  Output is deterministic for a fixed configuration and seed:
+sorted JSON keys, floats rounded to 12 significant digits, no timestamps.
+Exit codes: 0 success, 1 an acceptance threshold failed, 2 invalid input or
+out of memory.
 """
 from __future__ import annotations
 
@@ -68,39 +70,41 @@ def finite_floats(text: str) -> list[float]:
     return [finite_float(item) for item in text.split(",")]
 
 
-def add_options(parser: argparse.ArgumentParser) -> None:
-    """The options every subcommand takes, with their defaults; config files
-    are checked by them too."""
-    parser.add_argument("--model", choices=["tfim", "long-range", "file"], default="tfim")
-    parser.add_argument("--hamiltonian-file", default=None)
-    parser.add_argument("--n", type=int, default=3)
-    parser.add_argument("--g", type=finite_float, default=1.0)
-    parser.add_argument("--J", type=finite_float, default=1.0)
-    parser.add_argument("--alpha", type=finite_float, default=2.0)
-    parser.add_argument("--boundary", choices=["open", "periodic"], default="open")
-    parser.add_argument("--encoding", choices=["binary", "unary", "hybrid"], default="binary")
-    parser.add_argument("--mode", choices=["analyze", "sample"], default="analyze")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--shots", type=int, default=200)
-    parser.add_argument("--schedule-steps", type=int, default=8)
-    parser.add_argument(
-        "--schedule", type=finite_floats, default=None, help="comma-separated g values ending at 1"
-    )
-    parser.add_argument("--delta", type=finite_float, default=1e-3, help="per-gate accuracy")
-    parser.add_argument(
-        "--gap", type=finite_floats, default="0.1", help="target resolution(s), comma-separated"
-    )
-    parser.add_argument("--time-constant", type=finite_float, default=1.0)
-    parser.add_argument("--cost-a", type=finite_float, default=1.0)
-    parser.add_argument("--cost-b", type=finite_float, default=1.0)
-    parser.add_argument("--cost-c", type=finite_float, default=1.0)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
+def add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """The options `command` reads, with their defaults; its config files are
+    checked by them too.  `zeno` drives only the tfim interpolation path."""
+    add = parser.add_argument
+    zeno = command == "zeno"
+    add("--model", choices=["tfim"] if zeno else ["tfim", "long-range", "file"], default="tfim")
+    if not zeno:
+        add("--hamiltonian-file", default=None)
+        add("--alpha", type=finite_float, default=2.0)
+    add("--n", type=int, default=3)
+    add("--g", type=finite_float, default=1.0)
+    add("--J", type=finite_float, default=1.0)
+    add("--boundary", choices=["open", "periodic"], default="open")
+    add("--encoding", choices=["binary", "unary", "hybrid"], default="binary")
+    if zeno:
+        add("--mode", choices=["analyze", "sample"], default="analyze")
+        add("--seed", type=int, default=None)
+        add("--shots", type=int, default=200)
+        steps = parser.add_mutually_exclusive_group()
+        steps.add_argument("--schedule-steps", type=int, default=8)
+        steps.add_argument(
+            "--schedule", type=finite_floats, default=None, help="comma-separated g values ending at 1"
+        )
+    if command == "resources":
+        add("--delta", type=finite_float, default=1e-3, help="per-gate accuracy")
+        add("--gap", type=finite_floats, default="0.1", help="target resolution(s), comma-separated")
+        add("--time-constant", type=finite_float, default=1.0)
+        add("--cost-a", type=finite_float, default=1.0)
+        add("--cost-b", type=finite_float, default=1.0)
+        add("--cost-c", type=finite_float, default=1.0)
+    add("--out", default=None)
+    add("--format", choices=["json", "csv"], default="json")
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; the values of `config` replace the option defaults,
-    so explicit flags still win over them."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specwalk",
         description="Walk-based spectral measurement: exact small-scale "
@@ -110,15 +114,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     for name in ("spectrum", "zeno", "resources"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON file of option overrides")
-        add_options(p)
-        p.set_defaults(**(config or {}))
+        add_options(p, name)
     return parser
 
 
-def read_config(path: str) -> dict:
-    """The option values of a JSON config file.  Each value, a string or a
-    number, is parsed as the text of its flag, so it passes the flag's type
-    and choices checks."""
+def read_config(path: str, command: str) -> list[str]:
+    """The options of a JSON config file for `command`, as flag text.  Each
+    value, a string or a number, must pass its flag's type and choices
+    checks."""
     try:
         with open(path, encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -127,22 +130,21 @@ def read_config(path: str) -> dict:
     if not isinstance(overrides, dict):
         raise InputError(f"config {path} is not a JSON object")
     parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-    add_options(parser)
+    add_options(parser, command)
     valid = vars(parser.parse_args([]))
-    names, argv = [], []
+    argv = []
     for key, value in overrides.items():
         name = key.replace("-", "_")
         if name not in valid:
-            raise InputError(f"unknown config key {key!r}")
+            raise InputError(f"config key {key!r} is not an option of {command}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise InputError(f"config key {key!r} must be a string or a number, got {value!r}")
-        names.append(name)
         argv.append(f"--{name.replace('_', '-')}={value}")
     try:
-        parsed = parser.parse_args(argv)
+        parser.parse_args(argv)
     except argparse.ArgumentError as exc:
         raise InputError(f"config {path}: {exc}") from exc
-    return {name: getattr(parsed, name) for name in names}
+    return argv
 
 
 def build_model(cfg: argparse.Namespace) -> LcuHamiltonian:
@@ -150,11 +152,9 @@ def build_model(cfg: argparse.Namespace) -> LcuHamiltonian:
         return tfim(cfg.n, cfg.g, cfg.J, cfg.boundary)
     if cfg.model == "long-range":
         return long_range_ising(cfg.n, cfg.J, cfg.alpha)
-    if cfg.model == "file":
-        if not cfg.hamiltonian_file:
-            raise InputError("--model file requires --hamiltonian-file")
-        return read_hamiltonian(cfg.hamiltonian_file)
-    raise InputError(f"unknown model {cfg.model!r}")
+    if not cfg.hamiltonian_file:
+        raise InputError("--model file requires --hamiltonian-file")
+    return read_hamiltonian(cfg.hamiltonian_file)
 
 
 # --- commands ----------------------------------------------------------------
@@ -189,8 +189,6 @@ def run_spectrum(cfg: argparse.Namespace) -> tuple[dict, int]:
 
 
 def run_zeno(cfg: argparse.Namespace) -> tuple[dict, int]:
-    if cfg.model != "tfim":
-        raise InputError("the zeno command drives the tfim interpolation path")
     if cfg.mode == "sample" and cfg.seed is None:
         raise InputError("sample mode requires --seed")
     h0 = tfim(cfg.n, -abs(cfg.g), 0.0, cfg.boundary)
@@ -283,24 +281,25 @@ def render(payload: dict, fmt: str) -> str:
     payload = _round_floats(payload)
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if fmt == "csv":
-        # one line per record: zeno's schedule steps, the others' rows
-        rows = payload["steps"] if "steps" in payload else payload["rows"]
-        buf = io.StringIO()
-        keys = sorted({k for row in rows for k in row})
-        writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in keys})
-        return buf.getvalue()
-    raise InputError(f"unknown format {fmt!r}")
+    # csv, one line per record: zeno's schedule steps, the others' rows
+    rows = payload["steps"] if "steps" in payload else payload["rows"]
+    buf = io.StringIO()
+    keys = sorted({k for row in rows for k in row})
+    writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: row.get(k, "") for k in keys})
+    return buf.getvalue()
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     cfg = build_parser().parse_args(argv)
     try:
         if cfg.config:
-            cfg = build_parser(read_config(cfg.config)).parse_args(argv)
+            # argv[0] is the command; flags follow the config's values, so they win
+            config = read_config(cfg.config, cfg.command)
+            cfg = build_parser().parse_args([cfg.command, *config, *argv[1:]])
         run = {"spectrum": run_spectrum, "zeno": run_zeno, "resources": run_resources}
         payload, code = run[cfg.command](cfg)
         text = render(payload, cfg.format)

@@ -335,11 +335,21 @@ def read_hamiltonian(path: str) -> LcuHamiltonian:
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg} in {line.strip()!r}"
         ) from exc
     try:
-        n = int(payload["n_qubits"])
-        pairs = [
-            (float(row["coeff"]), PauliString.from_label(row["pauli"]))
-            for row in payload["terms"]
-        ]
-        return LcuHamiltonian.from_terms(n, pairs)
-    except (KeyError, TypeError, ValueError) as exc:
+        n = payload["n_qubits"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n_qubits must be an integer, got {n!r}")
+        return LcuHamiltonian.from_terms(n, [_file_term(row) for row in payload["terms"]])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise HamiltonianFileError(f"{path}: {exc}") from exc
+
+
+def _file_term(row: dict) -> tuple[float, PauliString]:
+    """The (coeff, word) pair of one term of a Hamiltonian file.  The
+    coefficient must be a JSON number and the label a string; any other
+    type is refused, not converted."""
+    coeff, label = row["coeff"], row["pauli"]
+    if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+        raise ValueError(f"coeff must be a number, got {coeff!r}")
+    if not isinstance(label, str):
+        raise ValueError(f"pauli must be a string label, got {label!r}")
+    return float(coeff), PauliString.from_label(label)

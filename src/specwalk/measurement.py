@@ -30,7 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BOUNDARY_EPS, invariant_blocks
-from .hamiltonian import InterpolatedModel, RescaledLcu, eigensystem, interpolate, normalize
+from .circuits import Gate
+from .hamiltonian import (
+    InterpolatedModel,
+    RescaledLcu,
+    dense_matrix,
+    eigensystem,
+    interpolate,
+    normalize,
+)
 from .pauli import PauliString, apply_pauli, star
 from .simulator import QuantumState, make_rng
 from .walk_core import WalkBundle, build_walk
@@ -60,8 +68,6 @@ def pe_step(state: QuantumState, controlled_walk, mode: str = "analyze", rng=Non
     (outcome +-1, probability, posterior) in sample mode.  Posteriors have
     the pe qubit reset to |0> so steps compose.
     """
-    from .circuits import Gate
-
     _check_mode(mode)
     layout = state.layout
     if not layout.has_pe_qubit:
@@ -489,7 +495,8 @@ def zeno_prepare(
         h = interpolate(model, g)
         bundle = build_walk(normalize(h, "auto"), encoding, with_pe=sampling)
         rescaled = bundle.rescaled
-        oracle_vals, oracle_vecs = eigensystem(rescaled)
+        matrix = dense_matrix(rescaled)
+        oracle_vals, oracle_vecs = np.linalg.eigh(matrix)
         ground_vec = oracle_vecs[:, 0]
         overlap = float(abs(np.vdot(prev_ground, ground_vec)) ** 2)
         state = QuantumState.from_system_state(bundle.layout, psi)
@@ -509,7 +516,7 @@ def zeno_prepare(
                 )
             psi_next = projection.system_state
             ground_fid = _ground_weight(psi_next, oracle_vals, oracle_vecs)
-            e_bar = _state_energy(psi_next, rescaled)
+            e_bar = float(np.vdot(psi_next, matrix @ psi_next).real)
             step_success = ground_fid > 0.5
             p_ground = ground_fid
         else:
@@ -545,8 +552,6 @@ def zeno_prepare(
 
 
 def _check_supplied_ground(model: InterpolatedModel, psi: np.ndarray) -> None:
-    from .hamiltonian import dense_matrix
-
     matrix = dense_matrix(model.h0)
     vals = np.linalg.eigvalsh(matrix)
     energy = float(np.vdot(psi, matrix @ psi).real)
@@ -555,12 +560,6 @@ def _check_supplied_ground(model: InterpolatedModel, psi: np.ndarray) -> None:
     scale = max(1.0, abs(vals[0]))
     if abs(energy - vals[0]) > 1e-9 * scale:
         raise ValueError("supplied state is not a ground state of h0")
-
-
-def _state_energy(psi: np.ndarray, rescaled: RescaledLcu) -> float:
-    from .hamiltonian import dense_matrix
-
-    return float(np.vdot(psi, dense_matrix(rescaled) @ psi).real)
 
 
 def _ground_weight(psi: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:

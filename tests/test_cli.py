@@ -302,6 +302,8 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
         {"mode": "weird"},  # outside the flag's choices
         {"encoding": "ternary"},
         {"no_such_key": 1},
+        {"delta": 1e-3},  # options of other subcommands
+        {"hamiltonian-file": "h.json"},
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, config):
@@ -311,6 +313,54 @@ def test_bad_config_values_exit_2(tmp_path, capsys, config):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# (subcommand, option, a valid value) for every option its code never reads
+UNREAD_OPTIONS = [
+    *(("spectrum", flag, value) for flag, value in [
+        ("--mode", "analyze"), ("--seed", "1"), ("--shots", "10"), ("--schedule-steps", "2"),
+        ("--schedule", "1"), ("--delta", "1e-3"), ("--gap", "0.1"), ("--time-constant", "1"),
+        ("--cost-a", "1"), ("--cost-b", "1"), ("--cost-c", "1"),
+    ]),
+    *(("zeno", flag, value) for flag, value in [
+        ("--hamiltonian-file", "h.json"), ("--alpha", "2"), ("--delta", "1e-3"),
+        ("--gap", "0.1"), ("--time-constant", "1"), ("--cost-a", "1"), ("--cost-b", "1"),
+        ("--cost-c", "1"),
+    ]),
+    *(("resources", flag, value) for flag, value in [
+        ("--mode", "analyze"), ("--seed", "1"), ("--shots", "10"), ("--schedule-steps", "2"),
+        ("--schedule", "1"),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(pytest.param([command, flag, value], id=command + flag)
+          for command, flag, value in UNREAD_OPTIONS),
+        pytest.param(["zeno", "--model", "long-range"], id="zeno--model-long-range"),
+        pytest.param(["zeno", "--model", "file"], id="zeno--model-file"),
+        pytest.param(["zeno", "--schedule", "1", "--schedule-steps", "2"],
+                     id="zeno--schedule--schedule-steps"),
+    ],
+)
+def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert argv[1] in captured.err and "Traceback" not in captured.err
+
+
+def test_a_flag_and_a_config_value_of_the_other_schedule_option_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schedule": "0.5,1"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["zeno", "--config", str(path), "--n", "2", "--schedule-steps", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_config_values_read_as_flag_text(tmp_path):

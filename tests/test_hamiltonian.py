@@ -247,3 +247,24 @@ def test_hamiltonian_file_unreadable(tmp_path):
     with pytest.raises(HamiltonianFileError) as err:
         read_hamiltonian(str(tmp_path / "absent.json"))
     assert "absent.json" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"n_qubits": 2, "terms": [{"pauli": 5, "coeff": 1.0}]}', "pauli must be a string"),
+        ('{"n_qubits": 2.7, "terms": [{"pauli": "ZZ", "coeff": 1.0}]}', "n_qubits must be"),
+        ('{"n_qubits": "2", "terms": [{"pauli": "ZZ", "coeff": 1.0}]}', "n_qubits must be"),
+        ('{"n_qubits": 2, "terms": [{"pauli": "ZZ", "coeff": true}]}', "coeff must be a number"),
+        ('{"n_qubits": 2, "terms": [{"pauli": "ZZ", "coeff": "1.5"}]}', "coeff must be a number"),
+        ('{"n_qubits": 2, "terms": [{"pauli": "ZZ", "coeff": 1%s}]}' % ("0" * 400),
+         "too large to convert"),
+    ],
+    ids=["int-label", "float-width", "string-width", "bool-coeff", "string-coeff", "huge-coeff"],
+)
+def test_hamiltonian_file_values_keep_their_json_types(tmp_path, text, named):
+    path = tmp_path / "typed.json"
+    path.write_text(text)
+    with pytest.raises(HamiltonianFileError) as err:
+        read_hamiltonian(str(path))
+    assert named in str(err.value)

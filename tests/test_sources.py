@@ -1,6 +1,11 @@
 """Checks on the package sources themselves."""
+import argparse
 import ast
 from pathlib import Path
+
+import pytest
+
+from specwalk.cli import build_parser
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "specwalk").glob("*.py"))
@@ -61,3 +66,30 @@ def test_no_unused_parameters():
         if (found := _unused_parameters(ast.parse(p.read_text(encoding="utf-8"))))
     }
     assert not unused
+
+
+def _cfg_reads(functions: dict[str, ast.FunctionDef], name: str, seen: set[str]) -> set[str]:
+    """The `cfg.<option>` reads of function `name` of cli.py and of every
+    cli.py function it calls by name."""
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg":
+            reads.add(node.attr)
+        callee = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+        if callee in functions and callee not in seen:
+            reads |= _cfg_reads(functions, callee, seen)
+    return reads
+
+
+@pytest.mark.parametrize("command", ["spectrum", "zeno", "resources"])
+def test_each_subcommand_declares_exactly_the_options_its_code_reads(command):
+    """An option that no code of its subcommand reads would be parsed and
+    then ignored.  An option with a single choice has nothing to read."""
+    tree = ast.parse((ROOT / "src" / "specwalk" / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reads = _cfg_reads(functions, f"run_{command}", set()) | _cfg_reads(functions, "main", set())
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [a for a in sub.choices[command]._actions if a.dest != "help"]
+    settable = {a.dest for a in options if a.choices is None or len(a.choices) > 1}
+    assert reads == settable | {sub.dest}
