@@ -14,15 +14,20 @@ so the walk has eigenvalues exp(+-i arccos E_k) with eigenvectors
 (phi0 -+ +- i phi1)/sqrt(2).  Eigenvalues within BOUNDARY_EPS of +-1 give a
 one-dimensional block (phi1 has a 0/0 form there).
 
-Each plane is checked on its own.  A block owns a C-order
+Each plane is checked on its own.  A block holds a C-order
 (1 or 2, 2**total) array whose rows are phi0 and, off the boundary, phi1.
+The plane is float64 when the encoded operator and the walk are real: the
+eigenvectors of the one complex `eigh` (which also gives the energies, so
+they do not depend on the dtype) have no imaginary part, and every gate of
+select and walk is real (`Circuit.is_real`).  A Hamiltonian with a word of
+an odd number of Ys keeps complex128 planes.
 `_restrict` restricts a circuit to the span of such rows: it runs the
 circuit on a copy of each row and returns the restricted matrix and the
-norm of the images' part outside the span.  `invariant_blocks` is a
-generator that builds the planes one at a time, and every caller streams
-it, so none holds the whole subspace.  `walk_eigenphases` holds one plane
-and its images, and its closure error also fails a walk that mixes two
-planes.
+norm of the images' part outside the span, both taken without BLAS.
+`invariant_blocks` is a generator that builds the planes one at a time,
+and every caller streams it, so none holds the whole subspace.
+`walk_eigenphases` reuses one plane buffer and one images buffer for every
+plane, and its closure error also fails a walk that mixes two planes.
 """
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import QuantumState, check_width
+from .simulator import QuantumState, _norm, check_width
 from .walk_core import WalkBundle, dressed_state, encoded_dense
 
 BOUNDARY_EPS = 1e-9
@@ -77,23 +82,30 @@ class InvariantBlock:
         return (self.theta, -self.theta)
 
 
-def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
+def invariant_blocks(bundle: WalkBundle, reuse: bool = False) -> Iterator[InvariantBlock]:
     """One block per eigenvector of the encoded operator, yielded one at a
     time in ascending energy; the rows of each plane are orthonormal by
     construction.
 
     phi1 is produced by running the select circuit, so these blocks double
-    as a check that the circuit realizes the intended branch table.
+    as a check that the circuit realizes the intended branch table.  With
+    `reuse`, every plane is a view of one buffer that the next block
+    overwrites, so the caller must be done with a block before it takes the
+    next.
     """
     layout = bundle.layout
     check_width(layout)
     energies, vectors = np.linalg.eigh(encoded_dense(bundle.branches, bundle.n_system))
+    if bundle.select.is_real and bundle.walk.is_real and not vectors.imag.any():
+        vectors = vectors.real
+    shape = (2, 1 << layout.total_qubits)
+    buffer = np.empty(shape, dtype=vectors.dtype) if reuse else None
     for k, e in enumerate(energies.tolist()):
         phi = vectors[:, k]
-        boundary = abs(e) >= 1.0 - BOUNDARY_EPS
-        plane = np.empty((1 if boundary else 2, 1 << layout.total_qubits), dtype=complex)
+        rows = 1 if abs(e) >= 1.0 - BOUNDARY_EPS else 2
+        plane = buffer[:rows] if reuse else np.empty((rows, shape[1]), dtype=vectors.dtype)
         dressed_state(bundle.branches, phi, plane[0])
-        if boundary:
+        if rows == 1:
             # A bare walk eigenvector with eigenvalue +-1; acos of a
             # within-epsilon energy would smear the phase by ~sqrt(eps).
             yield InvariantBlock(e, 0.0 if e > 0 else math.pi, phi, plane)
@@ -106,23 +118,31 @@ def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
         yield InvariantBlock(e, math.acos(e), phi, plane)
 
 
-def _restrict(circuit, plane: np.ndarray) -> tuple[np.ndarray, float]:
+def _restrict(circuit, plane: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, float]:
     """`circuit` on the span of the orthonormal rows of `plane`: the matrix
     m[i, j] = <plane_i| circuit |plane_j> and the norm of the images' part
-    outside the span."""
-    images = plane.copy()
+    outside the span.  `images`, of the plane's shape and dtype, is scratch.
+
+    The products are `einsum` loops, not BLAS calls, so they never wake the
+    BLAS thread pool and their bits do not depend on its thread count.
+    """
+    images[...] = plane
     for row in images:
         QuantumState(circuit.layout, row).apply_circuit(circuit)
-    m = plane.conj() @ images.T
-    images -= m.T @ plane
-    return m, float(np.linalg.norm(images))
+    m = np.einsum("ik,jk->ij", plane.conj(), images)
+    images -= np.einsum("ji,jk->ik", m, plane)
+    return m, _norm(images)
 
 
 def block_matrices(bundle: WalkBundle, block: InvariantBlock):
     """2x2 matrices of S and V on span{phi0, phi1} (non-boundary blocks)."""
     if block.is_boundary:
         raise ValueError("boundary blocks are one-dimensional")
-    return _restrict(bundle.reflect, block.plane)[0], _restrict(bundle.select, block.plane)[0]
+    images = np.empty_like(block.plane)
+    return (
+        _restrict(bundle.reflect, block.plane, images)[0],
+        _restrict(bundle.select, block.plane, images)[0],
+    )
 
 
 @dataclass
@@ -141,8 +161,11 @@ def walk_eigenphases(bundle: WalkBundle) -> PhaseReport:
     of the restricted matrix against that block's own +-arccos(E_k) on the
     unit circle, nearest first; the pairs come sorted by expected phase."""
     pairs, residuals = [], []
-    for block in invariant_blocks(bundle):
-        m, residual = _restrict(bundle.walk, block.plane)
+    images = None  # one scratch buffer for every plane
+    for block in invariant_blocks(bundle, reuse=True):
+        if images is None:
+            images = np.empty((2, block.plane.shape[1]), dtype=block.plane.dtype)
+        m, residual = _restrict(bundle.walk, block.plane, images[: len(block.plane)])
         residuals.append(residual)
         free = list(np.angle(np.linalg.eigvals(m)))
         for e in sorted(block.eigenphases()):

@@ -248,6 +248,12 @@ class Circuit:
         extra = max(0, workspace - self.layout.ancilla_qubits)
         return replace(total, qubits=self.layout.total_qubits + extra)
 
+    @property
+    def is_real(self) -> bool:
+        """Every gate is a real matrix: all kinds are but a Pauli word with
+        an odd number of Ys."""
+        return all(g.kind != PAULI or g.pauli.is_real for g in self.gates)
+
     def inverse(self) -> "Circuit":
         return Circuit(self.layout, [g.inverse() for g in reversed(self.gates)])
 

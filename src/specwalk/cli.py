@@ -4,7 +4,8 @@ Subcommands: `spectrum` (walk eigenphases vs dense diagonalization),
 `zeno` (sequential-measurement ground-state preparation), and `resources`
 (measured censuses plus formula estimates).  Each declares only the options
 its own code reads, so any other option, on the command line or in a config
-file, exits 2.  Output is deterministic for a fixed configuration and seed:
+file, exits 2; so does an option that only another model or mode reads
+(`READ_ONLY_BY`).  Output is deterministic for a fixed configuration and seed:
 sorted JSON keys, floats rounded to 12 significant digits, no timestamps.
 Exit codes: 0 success, 1 an acceptance threshold failed, 2 invalid input or
 out of memory.
@@ -145,6 +146,40 @@ def read_config(path: str, command: str) -> list[str]:
     except argparse.ArgumentError as exc:
         raise InputError(f"config {path}: {exc}") from exc
     return argv
+
+
+# The options only some models or modes read: option -> (setting, the
+# values of that setting that read it).
+READ_ONLY_BY = {
+    "n": ("model", ("tfim", "long-range")),
+    "J": ("model", ("tfim", "long-range")),
+    "g": ("model", ("tfim",)),
+    "boundary": ("model", ("tfim",)),
+    "alpha": ("model", ("long-range",)),
+    "hamiltonian_file": ("model", ("file",)),
+    "shots": ("mode", ("sample",)),
+}
+
+
+def given_options(command: str, flags: list[str]) -> set[str]:
+    """The options of `command` that `flags` set, whatever their values."""
+    parser = argparse.ArgumentParser(add_help=False)
+    add_options(parser, command)
+    unset = object()
+    # argparse fills in a default only where the namespace has no value yet
+    given = argparse.Namespace(**dict.fromkeys(vars(parser.parse_args([])), unset))
+    parser.parse_known_args(flags, namespace=given)
+    return {name for name, value in vars(given).items() if value is not unset}
+
+
+def refuse_unread(cfg: argparse.Namespace, given: set[str]) -> None:
+    """Refuse a given option that the selected model or mode never reads."""
+    settings = vars(cfg)
+    for name in sorted(given & READ_ONLY_BY.keys()):
+        setting, readers = READ_ONLY_BY[name]
+        if settings[setting] not in readers:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} is not read by --{setting} {settings[setting]}")
 
 
 def build_model(cfg: argparse.Namespace) -> LcuHamiltonian:
@@ -296,10 +331,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     cfg = build_parser().parse_args(argv)
     try:
+        flags = argv[1:]  # argv[0] is the command
         if cfg.config:
-            # argv[0] is the command; flags follow the config's values, so they win
-            config = read_config(cfg.config, cfg.command)
-            cfg = build_parser().parse_args([cfg.command, *config, *argv[1:]])
+            # the flags follow the config's values, so they win
+            flags = [*read_config(cfg.config, cfg.command), *flags]
+            cfg = build_parser().parse_args([cfg.command, *flags])
+        refuse_unread(cfg, given_options(cfg.command, flags))
         run = {"spectrum": run_spectrum, "zeno": run_zeno, "resources": run_resources}
         payload, code = run[cfg.command](cfg)
         text = render(payload, cfg.format)

@@ -8,7 +8,13 @@ the letter at qubit ``q`` is encoded by two bits:
     (x, z) = (0, 0) -> I,  (1, 0) -> X,  (0, 1) -> Z,  (1, 1) -> Y.
 
 Phases are tracked exactly as an integer exponent of i modulo 4.  Hamiltonian
-terms carry only +-1; the +-i units arise from products.
+terms carry only +-1; the +-i units arise from products.  A word is a real
+matrix when its phase exponent plus its number of Ys is even (`is_real`).
+
+`apply_view_action`, the one Pauli kernel of the simulator, applies a word
+in place to a view of a state tensor with copies and sign flips only.  On a
+real (float64) view it refuses a word whose matrix is imaginary with
+ValueError, before it changes any float.
 
 Text syntax (files, CLI): a string over {I, X, Y, Z} with the leftmost
 character at qubit 0 and an optional leading sign, e.g. ``-XZIZ``.
@@ -98,6 +104,11 @@ class PauliString:
     @property
     def phase(self) -> complex:
         return _PHASES[self.phase_exp]
+
+    @property
+    def is_real(self) -> bool:
+        """The matrix is real: i**phase_exp times an even number of Ys."""
+        return (self.phase_exp + (self.x_bits & self.z_bits).bit_count()) % 2 == 0
 
     @property
     def is_identity(self) -> bool:
@@ -204,9 +215,12 @@ def apply_view_action(view: np.ndarray, action) -> None:
 
     Only copies and sign flips touch the floats, never a complex multiply,
     so every float of the result is exactly + or - an input float, signed
-    zeros included, and runs of these actions compose exactly.
+    zeros included, and runs of these actions compose exactly.  A real view
+    refuses an odd power of i with ValueError before it changes any float.
     """
     signs, flips, coef = action
+    if coef.imag and not np.iscomplexobj(view):
+        raise ValueError("a real state cannot take an imaginary Pauli word")
     for idx in signs:
         part = view[idx]
         np.negative(part, out=part)

@@ -1,13 +1,23 @@
 """Exact dense statevector simulation over a partitioned register.
 
 States are owned values; applying a gate mutates the owner's amplitude
-vector in place and preserves the norm.  `QuantumState.measure` is the one
-measurement: it splits a state on a pattern of qubit values into the weight
-of the matching slice and the renormalized posteriors on and off it, and it
-consumes no randomness.  The phase-estimation ancilla (one qubit) and the
-control-vacuum projection (the whole control register) both use it.
-Callers that sample draw from a generator made by `make_rng` from an
-explicit seed.  No global randomness anywhere.
+vector in place and preserves the norm.  A state's vector is contiguous,
+and its dtype comes from its data: the constructor keeps real data as
+float64, makes anything else complex128, and copies only when it must.
+`zero_state` is complex.  A float64 state takes every gate whose matrix is
+real, which is every kind but a Pauli word with an odd number of Ys; it
+refuses that one with ValueError.  Its pass equals the real part of the
+complex pass of the same data in every value (only zeros may differ in
+sign), so the invariant planes of a real walk (`blocks.py`) run as
+float64, at half the memory and bandwidth.
+
+`QuantumState.measure` is the one measurement: it splits a state on a
+pattern of qubit values into the weight of the matching slice and the
+renormalized posteriors on and off it, and it consumes no randomness.  The
+phase-estimation ancilla (one qubit) and the control-vacuum projection (the
+whole control register) both use it.  Callers that sample draw from a
+generator made by `make_rng` from an explicit seed.  No global randomness
+anywhere.
 
 Gate kernel.  A gate acts on strided views of ``vec.reshape((2,) * total)``,
 where qubit ``q`` is axis ``total - 1 - q`` and each control value is fixed
@@ -21,41 +31,44 @@ by basic indexing, so no gate copies or transposes the whole vector:
   sign, the walk's word -I included, comes from `pauli.apply_view_action`
   (a fused run below takes its signs from these same steps);
 - CSWAP exchanges the |10> and |01> slices of its two qubits;
-- H, ROT, each non-zero MROT angle and FANOUT mix two slices by a 2x2
-  matrix.  `_ry` builds every rotation among them: Ry(angle) for ROT and an
-  MROT slot, and Ry(2 * angle) on the |10> and |01> slices for FANOUT.
+- H, ROT, each non-zero MROT angle and FANOUT mix two slices by a real
+  2x2 matrix.  `_ry` builds every rotation among them: Ry(angle) for ROT
+  and an MROT slot, and Ry(2 * angle) on the |10> and |01> slices for
+  FANOUT.
 
-`_plan` compiles a gate into these steps once per (gate, total qubits) and
-keeps the most recent ones in a bounded cache.  A gate plan holds only index
-tuples, axis numbers and matrix entries, never an amplitude-sized array.
-Every index ends in an Ellipsis, so it yields a writable view even when it
-fixes every axis (an all-integer index would return a scalar copy).
+`_plan` compiles a gate into these steps once per (gate, total qubits,
+dtype) and keeps the most recent ones in a bounded cache; the dtype only
+sets the type of a mix's entries.  A gate plan holds only index tuples,
+axis numbers and matrix entries, never an amplitude-sized array.  Every
+index ends in an Ellipsis, so it yields a writable view even when it fixes
+every axis (an all-integer index would return a scalar copy).
 
 Fused runs.  `apply_circuit` runs a circuit as one flat tuple of steps,
-compiled once per (circuit, total qubits) by `_circuit_plan` and kept in a
-second bounded cache of the 8 most recent plans.  Circuits hash by
-identity, so a lookup hashes no gates; the key also holds the gate count,
-so a circuit extended after a pass compiles again.  Each maximal run of two
-or more PAULI, TOFFOLI, CSWAP or MCZ gates becomes one gather
-``vec[j] <- i**k[j] * vec[src[j]]``: these kinds map each basis state to
-one basis state times a power of i, and the kernel applies them with copies
-and sign flips only, never a complex multiply.  `_signed_permutation`
+compiled by `_circuit_plan` for the state's dtype and kept in a second
+bounded cache of the 8 most recent circuits, one plan each.  Circuits hash
+by identity, so a lookup hashes no gates; a circuit extended after a pass,
+or run on the other dtype, compiles again and replaces its plan.  Each
+maximal run of two or more PAULI, TOFFOLI, CSWAP or MCZ gates becomes one
+gather ``vec[j] <- i**k[j] * vec[src[j]]``: these kinds map each basis
+state to one basis state times a power of i, and the kernel applies them
+with copies and sign flips only, never a complex multiply.  `_signed_permutation`
 derives `src` and `k` by running the run's own gate steps over the basis
 labels 1..2**total, which are exact in float64, and refuses any result
 that is not a signed permutation, so the gates, not a branch table, define
-the map.  The gather works on the (re, im) floats, with one source index
-and one +-1 factor per float, so it moves and negates exactly the floats
-the gates would, signed zeros included: a fused pass equals the
-gate-by-gate pass bit for bit.  Every other gate keeps its own steps: H,
-rotations and FANOUT are not monomial.
+the map.  The gather works on the vector's floats, with one source index
+and one +-1 factor per float: on a complex state these are the (re, im)
+pairs, on a real state the amplitudes themselves, for which the labels are
+real and the Pauli kernel refuses any odd power of i.  It moves and negates
+exactly the floats the gates would, signed zeros included: a fused pass
+equals the gate-by-gate pass bit for bit.  Every other gate keeps its own
+steps: H, rotations and FANOUT are not monomial.
 `apply` and `circuit_unitary` still run gate by gate, so the unitary stays
-an independent oracle for the fused path.  A state's vector is a contiguous
-complex128 array, so the gather can view it as floats; the constructor
-copies any other array.
+an independent oracle for the fused path.
 """
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -80,7 +93,7 @@ from .pauli import PauliString, apply_view_action, view_action
 SIMULATION_QUBIT_CAP = 22
 UNITARY_QUBIT_CAP = 12
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * (1 / math.sqrt(2))
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * (1 / math.sqrt(2))
 _X = PauliString.single(1, 0, "X")
 _Z = PauliString.single(1, 0, "Z")
 _FUSED_KINDS = frozenset({PAULI, TOFFOLI, CSWAP, MCZ})
@@ -105,9 +118,17 @@ def check_width(layout: RegisterLayout) -> None:
         )
 
 
+def _norm(array: np.ndarray) -> float:
+    """2-norm of a contiguous real or complex array, summed over its floats
+    by `einsum`: a BLAS reduction would wake the BLAS thread pool, whose
+    threads then spin through the gate kernel."""
+    flat = array.reshape(-1).view(np.float64)
+    return math.sqrt(np.einsum("i,i->", flat, flat))
+
+
 def _ry(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array([[c, -s], [s, c]])
 
 
 # --- kernel steps: each takes the (2,)*total tensor first -----------------------
@@ -136,7 +157,8 @@ def _mix(ten, lo, hi, m00, m01, m10, m11):
 
 def _gather(ten, src, sign):
     """Fused run: float m of the vector becomes sign[m] * float src[m]
-    (`sign` None: no float changes sign)."""
+    (`sign` None: no float changes sign).  A real vector's floats are its
+    amplitudes, a complex vector's are their (re, im) pairs."""
     flat = ten.reshape(-1).view(np.float64)
     if sign is None:
         flat[...] = flat.take(src)
@@ -152,15 +174,17 @@ def _index(total: int, values) -> tuple:
     return (*idx, Ellipsis)
 
 
-def _mix_step(total, lo_values, hi_values, mat) -> tuple:
-    """The step applying the 2x2 `mat` to the slices (lo, hi)."""
-    (m00, m01), (m10, m11) = (tuple(complex(v) for v in row) for row in mat)
+def _mix_step(total, lo_values, hi_values, mat, dtype) -> tuple:
+    """The step applying the real 2x2 `mat` to the slices (lo, hi) of a
+    vector of `dtype`, with entries of that dtype."""
+    (m00, m01), (m10, m11) = mat.astype(dtype).tolist()
     return (_mix, _index(total, lo_values), _index(total, hi_values), m00, m01, m10, m11)
 
 
 @lru_cache(maxsize=4096)
-def _plan(gate: Gate, total: int) -> tuple:
-    """The gate as a tuple of kernel steps `(fn, *args)` on `total` qubits."""
+def _plan(gate: Gate, total: int, dtype: np.dtype) -> tuple:
+    """The gate as a tuple of kernel steps `(fn, *args)` on `total` qubits
+    of a vector of `dtype`; only the entries of a mix depend on the dtype."""
     kind = gate.kind
     on = tuple((q, 1) for q in gate.controls)
     if kind in (PAULI, TOFFOLI, MCZ):
@@ -178,7 +202,7 @@ def _plan(gate: Gate, total: int) -> tuple:
         lo, hi = on + ((a, 1), (b, 0)), on + ((a, 0), (b, 1))
         if kind == FANOUT:
             # Ry(pi/2) on (|10>, |01>): |10> -> (|10> + |01>)/sqrt(2)
-            return (_mix_step(total, lo, hi, _ry(2 * gate.angle)),)
+            return (_mix_step(total, lo, hi, _ry(2 * gate.angle), dtype),)
         return ((_swap, _index(total, lo), _index(total, hi)),)
     if kind not in (H, ROT, MROT):
         raise ValueError(f"unknown gate kind {kind!r}")
@@ -190,24 +214,27 @@ def _plan(gate: Gate, total: int) -> tuple:
             if angle == 0.0:
                 continue
             sel = tuple((q, (p >> (d - 1 - i)) & 1) for i, q in enumerate(gate.controls))
-            steps.append(_mix_step(total, sel + ((target, 0),), sel + ((target, 1),), _ry(angle)))
+            lo, hi = sel + ((target, 0),), sel + ((target, 1),)
+            steps.append(_mix_step(total, lo, hi, _ry(angle), dtype))
         return tuple(steps)
     mat = _HADAMARD if kind == H else _ry(gate.angle)
-    return (_mix_step(total, on + ((target, 0),), on + ((target, 1),), mat),)
+    return (_mix_step(total, on + ((target, 0),), on + ((target, 1),), mat, dtype),)
 
 
-def _signed_permutation(gates, total: int) -> tuple:
-    """`_gather`'s (src, sign) for the product of `gates` on `total` qubits.
+def _signed_permutation(gates, total: int, dtype=complex) -> tuple:
+    """`_gather`'s (src, sign) for the product of `gates` on `total` qubits,
+    for a vector of `dtype`.
 
     The gates' own steps run over the basis labels 1..2**total, so entry j
     ends as i**k[j] * (src[j] + 1).  Raises ValueError unless every entry is
-    a label times a power of i and every label is used once.
+    a label times a power of i and every label is used once; with a real
+    `dtype` the Pauli kernel already refuses any odd power of i.
     """
     dim = 1 << total
-    labels = np.arange(1, dim + 1, dtype=complex)
+    labels = np.arange(1, dim + 1, dtype=dtype)
     ten = labels.reshape((2,) * total)
     for gate in gates:
-        for fn, *args in _plan(gate, total):
+        for fn, *args in _plan(gate, total, labels.dtype):
             fn(ten, *args)
     re, im = labels.real, labels.imag
     odd = im != 0  # k odd: the label sits in the imaginary part
@@ -218,31 +245,50 @@ def _signed_permutation(gates, total: int) -> tuple:
         and np.array_equal(np.sort(np.abs(signed)), np.arange(1, dim + 1))
     ):
         raise ValueError("gate run is not a signed permutation of the basis")
-    re_src = 2 * (np.abs(signed).astype(np.intp) - 1)
+    src = np.abs(signed).astype(np.intp) - 1
+    if not np.iscomplexobj(labels):
+        sign = np.where(neg, -1.0, 1.0)
+        return src, (sign if np.any(neg) else None)
     # i (a + bi) = -b + ai and -i (a + bi) = b - ai
     fsrc = np.empty(2 * dim, dtype=np.intp)
-    fsrc[0::2] = re_src + odd
-    fsrc[1::2] = re_src + ~odd
+    fsrc[0::2] = 2 * src + odd
+    fsrc[1::2] = 2 * src + ~odd
     sign = np.empty(2 * dim)
     sign[0::2] = np.where(odd ^ neg, -1.0, 1.0)
     sign[1::2] = np.where(neg, -1.0, 1.0)
     return fsrc, (sign if np.any(sign < 0) else None)
 
 
-@lru_cache(maxsize=8)
-def _circuit_plan(circuit: Circuit, total: int, n_gates: int) -> tuple:
+# (circuit, total) -> (n_gates, dtype, steps), most recently used last
+_CIRCUIT_PLANS: OrderedDict = OrderedDict()
+_CIRCUIT_PLAN_CACHE = 8
+
+
+def _circuit_plan(circuit: Circuit, total: int, n_gates: int, dtype) -> tuple:
     """The first `n_gates` gates of `circuit` as kernel steps on `total`
-    qubits: a `_gather` per run of two or more gates of `_FUSED_KINDS`, the
-    `_plan` steps of every other gate."""
-    steps = []
-    runs = groupby(circuit.gates[:n_gates], key=lambda g: g.kind in _FUSED_KINDS)
-    for fused, run in runs:
-        run = list(run)
-        if fused and len(run) >= 2:
-            steps.append((_gather, *_signed_permutation(run, total)))
-        else:
-            steps += [step for gate in run for step in _plan(gate, total)]
-    return tuple(steps)
+    qubits for a vector of `dtype`: a `_gather` per run of two or more gates
+    of `_FUSED_KINDS`, the `_plan` steps of every other gate.
+
+    The 8 most recent circuits keep one plan each; a request for another
+    gate count or dtype compiles again and replaces it, so the cache never
+    holds two forms of one circuit.
+    """
+    key = (circuit, total)
+    entry = _CIRCUIT_PLANS.pop(key, None)
+    if entry is None or entry[:2] != (n_gates, dtype):
+        steps = []
+        runs = groupby(circuit.gates[:n_gates], key=lambda g: g.kind in _FUSED_KINDS)
+        for fused, run in runs:
+            run = list(run)
+            if fused and len(run) >= 2:
+                steps.append((_gather, *_signed_permutation(run, total, dtype)))
+            else:
+                steps += [step for gate in run for step in _plan(gate, total, dtype)]
+        entry = (n_gates, dtype, tuple(steps))
+    _CIRCUIT_PLANS[key] = entry
+    if len(_CIRCUIT_PLANS) > _CIRCUIT_PLAN_CACHE:
+        _CIRCUIT_PLANS.popitem(last=False)
+    return entry[2]
 
 
 @dataclass
@@ -251,7 +297,8 @@ class QuantumState:
     vec: np.ndarray
 
     def __post_init__(self):
-        self.vec = np.ascontiguousarray(self.vec, dtype=complex)
+        dtype = np.float64 if np.isrealobj(self.vec) else complex
+        self.vec = np.ascontiguousarray(self.vec, dtype=dtype)
 
     @classmethod
     def zero_state(cls, layout: RegisterLayout):
@@ -276,13 +323,13 @@ class QuantumState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        return _norm(self.vec)
 
     # --- unitary application ---------------------------------------------
     def apply(self, gate: Gate) -> "QuantumState":
         total = self.layout.total_qubits
         ten = self.vec.reshape((2,) * total)
-        for fn, *args in _plan(gate, total):
+        for fn, *args in _plan(gate, total, self.vec.dtype):
             fn(ten, *args)
         return self
 
@@ -290,7 +337,7 @@ class QuantumState:
         total = self.layout.total_qubits
         before = self.norm
         ten = self.vec.reshape((2,) * total)
-        for fn, *args in _circuit_plan(circuit, total, len(circuit.gates)):
+        for fn, *args in _circuit_plan(circuit, total, len(circuit.gates), self.vec.dtype):
             fn(ten, *args)
         if abs(self.norm - before) > 1e-9:
             raise AssertionError("statevector norm drifted across the circuit")
@@ -306,7 +353,7 @@ class QuantumState:
         if sigma.phase_exp % 2:
             raise ValueError(f"expectation of a non-Hermitian word: {sigma.label()}")
         total = self.layout.total_qubits
-        shifted = self.vec.copy()
+        shifted = self.vec.astype(complex)  # a real state's sigma may be imaginary
         axes = tuple(total - 1 - q for q in targets)
         apply_view_action(shifted.reshape((2,) * total), view_action(sigma, axes, total))
         val = np.vdot(self.vec, shifted)
@@ -373,7 +420,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         block[lo : lo + width] = np.eye(width)
         ten = block.reshape((2,) * n + (width,))
         for gate in circuit.gates:
-            for fn, *args in _plan(gate, n):
+            for fn, *args in _plan(gate, n, block.dtype):
                 fn(ten, *args)
         cols[:, lo : lo + width] = block
     return cols

@@ -5,13 +5,17 @@ word -I after select, the circuit is -W: every invariant plane survives,
 but every eigenphase moves by pi, so the phase match must fail.  Without
 one select gate the circuit no longer preserves the planes, so the closure
 must fail.
+
+The planes are float64 exactly when the encoded operator and the walk are
+real; a word with an odd number of Ys keeps them complex.
 """
 import dataclasses
 
+import numpy as np
 import pytest
 
-from specwalk import long_range_ising, normalize
-from specwalk.blocks import walk_eigenphases
+from specwalk import LcuHamiltonian, PauliString, long_range_ising, normalize, tfim
+from specwalk.blocks import invariant_blocks, walk_eigenphases
 from specwalk.circuits import PAULI, Circuit
 from specwalk.walk_core import build_walk
 
@@ -43,3 +47,28 @@ def test_a_walk_missing_a_select_gate_fails_the_closure(bundle):
     assert gates[0] is bundle.select.gates[0]
     report = walk_eigenphases(with_walk(bundle, gates[1:]))
     assert report.closure_error > FAILED
+
+
+@pytest.mark.parametrize("encoding", ["binary", "unary"])
+@pytest.mark.parametrize("model", [tfim(4, 0.7, 1.3, "periodic"), long_range_ising(4, 1.0, 2.0)])
+def test_real_models_run_real_planes(model, encoding):
+    bundle = build_walk(normalize(model), encoding, with_pe=True)
+    fresh = list(invariant_blocks(bundle))
+    assert {block.plane.dtype for block in fresh} == {np.dtype(np.float64)}
+    # a reused buffer holds, block by block, the same bits as a fresh plane
+    for block, reused in zip(fresh, invariant_blocks(bundle, reuse=True)):
+        assert np.array_equal(block.plane, reused.plane)
+        assert np.array_equal(np.signbit(block.plane), np.signbit(reused.plane))
+
+
+@pytest.mark.parametrize("encoding", ["binary", "unary"])
+def test_an_odd_y_word_keeps_complex_planes(encoding):
+    labels = [("II", 0.1), ("XY", 0.5), ("YX", -0.3), ("ZI", 0.7), ("IZ", 0.2)]
+    model = LcuHamiltonian.from_terms(
+        2, [(c, PauliString.from_label(label)) for label, c in labels]
+    )
+    bundle = build_walk(normalize(model), encoding, with_pe=True)
+    assert not bundle.select.is_real
+    assert {block.plane.dtype for block in invariant_blocks(bundle)} == {np.dtype(complex)}
+    report = walk_eigenphases(bundle)
+    assert report.max_error < ROUNDOFF and report.closure_error < ROUNDOFF

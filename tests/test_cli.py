@@ -353,6 +353,65 @@ def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
     assert argv[1] in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["spectrum", "--n", "2", "--alpha", "7",
+                      "--hamiltonian-file", "/nonexistent"], "--alpha", id="tfim--alpha"),
+        pytest.param(["spectrum", "--n", "2", "--hamiltonian-file", "/nonexistent"],
+                     "--hamiltonian-file", id="tfim--hamiltonian-file"),
+        pytest.param(["spectrum", "--model", "long-range", "--n", "2", "--g", "9"], "--g",
+                     id="long-range--g"),
+        pytest.param(["resources", "--model", "long-range", "--n", "2", "--boundary", "open"],
+                     "--boundary", id="long-range--boundary"),
+        pytest.param(["spectrum", "--model", "file", "--hamiltonian-file", "h.json", "--n", "2"],
+                     "--n", id="file--n"),
+        pytest.param(["spectrum", "--model", "file", "--hamiltonian-file", "h.json", "--J", "1"],
+                     "--J", id="file--J"),
+        pytest.param(["zeno", "--n", "2", "--schedule-steps", "2", "--shots", "3"], "--shots",
+                     id="analyze--shots"),
+    ],
+)
+def test_options_the_model_or_mode_does_not_read_exit_2(tmp_path, capsys, argv, named):
+    """The option is refused whether it comes as a flag, with today's default
+    as its value too, or from a config file."""
+    command, option = argv[0], named[2:]
+    value = argv[argv.index(named) + 1]
+    rest = argv[1:argv.index(named)] + argv[argv.index(named) + 2:]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({option: value}))
+    for args in (argv, [command, "--config", str(config), *rest]):
+        code, out = run_cli(args)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {named} is not read by") and "Traceback" not in err
+
+
+def test_the_models_read_their_own_options():
+    """Each model and mode still takes its own options, with today's defaults."""
+    long_range = ["spectrum", "--model", "long-range", "--n", "2", "--J", "1", "--alpha", "3"]
+    assert run_cli(long_range)[0] == 0
+    assert run_cli(["zeno", "--n", "2", "--schedule-steps", "2", "--mode", "sample",
+                    "--seed", "1", "--shots", "3"])[0] == 0
+    defaults = ["--g", "1", "--J", "1", "--boundary", "open"]
+    assert run_cli(["spectrum", "--n", "2", *defaults]) == run_cli(["spectrum", "--n", "2"])
+
+
+def test_a_file_model_with_an_odd_y_word_runs_its_spectrum(tmp_path):
+    """Its planes stay complex (`tests/test_blocks.py`), and the walk still
+    matches the dense spectrum."""
+    ham = tmp_path / "xy.json"
+    ham.write_text(json.dumps({"n_qubits": 2, "terms": [
+        {"pauli": "XY", "coeff": 0.5}, {"pauli": "YX", "coeff": -0.3},
+        {"pauli": "ZI", "coeff": 0.7}, {"pauli": "IZ", "coeff": 0.2},
+    ]}))
+    for encoding in ("binary", "unary"):
+        code, out = run_cli(["spectrum", "--model", "file", "--hamiltonian-file", str(ham),
+                             "--encoding", encoding])
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+
 def test_a_flag_and_a_config_value_of_the_other_schedule_option_exit_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schedule": "0.5,1"}))

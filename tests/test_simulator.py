@@ -580,6 +580,8 @@ def test_non_monomial_run_is_refused(gates):
 
     with pytest.raises(ValueError, match="not a signed permutation"):
         _signed_permutation(gates, 2)
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        _signed_permutation(gates, 2, float)
 
 
 @pytest.mark.parametrize(
@@ -611,7 +613,7 @@ def test_unitary_columns_equal_gate_by_gate_basis_runs(suite_models):
     circuit = build_walk(normalize(suite_models["long_range4"], "auto"), "hybrid", False).walk
     u = circuit_unitary(circuit)
     for b in range(0, len(u), 37):
-        state = QuantumState(circuit.layout, np.eye(len(u))[b])
+        state = QuantumState(circuit.layout, np.eye(len(u), dtype=complex)[b])
         for gate in circuit:
             state.apply(gate)
         _assert_same_bits(state.vec, u[:, b])
@@ -644,11 +646,80 @@ def test_extended_circuit_compiles_again():
 
 
 def test_state_from_a_strided_real_column():
-    """The gather views the vector as floats; the constructor makes it a
-    contiguous complex array, leaving the caller's array alone."""
+    """The gather views the vector as floats; the constructor makes real
+    data a contiguous float64 array, leaving the caller's array alone."""
     layout = plain_layout(2)
     columns = np.eye(4)[:, ::-1]
     state = QuantumState(layout, columns[:, 0])
     state.apply_circuit(Circuit(layout, [Gate.cnot(0, 1), Gate.x(0)]))
     assert np.array_equal(state.vec, [1, 0, 0, 0])  # |11> -> |01> -> |00>
     assert np.array_equal(columns, np.eye(4)[:, ::-1])
+
+
+def _assert_same_real_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize(
+    "model, encoding",
+    [("tfim3", "binary"), ("long_range3", "unary"), ("long_range4", "hybrid")],
+)
+def test_a_real_pass_is_the_real_part_of_the_complex_pass(suite_models, model, encoding, with_pe):
+    """A float64 state through each circuit of a real walk, fused and gate by
+    gate, equals the real part of the complex128 pass of the same data in
+    every value; the complex pass leaves no imaginary part.  Zeros may
+    differ in sign, since the complex pass also moves signed zeros of the
+    imaginary parts into the real ones."""
+    from specwalk import normalize
+    from specwalk.walk_core import build_walk
+
+    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=with_pe)
+    layout, rng = bundle.layout, np.random.default_rng(11)
+    for circuit in (bundle.prepare, bundle.select, bundle.walk, bundle.controlled_walk):
+        vec = rng.normal(size=1 << layout.total_qubits)
+        vec /= np.linalg.norm(vec)
+        fused = QuantumState(layout, vec.copy()).apply_circuit(circuit)
+        stepwise = QuantumState(layout, vec.copy())
+        for gate in circuit:
+            stepwise.apply(gate)
+        complex_pass = QuantumState(layout, vec.astype(complex)).apply_circuit(circuit)
+        _assert_same_real_bits(fused.vec, stepwise.vec)
+        assert np.array_equal(fused.vec, complex_pass.vec.real)
+        assert not complex_pass.vec.imag.any()
+
+
+def test_a_real_state_refuses_an_imaginary_pauli_word():
+    """An odd number of Ys is an odd power of i: a float64 state refuses it
+    before any float changes, alone or in a fused run.  An even number is
+    real, and the expectation of any Hermitian word is taken."""
+    layout = plain_layout(3)
+    vec = np.arange(1.0, 9.0) / math.sqrt(204.0)
+    state = QuantumState(layout, vec.copy())
+    zy = Gate.pauli_word(PauliString.from_label("ZY"), (0, 1))
+    with pytest.raises(ValueError, match="imaginary"):
+        state.apply(zy)
+    with pytest.raises(ValueError, match="imaginary"):
+        state.apply_circuit(Circuit(layout, [Gate.x(2), zy]))
+    assert np.array_equal(state.vec, vec)
+    yy = Gate.pauli_word(PauliString.from_label("YY"), (0, 1))
+    complex_state = QuantumState(layout, vec.astype(complex)).apply(yy)
+    assert np.array_equal(state.apply(yy).vec, complex_state.vec.real)
+    for label in ("YZI", "XYZ", "ZZX"):
+        word = PauliString.from_label(label)
+        assert state.expectation(word) == pytest.approx(complex_state.expectation(word), abs=1e-15)
+
+
+def test_a_circuit_keeps_one_plan_for_the_dtype_it_last_ran_on():
+    from specwalk.simulator import _CIRCUIT_PLANS
+
+    layout = plain_layout(3)
+    circ = Circuit(layout, [Gate.x(0), Gate.cnot(0, 1), Gate.z(1), Gate.h(2)])
+    for dtype in (float, complex, float):
+        state = QuantumState(layout, np.eye(8, dtype=dtype)[0]).apply_circuit(circ)
+        assert state.vec.dtype == dtype
+        assert np.array_equal(state.vec, np.kron([1, 1], [0, 0, 0, -1]) / math.sqrt(2))
+        plans = [entry for (c, _), entry in _CIRCUIT_PLANS.items() if c is circ]
+        assert [dt for _, dt, _ in plans] == [np.dtype(dtype)]
