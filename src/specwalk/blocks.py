@@ -25,9 +25,9 @@ an odd number of Ys keeps complex128 planes.
 circuit on a copy of each row and returns the restricted matrix and the
 norm of the images' part outside the span, both taken without BLAS.
 `invariant_blocks` is a generator that builds the planes one at a time,
-and every caller streams it, so none holds the whole subspace.
-`walk_eigenphases` reuses one plane buffer and one images buffer for every
-plane, and its closure error also fails a walk that mixes two planes.
+and every caller streams it, so none holds the whole subspace.  Each
+block owns its plane.  `walk_eigenphases` reuses one images buffer for
+every plane, and its closure error also fails a walk that mixes two planes.
 """
 from __future__ import annotations
 
@@ -82,28 +82,23 @@ class InvariantBlock:
         return (self.theta, -self.theta)
 
 
-def invariant_blocks(bundle: WalkBundle, reuse: bool = False) -> Iterator[InvariantBlock]:
+def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
     """One block per eigenvector of the encoded operator, yielded one at a
     time in ascending energy; the rows of each plane are orthonormal by
     construction.
 
     phi1 is produced by running the select circuit, so these blocks double
-    as a check that the circuit realizes the intended branch table.  With
-    `reuse`, every plane is a view of one buffer that the next block
-    overwrites, so the caller must be done with a block before it takes the
-    next.
+    as a check that the circuit realizes the intended branch table.
     """
     layout = bundle.layout
     check_width(layout)
     energies, vectors = np.linalg.eigh(encoded_dense(bundle.branches, bundle.n_system))
     if bundle.select.is_real and bundle.walk.is_real and not vectors.imag.any():
         vectors = vectors.real
-    shape = (2, 1 << layout.total_qubits)
-    buffer = np.empty(shape, dtype=vectors.dtype) if reuse else None
     for k, e in enumerate(energies.tolist()):
         phi = vectors[:, k]
         rows = 1 if abs(e) >= 1.0 - BOUNDARY_EPS else 2
-        plane = buffer[:rows] if reuse else np.empty((rows, shape[1]), dtype=vectors.dtype)
+        plane = np.empty((rows, 1 << layout.total_qubits), dtype=vectors.dtype)
         dressed_state(bundle.branches, phi, plane[0])
         if rows == 1:
             # A bare walk eigenvector with eigenvalue +-1; acos of a
@@ -161,8 +156,8 @@ def walk_eigenphases(bundle: WalkBundle) -> PhaseReport:
     of the restricted matrix against that block's own +-arccos(E_k) on the
     unit circle, nearest first; the pairs come sorted by expected phase."""
     pairs, residuals = [], []
-    images = None  # one scratch buffer for every plane
-    for block in invariant_blocks(bundle, reuse=True):
+    images = None  # one scratch buffer of the planes' dtype for every plane
+    for block in invariant_blocks(bundle):
         if images is None:
             images = np.empty((2, block.plane.shape[1]), dtype=block.plane.dtype)
         m, residual = _restrict(bundle.walk, block.plane, images[: len(block.plane)])

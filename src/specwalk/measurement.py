@@ -219,8 +219,10 @@ class ProjectionResult:
 
 def _project(state_vec, vecs) -> tuple[float, np.ndarray]:
     """Weight and unnormalized projection of `state_vec` on the span of the
-    orthonormal `vecs`."""
-    proj = np.zeros_like(state_vec)
+    orthonormal `vecs`.  The projection is complex, whatever the dtypes of
+    the state and of `vecs`: a walk eigenvector phi0 +- i phi1 is complex
+    even when its plane is real."""
+    proj = np.zeros(state_vec.shape, dtype=np.result_type(state_vec, complex))
     for v in vecs:
         proj += v * np.vdot(v, state_vec)
     return float(np.vdot(proj, proj).real), proj

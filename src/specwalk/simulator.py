@@ -44,18 +44,20 @@ index ends in an Ellipsis, so it yields a writable view even when it fixes
 every axis (an all-integer index would return a scalar copy).
 
 Fused runs.  `apply_circuit` runs a circuit as one flat tuple of steps,
-compiled by `_circuit_plan` for the state's dtype and kept in a second
-bounded cache of the 8 most recent circuits, one plan each.  Circuits hash
-by identity, so a lookup hashes no gates; a circuit extended after a pass,
-or run on the other dtype, compiles again and replaces its plan.  Each
-maximal run of two or more PAULI, TOFFOLI, CSWAP or MCZ gates becomes one
-gather ``vec[j] <- i**k[j] * vec[src[j]]``: these kinds map each basis
-state to one basis state times a power of i, and the kernel applies them
-with copies and sign flips only, never a complex multiply.  `_signed_permutation`
-derives `src` and `k` by running the run's own gate steps over the basis
-labels 1..2**total, which are exact in float64, and refuses any result
-that is not a signed permutation, so the gates, not a branch table, define
-the map.  The gather works on the vector's floats, with one source index
+compiled once per (circuit, total qubits, gate count, dtype) by
+`_circuit_plan` and kept in a second bounded cache of the 8 most recent
+plans.  Circuits hash by identity, so a lookup hashes no gates; the key
+also holds the gate count, so a circuit extended after a pass compiles
+again.  No command runs one circuit on both dtypes: the walk's planes run
+select and walk, Zeno's complex states run prepare and the controlled
+walk.  Each maximal run of two or more PAULI, TOFFOLI, CSWAP or MCZ gates
+becomes one gather ``vec[j] <- i**k[j] * vec[src[j]]``: these kinds map
+each basis state to one basis state times a power of i, and the kernel
+applies them with copies and sign flips only, never a complex multiply.
+`_signed_permutation` derives `src` and `k` by running the run's own gate
+steps over the basis labels 1..2**total, which are exact in float64, and
+refuses any result that is not a signed permutation, so the gates, not a
+branch table, define the map.  The gather works on the vector's floats, with one source index
 and one +-1 factor per float: on a complex state these are the (re, im)
 pairs, on a real state the amplitudes themselves, for which the labels are
 real and the Pauli kernel refuses any odd power of i.  It moves and negates
@@ -68,7 +70,6 @@ an independent oracle for the fused path.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -259,36 +260,20 @@ def _signed_permutation(gates, total: int, dtype=complex) -> tuple:
     return fsrc, (sign if np.any(sign < 0) else None)
 
 
-# (circuit, total) -> (n_gates, dtype, steps), most recently used last
-_CIRCUIT_PLANS: OrderedDict = OrderedDict()
-_CIRCUIT_PLAN_CACHE = 8
-
-
-def _circuit_plan(circuit: Circuit, total: int, n_gates: int, dtype) -> tuple:
+@lru_cache(maxsize=8)
+def _circuit_plan(circuit: Circuit, total: int, n_gates: int, dtype: np.dtype) -> tuple:
     """The first `n_gates` gates of `circuit` as kernel steps on `total`
     qubits for a vector of `dtype`: a `_gather` per run of two or more gates
-    of `_FUSED_KINDS`, the `_plan` steps of every other gate.
-
-    The 8 most recent circuits keep one plan each; a request for another
-    gate count or dtype compiles again and replaces it, so the cache never
-    holds two forms of one circuit.
-    """
-    key = (circuit, total)
-    entry = _CIRCUIT_PLANS.pop(key, None)
-    if entry is None or entry[:2] != (n_gates, dtype):
-        steps = []
-        runs = groupby(circuit.gates[:n_gates], key=lambda g: g.kind in _FUSED_KINDS)
-        for fused, run in runs:
-            run = list(run)
-            if fused and len(run) >= 2:
-                steps.append((_gather, *_signed_permutation(run, total, dtype)))
-            else:
-                steps += [step for gate in run for step in _plan(gate, total, dtype)]
-        entry = (n_gates, dtype, tuple(steps))
-    _CIRCUIT_PLANS[key] = entry
-    if len(_CIRCUIT_PLANS) > _CIRCUIT_PLAN_CACHE:
-        _CIRCUIT_PLANS.popitem(last=False)
-    return entry[2]
+    of `_FUSED_KINDS`, the `_plan` steps of every other gate."""
+    steps = []
+    runs = groupby(circuit.gates[:n_gates], key=lambda g: g.kind in _FUSED_KINDS)
+    for fused, run in runs:
+        run = list(run)
+        if fused and len(run) >= 2:
+            steps.append((_gather, *_signed_permutation(run, total, dtype)))
+        else:
+            steps += [step for gate in run for step in _plan(gate, total, dtype)]
+    return tuple(steps)
 
 
 @dataclass

@@ -53,12 +53,9 @@ def test_a_walk_missing_a_select_gate_fails_the_closure(bundle):
 @pytest.mark.parametrize("model", [tfim(4, 0.7, 1.3, "periodic"), long_range_ising(4, 1.0, 2.0)])
 def test_real_models_run_real_planes(model, encoding):
     bundle = build_walk(normalize(model), encoding, with_pe=True)
-    fresh = list(invariant_blocks(bundle))
-    assert {block.plane.dtype for block in fresh} == {np.dtype(np.float64)}
-    # a reused buffer holds, block by block, the same bits as a fresh plane
-    for block, reused in zip(fresh, invariant_blocks(bundle, reuse=True)):
-        assert np.array_equal(block.plane, reused.plane)
-        assert np.array_equal(np.signbit(block.plane), np.signbit(reused.plane))
+    assert {block.plane.dtype for block in invariant_blocks(bundle)} == {np.dtype(np.float64)}
+    report = walk_eigenphases(bundle)
+    assert report.max_error < ROUNDOFF and report.closure_error < ROUNDOFF
 
 
 @pytest.mark.parametrize("encoding", ["binary", "unary"])

@@ -21,6 +21,7 @@ from specwalk.measurement import (
     BoundaryEnergyError,
     UnrecoverableExpectationError,
     _block_bounds,
+    _eigenspace_projection,
     _final_block,
     estimate_energy,
     gamma,
@@ -240,6 +241,24 @@ def test_projection_identity_on_dressed_state(tfim3_bundle):
     state.apply_circuit(bundle.prepare_dagger)
     p, succ, _ = state.measure(dict.fromkeys(bundle.layout.control, 0))
     assert abs(p - 1.0) < 1e-10
+
+
+def test_projection_of_a_real_state_equals_that_of_its_complex_copy(tfim3_bundle):
+    # phi1 leaves the control vacuum under unprepare, so round 1 fails and
+    # the real failure branch is re-measured in the complex walk eigenbasis
+    bundle, blocks = tfim3_bundle
+    for block in blocks:
+        if block.is_boundary:
+            continue
+        assert block.phi1.dtype == np.float64
+        real, copy = (
+            project_to_eigenstate(QuantumState(bundle.layout, vec), bundle, max_rounds=3)
+            for vec in (block.phi1.copy(), block.phi1.astype(complex))
+        )
+        assert real.round_probs[0] < 1e-12 and real.rounds == copy.rounds == 3
+        assert real.round_probs == copy.round_probs
+        projected = _eigenspace_projection(block.phi1.copy(), bundle)
+        assert np.array_equal(projected, _eigenspace_projection(block.phi1.astype(complex), bundle))
 
 
 @pytest.mark.parametrize("encoding", ["binary", "unary"])

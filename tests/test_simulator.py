@@ -712,14 +712,12 @@ def test_a_real_state_refuses_an_imaginary_pauli_word():
         assert state.expectation(word) == pytest.approx(complex_state.expectation(word), abs=1e-15)
 
 
-def test_a_circuit_keeps_one_plan_for_the_dtype_it_last_ran_on():
-    from specwalk.simulator import _CIRCUIT_PLANS
-
+def test_a_circuit_runs_on_either_dtype_in_turn():
+    """The plan cache keys on the dtype, so a circuit that ran on one dtype
+    runs its own plan on the other."""
     layout = plain_layout(3)
     circ = Circuit(layout, [Gate.x(0), Gate.cnot(0, 1), Gate.z(1), Gate.h(2)])
     for dtype in (float, complex, float):
         state = QuantumState(layout, np.eye(8, dtype=dtype)[0]).apply_circuit(circ)
         assert state.vec.dtype == dtype
         assert np.array_equal(state.vec, np.kron([1, 1], [0, 0, 0, -1]) / math.sqrt(2))
-        plans = [entry for (c, _), entry in _CIRCUIT_PLANS.items() if c is circ]
-        assert [dt for _, dt, _ in plans] == [np.dtype(dtype)]
