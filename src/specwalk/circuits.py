@@ -24,7 +24,7 @@ ancilla workspace, then an optional phase-estimation qubit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .census import GateCensus
 from .pauli import PauliString
@@ -210,33 +210,28 @@ class Gate:
         return ()
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Circuit:
-    """An ordered gate list over a register layout; each gate's qubits are
-    checked against the layout when it is added.
+    """An immutable tuple of gates over a register layout; each gate's
+    qubits are checked against the layout once, when the circuit is made.
 
-    Built once by the walk constructors and treated as immutable afterwards.
-    Circuits compare and hash by identity, which keys the simulator's cache
-    of compiled circuits; compare `.gates` for equal content.
+    A circuit cannot change once made; compose a new one from the gates of
+    others, as in ``Circuit(layout, [*a, *b])``.  Circuits compare and hash
+    by identity, which keys the simulator's cache of compiled circuits;
+    compare `.gates` for equal content.
     """
 
     layout: RegisterLayout
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        gates, self.gates = self.gates, []
-        self.extend(gates)
-
-    def append(self, gate: Gate) -> None:
+        gates = tuple(self.gates)
         total = self.layout.total_qubits
-        for q in gate.qubits + gate.controls:
-            if not 0 <= q < total:
-                raise ValueError(f"qubit {q} outside the {total}-qubit layout")
-        self.gates.append(gate)
-
-    def extend(self, gates) -> None:
         for g in gates:
-            self.append(g)
+            for q in g.qubits + g.controls:
+                if not 0 <= q < total:
+                    raise ValueError(f"qubit {q} outside the {total}-qubit layout")
+        object.__setattr__(self, "gates", gates)
 
     @property
     def census(self) -> GateCensus:

@@ -282,11 +282,11 @@ def project_to_eigenstate(
 
     Analysis mode follows the tree deterministically, re-measuring by
     projection onto the walk eigenbasis streamed from `invariant_blocks`,
-    and reports exact round probabilities.  It stops early when the failure
-    branch weighs less than ROUND_OFF, as on a dressed eigenstate, where
-    that branch is floating-point noise.  Sample mode re-measures with an
-    estimation round, draws every branch from `rng` and never diagonalizes
-    the walk.
+    and reports exact round probabilities.  A branch that weighs less than
+    ROUND_OFF is floating-point noise: a success branch that light is not
+    taken, and a failure branch that light, as on a dressed eigenstate,
+    ends the rounds.  Sample mode re-measures with an estimation round,
+    draws every branch from `rng` and never diagonalizes the walk.
     """
     _check_mode(mode)
     sampling = mode == "sample"
@@ -311,10 +311,11 @@ def project_to_eigenstate(
                 system_state = success_state.extract_system()
                 break
         else:
-            if success_state is not None and system_state is None:
-                system_state = success_state.extract_system()
-            # a failure branch of round-off weight is noise, and no round
+            # a branch of round-off weight is noise: a success branch is
+            # not taken, a failure branch ends the rounds, and no round
             # reads the last round's re-measurement
+            if p >= ROUND_OFF and system_state is None:
+                system_state = success_state.extract_system()
             if 1.0 - p < ROUND_OFF or rounds_used == max_rounds:
                 break
         if failure_state is None:

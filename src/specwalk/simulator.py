@@ -44,13 +44,12 @@ index ends in an Ellipsis, so it yields a writable view even when it fixes
 every axis (an all-integer index would return a scalar copy).
 
 Fused runs.  `apply_circuit` runs a circuit as one flat tuple of steps,
-compiled once per (circuit, total qubits, gate count, dtype) by
-`_circuit_plan` and kept in a second bounded cache of the 8 most recent
-plans.  Circuits hash by identity, so a lookup hashes no gates; the key
-also holds the gate count, so a circuit extended after a pass compiles
-again.  No command runs one circuit on both dtypes: the walk's planes run
-select and walk, Zeno's complex states run prepare and the controlled
-walk.  Each maximal run of two or more PAULI, TOFFOLI, CSWAP or MCZ gates
+compiled once per (circuit, total qubits, dtype) by `_circuit_plan` and
+kept in a second bounded cache of the 8 most recent plans.  Circuits are
+immutable and hash by identity, so a lookup hashes no gates and a plan
+never goes stale.  No command runs one circuit on both dtypes: the
+walk's planes run select and walk, Zeno's complex states run prepare and
+the controlled walk.  Each maximal run of two or more PAULI, TOFFOLI, CSWAP or MCZ gates
 becomes one gather ``vec[j] <- i**k[j] * vec[src[j]]``: these kinds map
 each basis state to one basis state times a power of i, and the kernel
 applies them with copies and sign flips only, never a complex multiply.
@@ -261,12 +260,12 @@ def _signed_permutation(gates, total: int, dtype=complex) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _circuit_plan(circuit: Circuit, total: int, n_gates: int, dtype: np.dtype) -> tuple:
-    """The first `n_gates` gates of `circuit` as kernel steps on `total`
-    qubits for a vector of `dtype`: a `_gather` per run of two or more gates
-    of `_FUSED_KINDS`, the `_plan` steps of every other gate."""
+def _circuit_plan(circuit: Circuit, total: int, dtype: np.dtype) -> tuple:
+    """The gates of `circuit` as kernel steps on `total` qubits for a vector
+    of `dtype`: a `_gather` per run of two or more gates of `_FUSED_KINDS`,
+    the `_plan` steps of every other gate."""
     steps = []
-    runs = groupby(circuit.gates[:n_gates], key=lambda g: g.kind in _FUSED_KINDS)
+    runs = groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS)
     for fused, run in runs:
         run = list(run)
         if fused and len(run) >= 2:
@@ -322,7 +321,7 @@ class QuantumState:
         total = self.layout.total_qubits
         before = self.norm
         ten = self.vec.reshape((2,) * total)
-        for fn, *args in _circuit_plan(circuit, total, len(circuit.gates), self.vec.dtype):
+        for fn, *args in _circuit_plan(circuit, total, self.vec.dtype):
             fn(ten, *args)
         if abs(self.norm - before) > 1e-9:
             raise AssertionError("statevector norm drifted across the circuit")

@@ -36,7 +36,7 @@ def build_prepare_b(weights, layout: RegisterLayout) -> Circuit:
     c = layout.control_qubits
     padded = np.zeros(1 << c)
     padded[: len(w)] = w
-    circ = Circuit(layout)
+    gates = []
     base = layout.control[0] if c else 0
     for d in range(c):
         # subtree weights at depth d+1: 2**(d+1) prefixes
@@ -48,11 +48,11 @@ def build_prepare_b(weights, layout: RegisterLayout) -> Circuit:
         target = base + c - 1 - d
         if d == 0:
             if angles[0] != 0.0:
-                circ.append(Gate.ry(angles[0], target))
+                gates.append(Gate.ry(angles[0], target))
         elif any(a != 0.0 for a in angles):
             select = tuple(base + c - 1 - i for i in range(d))  # MSB first
-            circ.append(Gate.multiplexed_ry(target, select, angles))
-    return circ
+            gates.append(Gate.multiplexed_ry(target, select, angles))
+    return Circuit(layout, gates)
 
 
 def build_select_v(branches, layout: RegisterLayout, pe_control: bool = False) -> Circuit:
@@ -63,36 +63,20 @@ def build_select_v(branches, layout: RegisterLayout, pe_control: bool = False) -
     Toffoli count: 2*(m-1) per branch for m AND inputs (m = control width,
     +1 when pe-conditioned), within 2 * N * log2(N+1).
     """
-    circ = Circuit(layout)
-    c = layout.control_qubits
     ctrl = layout.control
-    anc = layout.ancilla
-    sys_qubits = layout.system
-    pe = (layout.pe_qubit,) if pe_control else ()
+    inputs = ((layout.pe_qubit,) if pe_control else ()) + ctrl
+    # flag 0 is the first input; flag i + 1 is flag i AND input i + 1
+    flags = inputs[:1] + layout.ancilla
+    ladder = [Gate.toffoli(flags[i], q, flags[i + 1]) for i, q in enumerate(inputs[1:])]
+    gates = []
     for b in branches:
         if b.word.is_identity and b.word.phase == 1:
             continue
         j = b.control_state
-        flips = [ctrl[t] for t in range(c) if not (j >> t) & 1]
-        inputs = list(pe) + list(ctrl)
-        for q in flips:
-            circ.append(Gate.x(q))
-        if len(inputs) == 1:
-            circ.append(Gate.pauli_word(b.word, sys_qubits, (inputs[0],)))
-        else:
-            ladders = []
-            acc = inputs[0]
-            for i, q in enumerate(inputs[1:]):
-                ladders.append(Gate.toffoli(acc, q, anc[i]))
-                acc = anc[i]
-            for g in ladders:
-                circ.append(g)
-            circ.append(Gate.pauli_word(b.word, sys_qubits, (acc,)))
-            for g in reversed(ladders):
-                circ.append(g)
-        for q in flips:
-            circ.append(Gate.x(q))
-    return circ
+        flips = [Gate.x(q) for t, q in enumerate(ctrl) if not (j >> t) & 1]
+        word = Gate.pauli_word(b.word, layout.system, (flags[len(ladder)],))
+        gates += [*flips, *ladder, word, *reversed(ladder), *flips]
+    return Circuit(layout, gates)
 
 
 def binary_branches(rescaled: RescaledLcu) -> tuple[Branch, ...]:

@@ -99,11 +99,10 @@ def assemble_bundle(
     walk = Circuit(layout, [*select, _MINUS_ONE, *reflect])
     controlled = Circuit(layout)
     if layout.has_pe_qubit:
-        controlled.extend(build_select(True))
-        controlled.extend(prepare_dagger)
-        controlled.extend(vacuum_reflection(layout, pe_control=True))
-        controlled.extend(prepare)
-        controlled.append(Gate.z(layout.pe_qubit))
+        pe_select, pe_reflect = build_select(True), vacuum_reflection(layout, pe_control=True)
+        controlled = Circuit(
+            layout, [*pe_select, *prepare_dagger, *pe_reflect, *prepare, Gate.z(layout.pe_qubit)]
+        )
     return WalkBundle(
         encoding=encoding,
         layout=layout,
@@ -144,29 +143,16 @@ def vacuum_reflection(layout: RegisterLayout, pe_control: bool = False) -> Circu
     An empty control register degenerates to the sign -1: the word -I (or,
     pe-conditioned, a Z on the pe qubit).
     """
-    circ = Circuit(layout)
     ctrl = layout.control
     if not ctrl:
-        if pe_control:
-            circ.append(Gate.z(layout.pe_qubit))
-        else:
-            circ.append(_MINUS_ONE)
-        return circ
-    for q in ctrl:
-        circ.append(Gate.x(q))
+        return Circuit(layout, [Gate.z(layout.pe_qubit) if pe_control else _MINUS_ONE])
+    flips = [Gate.x(q) for q in ctrl]
     qubits = ctrl + ((layout.pe_qubit,) if pe_control else ())
-    circ.append(Gate.mcz(qubits))
-    for q in ctrl:
-        circ.append(Gate.x(q))
-    return circ
+    return Circuit(layout, [*flips, Gate.mcz(qubits), *flips])
 
 
 def build_reflection(prepare: Circuit) -> Circuit:
     """S = B (1 - 2|0><0|) B' as a circuit: unprepare, reflect about the
     control vacuum, re-prepare."""
     layout = prepare.layout
-    reflect = Circuit(layout)
-    reflect.extend(prepare.inverse())
-    reflect.extend(vacuum_reflection(layout))
-    reflect.extend(prepare)
-    return reflect
+    return Circuit(layout, [*prepare.inverse(), *vacuum_reflection(layout), *prepare])

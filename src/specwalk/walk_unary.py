@@ -25,7 +25,7 @@ from .pauli import PauliString
 from .walk_core import Branch, WalkBundle, assemble_bundle
 
 
-def _chain_rotation(circ, target, control, cos_half, sin_half):
+def _chain_rotation(gates, target, control, cos_half, sin_half):
     """One amplitude-transfer link; exact 0 and pi angles degrade to
     Clifford gates (skip / X / CNOT), which is safe because the walk only
     depends on the prepared state B|0>, not on B elsewhere."""
@@ -33,13 +33,13 @@ def _chain_rotation(circ, target, control, cos_half, sin_half):
         return
     if cos_half == 0.0:
         if control is None:
-            circ.append(Gate.x(target))
+            gates.append(Gate.x(target))
         else:
-            circ.append(Gate.cnot(control, target))
+            gates.append(Gate.cnot(control, target))
         return
     angle = 2.0 * math.atan2(sin_half, cos_half)
     controls = () if control is None else (control,)
-    circ.append(Gate.ry(angle, target, controls))
+    gates.append(Gate.ry(angle, target, controls))
 
 
 def build_head_prep(layout: RegisterLayout, beta0_sq: float, heads, positions) -> Circuit:
@@ -52,21 +52,21 @@ def build_head_prep(layout: RegisterLayout, beta0_sq: float, heads, positions) -
     total = beta0_sq + sum(h * h for h in heads)
     if abs(total - 1.0) > 1e-9:
         raise ValueError("group weights do not sum to 1")
-    circ = Circuit(layout)
     if not heads:
-        return circ
+        return Circuit(layout)
+    gates = []
     tail = math.sqrt(max(0.0, 1.0 - beta0_sq))
-    _chain_rotation(circ, positions[0], None, math.sqrt(beta0_sq), tail)
+    _chain_rotation(gates, positions[0], None, math.sqrt(beta0_sq), tail)
     for k in range(1, len(heads)):
         keep = heads[k - 1]
         rest = math.sqrt(max(0.0, tail * tail - keep * keep))
         if tail == 0.0:
             break
-        _chain_rotation(circ, positions[k], positions[k - 1], keep / tail, rest / tail)
+        _chain_rotation(gates, positions[k], positions[k - 1], keep / tail, rest / tail)
         if rest > 0.0:
-            circ.append(Gate.cnot(positions[k], positions[k - 1]))
+            gates.append(Gate.cnot(positions[k], positions[k - 1]))
         tail = rest
-    return circ
+    return Circuit(layout, gates)
 
 
 def build_fanout(layout: RegisterLayout, head: int, size: int) -> Circuit:
@@ -74,28 +74,30 @@ def build_fanout(layout: RegisterLayout, head: int, size: int) -> Circuit:
     from `head` uniformly over [head, head + size)."""
     if size & (size - 1):
         raise ValueError("fanout register size must be a power of two")
-    circ = Circuit(layout)
+    gates = []
 
     def split(start, length):
         if length == 1:
             return
         half = length // 2
-        circ.append(Gate.fanout(start, start + half))
+        gates.append(Gate.fanout(start, start + half))
         split(start, half)
         split(start + half, half)
 
     split(head, size)
-    return circ
+    return Circuit(layout, gates)
 
 
 def build_prepare_unary(grouped: GroupedLcu, layout: RegisterLayout) -> Circuit:
     """Heads sqrt(N_k s_k) on each group's first qubit, then fanout trees."""
     heads = [math.sqrt(g.n_padded * g.strength_sq) for g in grouped.groups]
     positions = [layout.control[g.offset - 1] for g in grouped.groups]
-    circ = build_head_prep(layout, grouped.beta0_sq, heads, positions)
-    for g, head in zip(grouped.groups, positions):
-        circ.extend(build_fanout(layout, head, g.n_padded))
-    return circ
+    fanouts = [
+        gate
+        for g, head in zip(grouped.groups, positions)
+        for gate in build_fanout(layout, head, g.n_padded)
+    ]
+    return Circuit(layout, [*build_head_prep(layout, grouped.beta0_sq, heads, positions), *fanouts])
 
 
 def unary_branches(grouped: GroupedLcu) -> tuple[Branch, ...]:
@@ -113,16 +115,16 @@ def build_select_v_unary(grouped: GroupedLcu, layout: RegisterLayout, pe_control
     """One controlled Pauli word per one-hot control qubit; entirely Clifford.
     Padded identity slots emit no gate.  The pe-conditioned variant upgrades
     each word to two controls (costed as an AND ladder)."""
-    circ = Circuit(layout)
-    sys_qubits = layout.system
     pe = (layout.pe_qubit,) if pe_control else ()
-    for g in grouped.groups:
-        for slot, word in enumerate(g.members):
-            if word.is_identity and word.phase == 1:
-                continue
-            control = layout.control[g.offset - 1 + slot]
-            circ.append(Gate.pauli_word(word, sys_qubits, pe + (control,)))
-    return circ
+    return Circuit(
+        layout,
+        [
+            Gate.pauli_word(word, layout.system, pe + (layout.control[g.offset - 1 + slot],))
+            for g in grouped.groups
+            for slot, word in enumerate(g.members)
+            if not (word.is_identity and word.phase == 1)
+        ],
+    )
 
 
 def unary_walk(grouped: GroupedLcu, rescaled: RescaledLcu | None = None, with_pe: bool = True) -> WalkBundle:
@@ -251,34 +253,27 @@ def hybrid_long_range_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkB
     # register (Clifford) -- only the K chain links cost rotations.  Each
     # distance has one head of weight n*w, spread over the site register.
     heads = [math.sqrt(per_distance[k][0] * n) for k in distances]
-    prepare = build_head_prep(layout, beta0_sq, heads, coupling)
-    for q in site_bits:
-        prepare.append(Gate.h(q))
+    prepare = Circuit(
+        layout,
+        [*build_head_prep(layout, beta0_sq, heads, coupling), *(Gate.h(q) for q in site_bits)],
+    )
 
     def build_select(pe_control: bool) -> Circuit:
-        circ = Circuit(layout)
         pe = (layout.pe_qubit,) if pe_control else ()
         shift = _cyclic_shift_gates(site_bits, n)
-        for g in shift:
-            circ.append(g)
+        gates = list(shift)
         for idx, k in enumerate(distances):
             _, sign = per_distance[k]
             zz = PauliString(2, 0, 3, 0 if sign > 0 else 2)
-            circ.append(Gate.pauli_word(zz, (0, k), pe + (coupling[idx],)))
+            gates.append(Gate.pauli_word(zz, (0, k), pe + (coupling[idx],)))
             # cancel the wrapped branches: same word, conditioned on the
             # wrapping site values
+            wrapped = Gate.pauli_word(zz, (0, k), pe + (coupling[idx],) + site_bits)
             for i in range(n - k, n):
-                flips = [site_bits[b] for b in range(site_width) if not (i >> b) & 1]
-                for q in flips:
-                    circ.append(Gate.x(q))
-                circ.append(
-                    Gate.pauli_word(zz, (0, k), pe + (coupling[idx],) + tuple(site_bits))
-                )
-                for q in flips:
-                    circ.append(Gate.x(q))
-        for g in reversed(shift):
-            circ.append(g.inverse())
-        return circ
+                flips = [Gate.x(site_bits[b]) for b in range(site_width) if not (i >> b) & 1]
+                gates += [*flips, wrapped, *flips]
+        gates += [g.inverse() for g in reversed(shift)]
+        return Circuit(layout, gates)
 
     return assemble_bundle("hybrid", layout, branches, prepare, build_select, rescaled)
 

@@ -262,6 +262,21 @@ def test_projection_of_a_real_state_equals_that_of_its_complex_copy(tfim3_bundle
 
 
 @pytest.mark.parametrize("encoding", ["binary", "unary"])
+def test_projection_from_phi1_takes_no_success_branch_of_round_off_weight(encoding):
+    # unprepare takes phi1 out of the control vacuum, so round 1 succeeds
+    # with a weight of round-off size; its branch is noise, not the state
+    bundle = build_walk(normalize(tfim(3, 1.0, 1.0)), encoding, with_pe=False)
+    for block in invariant_blocks(bundle):
+        if block.is_boundary:
+            continue
+        for vec in (block.phi1.copy(), block.phi1.astype(complex)):
+            res = project_to_eigenstate(QuantumState(bundle.layout, vec), bundle, max_rounds=3)
+            assert res.success
+            fidelity = abs(np.vdot(res.system_state, block.system_vector)) ** 2
+            assert fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("encoding", ["binary", "unary"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_projection_of_every_dressed_eigenstate_ends_in_one_round(n, encoding):
     # the control register leaves vacuum with weight ~1e-16 here: a

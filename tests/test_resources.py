@@ -161,6 +161,23 @@ def test_encoding_table_hybrid_long_range():
     assert by["hybrid"]["control_qubits"] < by["unary"]["control_qubits"]
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 128])
+def test_tfim_rotations_at_resources_sizes(n):
+    # the paper's second claim, on circuits far wider than any simulated
+    # one: unary prepares the chain with K = 2 rotation parameters at every
+    # size, binary takes N = 2n - 1 rotations in B and as many in B'
+    by = {r["encoding"]: r for r in encoding_table(tfim(n, 1.0, 0.7))}
+    assert (by["unary"]["rotations"], by["unary"]["rotation_gates"]) == (2, 4)
+    assert by["binary"]["rotation_gates"] == 4 * n - 2
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_long_range_rotations_at_resources_sizes(n):
+    # n - 1 distinct coupling strengths, one rotation parameter each
+    by = {r["encoding"]: r for r in encoding_table(long_range_ising(n, 1.0, 2.0))}
+    assert by["unary"]["rotations"] == by["hybrid"]["rotations"] == n - 1
+
+
 def test_encoding_table_single_term_degenerates():
     from specwalk import LcuHamiltonian, PauliString
 

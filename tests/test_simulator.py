@@ -180,22 +180,23 @@ def test_extract_system_requires_clean_registers():
 
 def test_census_against_hand_counts():
     layout = RegisterLayout(system_qubits=2, control_qubits=3)
-    circ = Circuit(layout)
-    circ.append(Gate.h(0))  # 1 Clifford
-    circ.append(Gate.mcz((2, 3, 4)))  # 2 controls: 1 Toffoli, 1 work qubit
-    circ.append(Gate.ry(0.4, 2, (3,)))  # 1 rotation
-    circ.append(Gate.fanout(2, 3))  # 1 fanout, 2 Clifford corrections
-    circ.append(Gate.multiplexed_ry(0, (2, 3), [0.1, 0.0, 0.2, 0.3]))  # 3 rotations, 4 Clifford
+    gates = [
+        Gate.h(0),  # 1 Clifford
+        Gate.mcz((2, 3, 4)),  # 2 controls: 1 Toffoli, 1 work qubit
+        Gate.ry(0.4, 2, (3,)),  # 1 rotation
+        Gate.fanout(2, 3),  # 1 fanout, 2 Clifford corrections
+        Gate.multiplexed_ry(0, (2, 3), [0.1, 0.0, 0.2, 0.3]),  # 3 rotations, 4 Clifford
+    ]
     # 5 layout qubits, no ancilla register, so the MCZ work qubit adds one
-    assert circ.census == GateCensus(
+    assert Circuit(layout, gates).census == GateCensus(
         clifford=7, toffoli=1, fanout_sqrt_swap=1, rotations=4, qubits=6
     )
-    circ.append(Gate.toffoli(0, 1, 2))
-    assert circ.census == GateCensus(
+    gates = [*gates, Gate.toffoli(0, 1, 2)]
+    assert Circuit(layout, gates).census == GateCensus(
         clifford=7, toffoli=2, fanout_sqrt_swap=1, rotations=4, qubits=6
     )
     with_ancilla = Circuit(
-        RegisterLayout(system_qubits=2, control_qubits=3, ancilla_qubits=1), circ.gates
+        RegisterLayout(system_qubits=2, control_qubits=3, ancilla_qubits=1), gates
     )
     assert with_ancilla.census.qubits == 6  # the ancilla register holds the work qubit
 
@@ -244,10 +245,8 @@ def test_nan_angle_rejected():
 
 
 def test_gate_index_validation():
-    layout = plain_layout(2)
-    circ = Circuit(layout)
-    with pytest.raises(ValueError):
-        circ.append(Gate.h(5))
+    with pytest.raises(ValueError, match="outside the 2-qubit layout"):
+        Circuit(plain_layout(2), [Gate.h(5)])
 
 
 def test_simulation_cap():
@@ -635,14 +634,21 @@ def test_walk_circuits_are_real(suite_models, model, encoding, with_pe):
         assert np.all(circuit_unitary(circuit).imag == 0.0)
 
 
-def test_extended_circuit_compiles_again():
-    layout = plain_layout(3)
-    circ = Circuit(layout, [Gate.x(0), Gate.cnot(0, 1)])
-    state = QuantumState.zero_state(layout).apply_circuit(circ)
-    assert state.vec[3] == 1.0
-    circ.extend([Gate.toffoli(0, 1, 2), Gate.z(2)])
-    state = QuantumState.zero_state(layout).apply_circuit(circ)
-    assert state.vec[7] == -1.0
+def test_a_circuit_cannot_change_once_made():
+    """A compiled pass is keyed by the circuit's identity, so no edit may
+    reach a circuit after its first pass."""
+    layout = plain_layout(2)
+    gates = [Gate.x(0), Gate.x(1)]
+    circ = Circuit(layout, gates)
+    gates[1] = Gate.x(0)
+    assert circ.gates == (Gate.x(0), Gate.x(1))
+    assert QuantumState.zero_state(layout).apply_circuit(circ).vec[3] == 1.0
+    with pytest.raises(TypeError):
+        circ.gates[1] = Gate.x(0)
+    with pytest.raises(AttributeError):
+        circ.gates = (Gate.x(0),)
+    assert not hasattr(circ, "append") and not hasattr(circ, "extend")
+    assert QuantumState.zero_state(layout).apply_circuit(circ).vec[3] == 1.0
 
 
 def test_state_from_a_strided_real_column():
