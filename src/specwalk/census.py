@@ -37,3 +37,14 @@ class GateCensus:
             self.rotations + other.rotations,
             max(self.qubits, other.qubits),
         )
+
+    def __mul__(self, copies: int) -> "GateCensus":
+        # `copies` of one circuit in sequence: counts scale, the width does not.
+        return GateCensus(
+            self.clifford * copies,
+            self.toffoli * copies,
+            self.fanout_sqrt_swap * copies,
+            self.controlled_swap * copies,
+            self.rotations * copies,
+            self.qubits,
+        )

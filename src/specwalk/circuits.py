@@ -16,7 +16,8 @@ of the record:
                  angle slot plus 2**d Cliffords of multiplexing for d select
                  bits
 
-A circuit's census is the sum over its gates, taken each time it is read.
+A circuit's census is the sum over its gates, taken each time it is read;
+each distinct gate is costed once and multiplied by its count.
 
 Registers are laid out system-first: system qubits, then control, then
 ancilla workspace, then an optional phase-estimation qubit.
@@ -24,6 +25,7 @@ ancilla workspace, then an optional phase-estimation qubit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .census import GateCensus
@@ -235,11 +237,12 @@ class Circuit:
 
     @property
     def census(self) -> GateCensus:
-        """Sum of the gate censuses.  The qubit figure is the layout width
-        plus the work qubits of the widest costed decomposition beyond the
-        ancilla register."""
-        total = sum((g.census() for g in self.gates), GateCensus())
-        workspace = max((g.workspace() for g in self.gates), default=0)
+        """Sum of the gate censuses, taken once per distinct gate times its
+        count.  The qubit figure is the layout width plus the work qubits of
+        the widest costed decomposition beyond the ancilla register."""
+        counts = Counter(self.gates)
+        total = sum((g.census() * n for g, n in counts.items()), GateCensus())
+        workspace = max((g.workspace() for g in counts), default=0)
         extra = max(0, workspace - self.layout.ancilla_qubits)
         return replace(total, qubits=self.layout.total_qubits + extra)
 

@@ -188,22 +188,22 @@ def to_matrix(p: PauliString) -> np.ndarray:
 
 
 def view_action(
-    p: PauliString, axes: tuple[int, ...], ndim: int
+    p: PauliString, axes: tuple[int, ...]
 ) -> tuple[tuple[tuple, ...], tuple[int, ...], complex]:
-    """Precomputed in-place action of `p` on a (2,)*ndim tensor view whose
-    axis ``axes[q]`` carries word position ``q``.
+    """Precomputed in-place action of `p` on a tensor view whose axis
+    ``axes[q]``, counted from the end (``-1`` is the last), carries word
+    position ``q``.
 
     Uses P = i^(phase_exp + popcount(x&z)) * X^x Z^z: Z^z negates the slice
     where a Z axis reads 1, X^x reverses every X axis.  Returns (sign
     slices, flip axes, coefficient) for `apply_view_action`.  Every slice
-    ends in an Ellipsis, so it is a view even when it fixes every axis.
+    starts with an Ellipsis, so it is a view even when it fixes every axis,
+    and the action applies unchanged to a view with more leading axes.
     """
     signs, flips = [], []
     for q, axis in enumerate(axes):
         if (p.z_bits >> q) & 1:
-            idx = [slice(None)] * ndim
-            idx[axis] = 1
-            signs.append((*idx, Ellipsis))
+            signs.append((Ellipsis, 1) + (slice(None),) * (-1 - axis))
         if (p.x_bits >> q) & 1:
             flips.append(axis)
     coef = _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
@@ -246,5 +246,5 @@ def apply_pauli(vec: np.ndarray, p: PauliString) -> np.ndarray:
     if vec.shape != (1 << n,):
         raise PauliWidthError(f"vector length {vec.shape} does not match 2**{n}")
     out = np.array(vec, dtype=complex)
-    apply_view_action(out.reshape((2,) * n), view_action(p, tuple(range(n - 1, -1, -1)), n))
+    apply_view_action(out.reshape((2,) * n), view_action(p, tuple(-1 - q for q in range(n))))
     return out

@@ -19,8 +19,9 @@ whole control register) both use it.  Callers that sample draw from a
 generator made by `make_rng` from an explicit seed.  No global randomness
 anywhere.
 
-Gate kernel.  A gate acts on strided views of ``vec.reshape((2,) * total)``,
-where qubit ``q`` is axis ``total - 1 - q`` and each control value is fixed
+Gate kernel.  A gate acts on strided views of a tensor whose last axes are
+qubits, counted from the low end: qubit ``q`` is axis ``-1 - q``, and any
+leading axes are rows the gate treats alike.  Each control value is fixed
 by basic indexing, so no gate copies or transposes the whole vector:
 
 - a Pauli word (X, Z, CNOT, Toffoli and MCZ included) negates the slice
@@ -36,35 +37,57 @@ by basic indexing, so no gate copies or transposes the whole vector:
   and an MROT slot, and Ry(2 * angle) on the |10> and |01> slices for
   FANOUT.
 
-`_plan` compiles a gate into these steps once per (gate, total qubits,
-dtype) and keeps the most recent ones in a bounded cache; the dtype only
-sets the type of a mix's entries.  A gate plan holds only index tuples,
-axis numbers and matrix entries, never an amplitude-sized array.  Every
-index ends in an Ellipsis, so it yields a writable view even when it fixes
-every axis (an all-integer index would return a scalar copy).
+`_plan` compiles a gate into these steps once per (gate, dtype) and keeps
+the most recent ones in a bounded cache; the dtype only sets the type of a
+mix's entries.  A gate plan holds only index tuples, negative axis numbers
+and matrix entries, never an amplitude-sized array.  Every index starts
+with an Ellipsis, so it yields a writable view even when it fixes every
+qubit axis (an all-integer index would return a scalar copy), and one plan
+runs unchanged on a tensor of any number of qubits and rows: the whole
+register in `apply`, a block of basis states in `circuit_unitary`, a
+prefix of the vector in `apply_circuit`.
 
-Fused runs.  `apply_circuit` runs a circuit as one flat tuple of steps,
-compiled once per (circuit, total qubits, dtype) by `_circuit_plan` and
-kept in a second bounded cache of the 8 most recent plans.  Circuits are
-immutable and hash by identity, so a lookup hashes no gates and a plan
-never goes stale.  No command runs one circuit on both dtypes: the
-walk's planes run select and walk, Zeno's complex states run prepare and
-the controlled walk.  Each maximal run of two or more PAULI, TOFFOLI, CSWAP or MCZ gates
-becomes one gather ``vec[j] <- i**k[j] * vec[src[j]]``: these kinds map
-each basis state to one basis state times a power of i, and the kernel
+Fused runs.  Each maximal run of two or more PAULI, TOFFOLI, CSWAP or MCZ
+gates becomes one gather ``vec[j] <- i**k[j] * vec[src[j]]``: these kinds
+map each basis state to one basis state times a power of i, and the kernel
 applies them with copies and sign flips only, never a complex multiply.
 `_signed_permutation` derives `src` and `k` by running the run's own gate
-steps over the basis labels 1..2**total, which are exact in float64, and
-refuses any result that is not a signed permutation, so the gates, not a
-branch table, define the map.  The gather works on the vector's floats, with one source index
-and one +-1 factor per float: on a complex state these are the (re, im)
-pairs, on a real state the amplitudes themselves, for which the labels are
-real and the Pauli kernel refuses any odd power of i.  It moves and negates
-exactly the floats the gates would, signed zeros included: a fused pass
-equals the gate-by-gate pass bit for bit.  Every other gate keeps its own
-steps: H, rotations and FANOUT are not monomial.
-`apply` and `circuit_unitary` still run gate by gate, so the unitary stays
-an independent oracle for the fused path.
+steps over the basis labels 1..2**w of the run's width w, which are exact
+in float64, and refuses any result that is not a signed permutation, so
+the gates, not a branch table, define the map.  The gather works along the
+last axis of a (rows, floats of 2**w amplitudes) view, with one source
+index and one +-1 factor per float: on a complex state these are the (re,
+im) pairs, on a real state the amplitudes themselves, for which the labels
+are real and the Pauli kernel refuses any odd power of i.  It moves and
+negates exactly the floats the gates would, signed zeros included.  Every
+other gate keeps its own steps: H, rotations and FANOUT are not monomial.
+
+Segments.  `_circuit_plan` compiles a circuit once per (circuit, dtype)
+into a tuple of segments, kept in a second bounded cache of the 8 most
+recent plans.  Circuits are immutable and hash by identity, so a lookup
+hashes no gates and a plan never goes stale.  A unit is a run's gather or
+one other gate's steps; its width w is 1 + the highest qubit its gates
+touch, and a segment is a maximal sequence of units of one width.  The
+walks touch their upper qubits only briefly: reflect acts on the control
+register alone, the binary ancillas are nonzero only inside select, and
+`spectrum` never touches its pe qubit.  So `apply_circuit` keeps `live`,
+the number of low qubits outside which the vector may be nonzero, which
+starts at the whole register.  Before a segment narrower than `live`, one
+read (`_is_zero`) checks whether ``vec[2**w : 2**live]`` is all zero; if
+it is, `live` drops to w.  The segment then runs on
+``vec[:2**live].reshape((-1,) + (2,) * w)`` with `live` = max(w, live):
+2**(live - w) rows of 2**w amplitudes.  This is exact, because a gate on
+qubits below w acts on each block of 2**w amplitudes by itself and maps a
+zero block to zeros.  A check that fails runs the segment at `live`, not
+at the whole register.  Every value of a segmented pass equals the
+gate-by-gate pass; a skipped block keeps its zeros, whose signs the
+gate-by-gate pass may flip (the real pass already lets zeros differ in
+sign), and every other float matches bit for bit.  The norm-drift check
+reads the whole vector before and after the pass.  No command runs one
+circuit on both dtypes: the walk's planes run select and walk, Zeno's
+complex states run prepare and the controlled walk.  `apply` and
+`circuit_unitary` still run gate by gate, so the unitary stays an
+independent oracle for the fused path.
 """
 from __future__ import annotations
 
@@ -97,6 +120,7 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * (1 / math.sqrt(2))
 _X = PauliString.single(1, 0, "X")
 _Z = PauliString.single(1, 0, "Z")
 _FUSED_KINDS = frozenset({PAULI, TOFFOLI, CSWAP, MCZ})
+_ZERO_CHUNK = 1 << 16  # floats per read of `_is_zero`
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -126,12 +150,20 @@ def _norm(array: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
+def _is_zero(array: np.ndarray) -> bool:
+    """Every float of the contiguous `array` is zero, of either sign.  The
+    floats are read in chunks from the front, and the read stops at the
+    first chunk that holds a nonzero float."""
+    flat = array.reshape(-1).view(np.float64)
+    return not any(flat[i : i + _ZERO_CHUNK].any() for i in range(0, len(flat), _ZERO_CHUNK))
+
+
 def _ry(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return np.array([[c, -s], [s, c]])
 
 
-# --- kernel steps: each takes the (2,)*total tensor first -----------------------
+# --- kernel steps: each takes first a tensor whose last axes are qubits ----------
 
 
 def _pauli(ten, idx, action):
@@ -156,35 +188,44 @@ def _mix(ten, lo, hi, m00, m01, m10, m11):
 
 
 def _gather(ten, src, sign):
-    """Fused run: float m of the vector becomes sign[m] * float src[m]
-    (`sign` None: no float changes sign).  A real vector's floats are its
-    amplitudes, a complex vector's are their (re, im) pairs."""
-    flat = ten.reshape(-1).view(np.float64)
+    """Fused run: float m of each row becomes sign[m] * float src[m] of that
+    row (`sign` None: no float changes sign).  A row is one block of 2**w
+    amplitudes; a real row's floats are its amplitudes, a complex row's
+    are their (re, im) pairs."""
+    rows = ten.reshape(len(ten), -1).view(np.float64)
     if sign is None:
-        flat[...] = flat.take(src)
+        rows[...] = rows.take(src, axis=1)
     else:
-        np.multiply(flat.take(src), sign, out=flat)
+        np.multiply(rows.take(src, axis=1), sign, out=rows)
 
 
-def _index(total: int, values) -> tuple:
-    """Basic index fixing each (qubit, bit) in `values`; always a view."""
-    idx = [slice(None)] * total
+def _index(values) -> tuple:
+    """Basic index fixing each (qubit, bit) in `values`, with qubit q on
+    axis -1 - q; always a view."""
+    values = tuple(values)
+    idx = [slice(None)] * (1 + max((q for q, _ in values), default=-1))
     for q, v in values:
-        idx[total - 1 - q] = v
-    return (*idx, Ellipsis)
+        idx[-1 - q] = v
+    return (Ellipsis, *idx)
 
 
-def _mix_step(total, lo_values, hi_values, mat, dtype) -> tuple:
+def _mix_step(lo_values, hi_values, mat, dtype) -> tuple:
     """The step applying the real 2x2 `mat` to the slices (lo, hi) of a
     vector of `dtype`, with entries of that dtype."""
     (m00, m01), (m10, m11) = mat.astype(dtype).tolist()
-    return (_mix, _index(total, lo_values), _index(total, hi_values), m00, m01, m10, m11)
+    return (_mix, _index(lo_values), _index(hi_values), m00, m01, m10, m11)
+
+
+def _width(gates) -> int:
+    """1 + the highest qubit any of `gates` touches."""
+    return 1 + max(q for g in gates for q in g.qubits + g.controls)
 
 
 @lru_cache(maxsize=4096)
-def _plan(gate: Gate, total: int, dtype: np.dtype) -> tuple:
-    """The gate as a tuple of kernel steps `(fn, *args)` on `total` qubits
-    of a vector of `dtype`; only the entries of a mix depend on the dtype."""
+def _plan(gate: Gate, dtype: np.dtype) -> tuple:
+    """The gate as a tuple of kernel steps `(fn, *args)` for a vector of
+    `dtype`, on any tensor whose last `_width((gate,))` axes are qubits;
+    only the entries of a mix depend on the dtype."""
     kind = gate.kind
     on = tuple((q, 1) for q in gate.controls)
     if kind in (PAULI, TOFFOLI, MCZ):
@@ -193,17 +234,17 @@ def _plan(gate: Gate, total: int, dtype: np.dtype) -> tuple:
             word = _X
         elif kind == MCZ:  # -1 on the all-ones slice of its qubits
             word, controls, targets = _Z, targets[:-1], targets[-1:]
-        free = [q for q in range(total - 1, -1, -1) if q not in controls]
-        axes = tuple(free.index(q) for q in targets)
-        idx = _index(total, ((q, 1) for q in controls))
-        return ((_pauli, idx, view_action(word, axes, len(free))),)
+        # fixing the controls drops their axes: target q keeps those below it
+        axes = tuple(sum(c < q for c in controls) - 1 - q for q in targets)
+        idx = _index((q, 1) for q in controls)
+        return ((_pauli, idx, view_action(word, axes)),)
     if kind in (CSWAP, FANOUT):
         a, b = gate.qubits
         lo, hi = on + ((a, 1), (b, 0)), on + ((a, 0), (b, 1))
         if kind == FANOUT:
             # Ry(pi/2) on (|10>, |01>): |10> -> (|10> + |01>)/sqrt(2)
-            return (_mix_step(total, lo, hi, _ry(2 * gate.angle), dtype),)
-        return ((_swap, _index(total, lo), _index(total, hi)),)
+            return (_mix_step(lo, hi, _ry(2 * gate.angle), dtype),)
+        return ((_swap, _index(lo), _index(hi)),)
     if kind not in (H, ROT, MROT):
         raise ValueError(f"unknown gate kind {kind!r}")
     (target,) = gate.qubits
@@ -215,26 +256,26 @@ def _plan(gate: Gate, total: int, dtype: np.dtype) -> tuple:
                 continue
             sel = tuple((q, (p >> (d - 1 - i)) & 1) for i, q in enumerate(gate.controls))
             lo, hi = sel + ((target, 0),), sel + ((target, 1),)
-            steps.append(_mix_step(total, lo, hi, _ry(angle), dtype))
+            steps.append(_mix_step(lo, hi, _ry(angle), dtype))
         return tuple(steps)
     mat = _HADAMARD if kind == H else _ry(gate.angle)
-    return (_mix_step(total, on + ((target, 0),), on + ((target, 1),), mat, dtype),)
+    return (_mix_step(on + ((target, 0),), on + ((target, 1),), mat, dtype),)
 
 
-def _signed_permutation(gates, total: int, dtype=complex) -> tuple:
-    """`_gather`'s (src, sign) for the product of `gates` on `total` qubits,
-    for a vector of `dtype`.
+def _signed_permutation(gates, width: int, dtype=complex) -> tuple:
+    """`_gather`'s (src, sign) for the product of `gates` on rows of `width`
+    qubits, for a vector of `dtype`.
 
-    The gates' own steps run over the basis labels 1..2**total, so entry j
+    The gates' own steps run over the basis labels 1..2**width, so entry j
     ends as i**k[j] * (src[j] + 1).  Raises ValueError unless every entry is
     a label times a power of i and every label is used once; with a real
     `dtype` the Pauli kernel already refuses any odd power of i.
     """
-    dim = 1 << total
+    dim = 1 << width
     labels = np.arange(1, dim + 1, dtype=dtype)
-    ten = labels.reshape((2,) * total)
+    ten = labels.reshape((2,) * width)
     for gate in gates:
-        for fn, *args in _plan(gate, total, labels.dtype):
+        for fn, *args in _plan(gate, labels.dtype):
             fn(ten, *args)
     re, im = labels.real, labels.imag
     odd = im != 0  # k odd: the label sits in the imaginary part
@@ -260,19 +301,24 @@ def _signed_permutation(gates, total: int, dtype=complex) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _circuit_plan(circuit: Circuit, total: int, dtype: np.dtype) -> tuple:
-    """The gates of `circuit` as kernel steps on `total` qubits for a vector
-    of `dtype`: a `_gather` per run of two or more gates of `_FUSED_KINDS`,
-    the `_plan` steps of every other gate."""
-    steps = []
-    runs = groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS)
-    for fused, run in runs:
+def _circuit_plan(circuit: Circuit, dtype: np.dtype) -> tuple:
+    """The gates of `circuit` as segments `(w, steps)` for a vector of
+    `dtype`.  A unit is a `_gather` per run of two or more gates of
+    `_FUSED_KINDS`, or the `_plan` steps of one other gate; a segment is a
+    maximal sequence of units of one width w = `_width` of their gates,
+    and its steps run on any tensor whose last w axes are qubits."""
+    units = []
+    for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
         run = list(run)
         if fused and len(run) >= 2:
-            steps.append((_gather, *_signed_permutation(run, total, dtype)))
+            w = _width(run)
+            units.append((w, ((_gather, *_signed_permutation(run, w, dtype)),)))
         else:
-            steps += [step for gate in run for step in _plan(gate, total, dtype)]
-    return tuple(steps)
+            units += [(_width((gate,)), _plan(gate, dtype)) for gate in run]
+    return tuple(
+        (w, tuple(step for _, steps in segment for step in steps))
+        for w, segment in groupby(units, key=lambda unit: unit[0])
+    )
 
 
 @dataclass
@@ -311,18 +357,23 @@ class QuantumState:
 
     # --- unitary application ---------------------------------------------
     def apply(self, gate: Gate) -> "QuantumState":
-        total = self.layout.total_qubits
-        ten = self.vec.reshape((2,) * total)
-        for fn, *args in _plan(gate, total, self.vec.dtype):
+        ten = self.vec.reshape((2,) * self.layout.total_qubits)
+        for fn, *args in _plan(gate, self.vec.dtype):
             fn(ten, *args)
         return self
 
     def apply_circuit(self, circuit: Circuit) -> "QuantumState":
-        total = self.layout.total_qubits
+        """Run the circuit's segments in turn, each on the shortest prefix
+        of 2**live amplitudes outside which the vector is zero."""
+        vec, live = self.vec, self.layout.total_qubits
         before = self.norm
-        ten = self.vec.reshape((2,) * total)
-        for fn, *args in _circuit_plan(circuit, total, self.vec.dtype):
-            fn(ten, *args)
+        for w, steps in _circuit_plan(circuit, vec.dtype):
+            if w < live and _is_zero(vec[1 << w : 1 << live]):
+                live = w
+            live = max(live, w)
+            ten = vec[: 1 << live].reshape((-1,) + (2,) * w)
+            for fn, *args in steps:
+                fn(ten, *args)
         if abs(self.norm - before) > 1e-9:
             raise AssertionError("statevector norm drifted across the circuit")
         return self
@@ -338,8 +389,8 @@ class QuantumState:
             raise ValueError(f"expectation of a non-Hermitian word: {sigma.label()}")
         total = self.layout.total_qubits
         shifted = self.vec.astype(complex)  # a real state's sigma may be imaginary
-        axes = tuple(total - 1 - q for q in targets)
-        apply_view_action(shifted.reshape((2,) * total), view_action(sigma, axes, total))
+        axes = tuple(-1 - q for q in targets)
+        apply_view_action(shifted.reshape((2,) * total), view_action(sigma, axes))
         val = np.vdot(self.vec, shifted)
         if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
             raise ValueError(f"expectation of a non-Hermitian word: {val}")
@@ -360,7 +411,7 @@ class QuantumState:
                 raise ValueError(f"qubit {q} outside the register")
         if not bits:
             return 1.0, QuantumState(layout, self.vec.copy()), None
-        idx = _index(total, bits.items())
+        idx = _index(bits.items())
         block = self.vec.reshape((2,) * total)[idx]
         p = float(np.sum(np.abs(block) ** 2))
         hit = miss = None
@@ -390,8 +441,8 @@ class QuantumState:
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (small registers only), gate by gate.
 
-    The gate steps run on blocks of 32 basis columns at once: their indices
-    end in an Ellipsis, so a trailing column axis rides along.
+    The gate steps run on blocks of 32 basis states at once: their indices
+    start with an Ellipsis, so a leading row axis rides along.
     """
     n = circuit.layout.total_qubits
     if n > UNITARY_QUBIT_CAP:
@@ -400,12 +451,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     width = min(dim, 32)
     cols = np.empty((dim, dim), dtype=complex)
     for lo in range(0, dim, width):
-        block = np.zeros((dim, width), dtype=complex)
-        block[lo : lo + width] = np.eye(width)
-        ten = block.reshape((2,) * n + (width,))
+        block = np.zeros((width, dim), dtype=complex)
+        block[:, lo : lo + width] = np.eye(width)
+        ten = block.reshape((width,) + (2,) * n)
         for gate in circuit.gates:
-            for fn, *args in _plan(gate, n, block.dtype):
+            for fn, *args in _plan(gate, block.dtype):
                 fn(ten, *args)
-        cols[:, lo : lo + width] = block
+        cols[:, lo : lo + width] = block.T
     return cols
-

@@ -727,3 +727,118 @@ def test_a_circuit_runs_on_either_dtype_in_turn():
         state = QuantumState(layout, np.eye(8, dtype=dtype)[0]).apply_circuit(circ)
         assert state.vec.dtype == dtype
         assert np.array_equal(state.vec, np.kron([1, 1], [0, 0, 0, -1]) / math.sqrt(2))
+
+
+def _slice_states(layout, dtype, rng):
+    """States over `layout` that are nonzero on the system and control
+    qubits, each with a different part above them nonzero: nothing, the
+    ancillas, the pe half, or everything.  Zeros carry either sign.
+
+    Yields (name, vec, zero), where `zero` marks the floats set to zero."""
+    k, total = layout.system_qubits + layout.control_qubits, layout.total_qubits
+    top = k + layout.ancilla_qubits
+    parts = {"none": (), "all": ((1 << k, 1 << total),)}
+    if layout.ancilla_qubits:
+        parts["ancillas"] = ((1 << k, 1 << top),)
+    if layout.has_pe_qubit:
+        parts["pe"] = ((1 << top, 1 << total),)
+    for name, nonzero in parts.items():
+        live = np.zeros(1 << total, dtype=bool)
+        live[: 1 << k] = True
+        for lo, hi in nonzero:
+            live[lo:hi] = True
+        floats = rng.normal(size=(2 if dtype == complex else 1, 1 << total))
+        floats[:, ~live] = np.copysign(0.0, rng.normal(size=(len(floats), int((~live).sum()))))
+        floats /= np.linalg.norm(floats)
+        vec = np.empty(1 << total, dtype=dtype)
+        if dtype == complex:
+            vec.real, vec.imag = floats  # complex arithmetic could change a zero's sign
+        else:
+            vec[:] = floats[0]
+        yield name, vec, ~live
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize(
+    "model, encoding",
+    [("tfim3", "binary"), ("long_range3", "binary"), ("long_range3", "unary"),
+     ("long_range4", "hybrid")],
+)
+def test_segmented_passes_equal_gate_by_gate(suite_models, model, encoding, with_pe, dtype):
+    """Each segment runs on the shortest prefix outside which the state is
+    zero.  Every value equals the gate-by-gate pass, and every float outside
+    the zero part of the input keeps its bits, signed zeros included.  A
+    zero part skipped by a segment keeps the input's zeros, whose signs the
+    gate-by-gate pass may flip."""
+    from specwalk import normalize
+    from specwalk.walk_core import build_walk
+
+    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=with_pe)
+    layout, rng = bundle.layout, np.random.default_rng(17)
+    circuits = ("prepare", "select", "reflect", "walk", "controlled_walk")
+    for name, vec, zero in _slice_states(layout, dtype, rng):
+        for circuit in (getattr(bundle, c) for c in circuits):
+            fused = QuantumState(layout, vec.copy()).apply_circuit(circuit)
+            stepwise = QuantumState(layout, vec.copy())
+            for gate in circuit:
+                stepwise.apply(gate)
+            assert np.array_equal(fused.vec, stepwise.vec), name
+            _assert_same_bits(fused.vec[~zero], stepwise.vec[~zero])
+
+
+def test_one_nonzero_float_above_the_prefix_takes_the_wider_pass(suite_models):
+    """The zero check reads every float above a segment's width: one tiny
+    amplitude with the pe qubit set keeps reflect on the whole register."""
+    from specwalk import normalize
+    from specwalk.walk_core import build_walk
+
+    bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary", with_pe=True)
+    layout, rng = bundle.layout, np.random.default_rng(3)
+    k = layout.system_qubits + layout.control_qubits
+    vec = np.zeros(1 << layout.total_qubits)
+    vec[: 1 << k] = rng.normal(size=1 << k)
+    vec /= np.linalg.norm(vec)
+    pe = 1 << layout.pe_qubit
+    vec[pe] = 1e-30  # the pe qubit set, every other qubit 0
+    fused = QuantumState(layout, vec.copy()).apply_circuit(bundle.reflect)
+    stepwise = QuantumState(layout, vec.copy())
+    for gate in bundle.reflect:
+        stepwise.apply(gate)
+    assert np.count_nonzero(stepwise.vec[pe:]) > 1
+    _assert_same_real_bits(fused.vec, stepwise.vec)
+
+
+def test_reflect_segments_stay_on_the_system_and_control_qubits():
+    """Binary TFIM n=6 with pe is 15 qubits; reflect touches only the
+    control register, so each of its segments is at most 10 qubits wide."""
+    from specwalk import normalize, tfim
+    from specwalk.simulator import _circuit_plan
+    from specwalk.walk_core import build_walk
+
+    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "binary", with_pe=True)
+    layout = bundle.layout
+    assert layout.total_qubits == 15
+    segments = _circuit_plan(bundle.reflect, np.dtype(np.float64))
+    assert segments and all(
+        w <= layout.system_qubits + layout.control_qubits for w, _ in segments
+    )
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_zero_check_reads_every_chunk(dtype):
+    """`_is_zero` reads in chunks: a nonzero float in any chunk, the last
+    float included, is found, and zeros of either sign are zero."""
+    from specwalk.simulator import _ZERO_CHUNK, _is_zero
+
+    vec = np.zeros(3 * _ZERO_CHUNK // 2 + 1, dtype=dtype)
+    assert _is_zero(vec)
+    vec.view(np.float64)[1::2] = -0.0
+    assert _is_zero(vec)
+    for at in (0, _ZERO_CHUNK // 2, len(vec) - 1):
+        hit = vec.copy()
+        hit.view(np.float64)[2 * at if dtype == complex else at] = 5e-324
+        assert not _is_zero(hit)
+    if dtype == complex:
+        vec[-1] = 1e-300j
+        assert not _is_zero(vec)
