@@ -14,19 +14,28 @@ so the walk has eigenvalues exp(+-i arccos E_k) with eigenvectors
 (phi0 -+ +- i phi1)/sqrt(2).  Eigenvalues within BOUNDARY_EPS of +-1 give a
 one-dimensional block (phi1 has a 0/0 form there).
 
-Each plane is checked on its own.  A block holds a C-order
-(1 or 2, 2**total) array whose rows are phi0 and, off the boundary, phi1.
+Each plane is checked on its own.  A block holds a C-order array of 1 or
+2 compact rows, phi0 and, off the boundary, phi1, over the `Subspace` of
+the bundle (`plane_subspace`): the basis states that select, reflect and
+walk can reach from the dressed states, and one zero slot.  That is
+16,384 of 2**20 amplitudes for binary TFIM n=9 and 4,384 of 2**22 for
+unary TFIM n=5.  The subspace is built once per (select, reflect, walk),
+so a bundle whose walk was replaced gets its own.  `plane`, `phi0`,
+`phi1`, `phi_plus` and `phi_minus` expand the rows into full-register
+vectors on each access, for analysis Zeno and observable recovery;
+they equal the planes built on the whole register bit for bit.
 The plane is float64 when the encoded operator and the walk are real: the
 eigenvectors of the one complex `eigh` (which also gives the energies, so
 they do not depend on the dtype) have no imaginary part, and every gate of
 select and walk is real (`Circuit.is_real`).  A Hamiltonian with a word of
 an odd number of Ys keeps complex128 planes.
 `_restrict` restricts a circuit to the span of such rows: it runs the
-circuit on a copy of each row and returns the restricted matrix and the
-norm of the images' part outside the span, both taken without BLAS.
+circuit on a copy of both rows in one compact pass and returns the
+restricted matrix and the norm of the images' part outside the span, both
+taken without BLAS.
 `invariant_blocks` is a generator that builds the planes one at a time,
 and every caller streams it, so none holds the whole subspace.  Each
-block owns its plane.  `walk_eigenphases` reuses one images buffer for
+block owns its rows.  `walk_eigenphases` reuses one images buffer for
 every plane, and its closure error also fails a walk that mixes two planes.
 """
 from __future__ import annotations
@@ -35,10 +44,11 @@ import cmath
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .simulator import QuantumState, _norm, check_width
+from .simulator import Subspace, _norm, apply_in_subspace, check_width
 from .walk_core import WalkBundle, dressed_state, encoded_dense
 
 BOUNDARY_EPS = 1e-9
@@ -49,37 +59,57 @@ class InvariantBlock:
     energy: float
     theta: float
     system_vector: np.ndarray
-    plane: np.ndarray  # rows: phi0, then phi1 off the boundary
+    rows: np.ndarray  # compact rows of `space`: phi0, then phi1 off the boundary
+    space: Subspace
+
+    @property
+    def plane(self) -> np.ndarray:
+        return self.space.expand(self.rows)
 
     @property
     def phi0(self) -> np.ndarray:
-        return self.plane[0]
+        return self.space.expand(self.rows[0])
 
     @property
     def phi1(self) -> np.ndarray | None:
-        return None if self.is_boundary else self.plane[1]
+        return None if self.is_boundary else self.space.expand(self.rows[1])
 
     @property
     def is_boundary(self) -> bool:
-        return len(self.plane) == 1
+        return len(self.rows) == 1
 
     @property
     def phi_plus(self) -> np.ndarray:
         if self.is_boundary:
             return self.phi0
-        return (self.phi0 + 1j * self.phi1) / math.sqrt(2)
+        return self.space.expand((self.rows[0] + 1j * self.rows[1]) / math.sqrt(2))
 
     @property
     def phi_minus(self) -> np.ndarray:
         if self.is_boundary:
             return self.phi0
-        return (self.phi0 - 1j * self.phi1) / math.sqrt(2)
+        return self.space.expand((self.rows[0] - 1j * self.rows[1]) / math.sqrt(2))
 
     def eigenphases(self) -> tuple[float, ...]:
         """Walk eigenphases contributed by this block."""
         if self.is_boundary:
             return (self.theta,)
         return (self.theta, -self.theta)
+
+
+def plane_subspace(bundle: WalkBundle) -> Subspace:
+    """The subspace of the bundle's planes: from the basis states of the
+    dressed states, {ctrl_b << n_system | x}, through select, reflect and
+    walk; cached for the last two (select, reflect, walk)."""
+    controls = tuple(sorted({b.control_state for b in bundle.branches}))
+    return _plane_subspace(bundle.select, bundle.reflect, bundle.walk, controls)
+
+
+@lru_cache(maxsize=2)
+def _plane_subspace(select, reflect, walk, controls) -> Subspace:
+    n = select.layout.system_qubits
+    start = (np.array(controls, dtype=np.intp)[:, None] << n | np.arange(1 << n)).ravel()
+    return Subspace(start, (select, reflect, walk))
 
 
 def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
@@ -95,37 +125,43 @@ def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
     energies, vectors = np.linalg.eigh(encoded_dense(bundle.branches, bundle.n_system))
     if bundle.select.is_real and bundle.walk.is_real and not vectors.imag.any():
         vectors = vectors.real
+    space = plane_subspace(bundle)
+    # each branch's 2**n_system states are consecutive in reach
+    offsets = space.positions(
+        np.array([b.control_state << bundle.n_system for b in bundle.branches], dtype=np.intp)
+    )
     for k, e in enumerate(energies.tolist()):
         phi = vectors[:, k]
-        rows = 1 if abs(e) >= 1.0 - BOUNDARY_EPS else 2
-        plane = np.empty((rows, 1 << layout.total_qubits), dtype=vectors.dtype)
-        dressed_state(bundle.branches, phi, plane[0])
-        if rows == 1:
+        n_rows = 1 if abs(e) >= 1.0 - BOUNDARY_EPS else 2
+        rows = np.empty((n_rows, len(space.reach) + 1), dtype=vectors.dtype)
+        dressed_state(bundle.branches, phi, rows[0], offsets)
+        if n_rows == 1:
             # A bare walk eigenvector with eigenvalue +-1; acos of a
             # within-epsilon energy would smear the phase by ~sqrt(eps).
-            yield InvariantBlock(e, 0.0 if e > 0 else math.pi, phi, plane)
+            yield InvariantBlock(e, 0.0 if e > 0 else math.pi, phi, rows, space)
             continue
-        phi0, phi1 = plane
+        phi0, phi1 = rows
         phi1[:] = phi0
-        QuantumState(layout, phi1).apply_circuit(bundle.select)
+        apply_in_subspace(bundle.select, rows[1:], space)
         phi1 -= e * phi0
         phi1 /= math.sqrt(1.0 - e * e)
-        yield InvariantBlock(e, math.acos(e), phi, plane)
+        yield InvariantBlock(e, math.acos(e), phi, rows, space)
 
 
-def _restrict(circuit, plane: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, float]:
-    """`circuit` on the span of the orthonormal rows of `plane`: the matrix
-    m[i, j] = <plane_i| circuit |plane_j> and the norm of the images' part
-    outside the span.  `images`, of the plane's shape and dtype, is scratch.
+def _restrict(circuit, block: InvariantBlock, images: np.ndarray) -> tuple[np.ndarray, float]:
+    """`circuit` on the span of the orthonormal rows of the block's plane:
+    the matrix m[i, j] = <plane_i| circuit |plane_j> and the norm of the
+    images' part outside the span.  `images`, of the compact rows' shape
+    and dtype, is scratch; both rows run in one compact pass.
 
     The products are `einsum` loops, not BLAS calls, so they never wake the
     BLAS thread pool and their bits do not depend on its thread count.
     """
-    images[...] = plane
-    for row in images:
-        QuantumState(circuit.layout, row).apply_circuit(circuit)
-    m = np.einsum("ik,jk->ij", plane.conj(), images)
-    images -= np.einsum("ji,jk->ik", m, plane)
+    rows = block.rows
+    images[...] = rows
+    apply_in_subspace(circuit, images, block.space)
+    m = np.einsum("ik,jk->ij", rows.conj(), images)
+    images -= np.einsum("ji,jk->ik", m, rows)
     return m, _norm(images)
 
 
@@ -133,10 +169,10 @@ def block_matrices(bundle: WalkBundle, block: InvariantBlock):
     """2x2 matrices of S and V on span{phi0, phi1} (non-boundary blocks)."""
     if block.is_boundary:
         raise ValueError("boundary blocks are one-dimensional")
-    images = np.empty_like(block.plane)
+    images = np.empty_like(block.rows)
     return (
-        _restrict(bundle.reflect, block.plane, images)[0],
-        _restrict(bundle.select, block.plane, images)[0],
+        _restrict(bundle.reflect, block, images)[0],
+        _restrict(bundle.select, block, images)[0],
     )
 
 
@@ -159,8 +195,8 @@ def walk_eigenphases(bundle: WalkBundle) -> PhaseReport:
     images = None  # one scratch buffer of the planes' dtype for every plane
     for block in invariant_blocks(bundle):
         if images is None:
-            images = np.empty((2, block.plane.shape[1]), dtype=block.plane.dtype)
-        m, residual = _restrict(bundle.walk, block.plane, images[: len(block.plane)])
+            images = np.empty((2, block.rows.shape[1]), dtype=block.rows.dtype)
+        m, residual = _restrict(bundle.walk, block, images[: len(block.rows)])
         residuals.append(residual)
         free = list(np.angle(np.linalg.eigvals(m)))
         for e in sorted(block.eigenphases()):

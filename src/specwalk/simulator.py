@@ -1,4 +1,4 @@
-"""Exact dense statevector simulation over a partitioned register.
+"""Exact statevector simulation over a partitioned register.
 
 States are owned values; applying a gate mutates the owner's amplitude
 vector in place and preserves the norm.  A state's vector is contiguous,
@@ -83,11 +83,46 @@ at the whole register.  Every value of a segmented pass equals the
 gate-by-gate pass; a skipped block keeps its zeros, whose signs the
 gate-by-gate pass may flip (the real pass already lets zeros differ in
 sign), and every other float matches bit for bit.  The norm-drift check
-reads the whole vector before and after the pass.  No command runs one
-circuit on both dtypes: the walk's planes run select and walk, Zeno's
-complex states run prepare and the controlled walk.  `apply` and
-`circuit_unitary` still run gate by gate, so the unitary stays an
-independent oracle for the fused path.
+takes both norms over the prefix the pass can change: 2**top amplitudes,
+top the larger of `live` after the first zero check and the widest
+segment.  Everything above it is zero and left as it is, so the check is
+exact.  `apply` and `circuit_unitary` still run gate by gate, so the
+unitary stays an independent oracle for the fused path.
+
+Subspace plans.  The walk W = -S V preserves span{|ctrl_b>} (x) H_sys, so
+the invariant planes of `blocks.py` stay on a small part of the register:
+binary TFIM n=9 reaches 16,384 of 2**20 basis states, unary TFIM n=5
+4,384 of 2**22.  A `Subspace` is built from `start`, the basis states
+{ctrl_b << n_system | x} where the dressed states live, and from the
+circuits select, reflect and walk.  `_closure` follows one pass of a
+circuit on one byte per basis state: a mix marks the partner of every
+marked state on either of its slices, and a Pauli word or a swap moves
+the marks.  `support` is start and the end of one select pass from it,
+where both plane rows live (phi1 is select(phi0) - E phi0).  `reach` is
+support and every state a pass of select, reflect or walk can make
+nonzero from support, taken in one closure each, never iterated to a
+fixpoint: the cancellations that keep the walk on the plane are not seen,
+so a fixpoint would spread over the register.
+
+A compact row of a state holds its amplitudes at `reach`, in order, then
+one zero slot that no step writes.  `_subspace_plan` compiles a circuit
+once per (circuit, dtype, subspace), in a bounded cache that holds no
+dense 2**w gather: `reach` is a union of aligned blocks of 2**`bits`
+states, and a unit whose lowest qubit is q works on blocks of
+2**min(bits, q) states.  A mix becomes `_take_mix` over the pairs of
+reach blocks on its two slices, the exact arithmetic of `_mix` on
+fancy-indexed copies; a pair with one block outside reach is zero
+whenever the pass meets it and is left out.  A real run of `_FUSED_KINDS`
+on qubits above the blocks moves whole blocks (`_take_blocks`), and any
+other run, a lone gate included, becomes a `_gather` over every float of
+reach whose sources outside reach read the zero slot.  Each amplitude
+gets the float operations of the dense pass, so every value at a reach
+state is bit for bit the dense pass's (a zero may differ in sign), and
+the dense pass is zero everywhere else.  `apply_in_subspace` refuses, before any float changes,
+rows that are nonzero outside the support their plan was compiled for,
+and a circuit the subspace was not built from: it never truncates a row.
+No command runs one circuit on both dtypes: the walk's planes run select
+and walk, Zeno's complex states run prepare and the controlled walk.
 """
 from __future__ import annotations
 
@@ -188,15 +223,17 @@ def _mix(ten, lo, hi, m00, m01, m10, m11):
 
 
 def _gather(ten, src, sign):
-    """Fused run: float m of each row becomes sign[m] * float src[m] of that
-    row (`sign` None: no float changes sign).  A row is one block of 2**w
-    amplitudes; a real row's floats are its amplitudes, a complex row's
-    are their (re, im) pairs."""
+    """Fused run: float m < len(src) of each row becomes sign[m] * float
+    src[m] of that row (`sign` None: no float changes sign).  A row is one
+    block of 2**w amplitudes, or a compact row, whose zero slot it leaves
+    alone; a real row's floats are its amplitudes, a complex row's are
+    their (re, im) pairs."""
     rows = ten.reshape(len(ten), -1).view(np.float64)
+    out = rows[:, : len(src)]  # a compact row's zero slot stays as it is
     if sign is None:
-        rows[...] = rows.take(src, axis=1)
+        out[...] = rows.take(src, axis=1)
     else:
-        np.multiply(rows.take(src, axis=1), sign, out=rows)
+        np.multiply(rows.take(src, axis=1), sign, out=out)
 
 
 def _index(values) -> tuple:
@@ -321,6 +358,231 @@ def _circuit_plan(circuit: Circuit, dtype: np.dtype) -> tuple:
     )
 
 
+# --- subspace plans ------------------------------------------------------------
+
+
+def _slice_bits(idx) -> tuple[int, int]:
+    """(mask, value): the basis states in the slice that the `_index` tuple
+    `idx` takes are those whose bits under `mask` read `value`."""
+    mask = value = 0
+    for q, v in enumerate(reversed(idx[1:])):
+        if not isinstance(v, slice):
+            mask |= 1 << q
+            value |= v << q
+    return mask, value
+
+
+def _units(circuit: Circuit, dtype: np.dtype):
+    """A pass of `circuit` as subspace plans take it: ("gather", low, w,
+    src, sign) for each run of `_FUSED_KINDS`, a lone gate included, with
+    the run's `_signed_permutation` on rows of w qubits and `low` its lowest
+    qubit; ("mix", lo, hi, entries) for each mix step."""
+    for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
+        if fused:
+            run = tuple(run)
+            w = _width(run)
+            low = min(q for g in run for q in g.qubits + g.controls)
+            yield ("gather", low, w, *_signed_permutation(run, w, dtype))
+            continue
+        for gate in run:
+            for _, lo, hi, *entries in _plan(gate, dtype):
+                yield ("mix", lo, hi, entries)
+
+
+def _reversed(ndim: int, axes) -> tuple:
+    """Basic index reversing the negative `axes` of an `ndim`-axis view."""
+    idx = [slice(None)] * ndim
+    for axis in axes:
+        idx[axis] = slice(None, None, -1)
+    return tuple(idx)
+
+
+def _closure(circuit: Circuit, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reached, end) for one pass of `circuit` on states that may be
+    nonzero where the register-sized bool mask `support` is set: the masks
+    of every state the pass can make nonzero, support included, and of
+    those it can leave nonzero.
+
+    Each gate's own `_plan` steps move the marks: a mix marks the partner
+    of every marked state on either of its slices, with no regard for
+    cancellations, and a Pauli word or a swap moves the marks as it moves
+    amplitudes.  A subspace plan runs each run of `_FUSED_KINDS` as one
+    gather, so the marks are read into `reached` only between runs; a mix
+    only adds marks."""
+    now, reached = support.copy(), support.copy()
+    ten = now.reshape((2,) * circuit.layout.total_qubits)
+    for _, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
+        reached |= now
+        for gate in run:
+            for fn, *args in _plan(gate, np.dtype(np.float64)):
+                if fn is _mix:
+                    lo, hi = args[:2]
+                    ten[lo] = ten[hi] = ten[lo] | ten[hi]
+                elif fn is _swap:
+                    _swap(ten, *args)
+                else:  # a Pauli word: only its flips move amplitudes
+                    idx, (_, flips, _) = args
+                    if flips:
+                        view = ten[idx]
+                        view[...] = view[_reversed(view.ndim, flips)]
+    reached |= now
+    return reached, now
+
+
+class Subspace:
+    """The basis states that passes of `circuits` can reach from `start`.
+
+    `support` holds `start` and the states one pass of the first circuit
+    can leave nonzero from it; `reach` holds every state a pass of any of
+    the circuits can make nonzero from `support`.  Both are sorted basis
+    indices.  A compact row of a state holds its amplitudes at `reach`, in
+    order, then one zero slot that no plan step writes.  `reach` is a union
+    of aligned blocks of 2**`bits` states, so a gate on qubits >= `bits`
+    moves and mixes whole blocks.  Instances compare and hash by identity,
+    which keys the cache of subspace plans.
+    """
+
+    def __init__(self, start: np.ndarray, circuits):
+        self.circuits = tuple(circuits)
+        self.total = self.circuits[0].layout.total_qubits
+        support = np.zeros(1 << self.total, dtype=bool)
+        support[start] = True
+        reached, end = _closure(self.circuits[0], support)
+        if (end & ~support).any():  # one pass of the first circuit leaves start
+            support |= end
+            reached = _closure(self.circuits[0], support)[0]
+        for circuit in self.circuits[1:]:
+            reached |= _closure(circuit, support)[0]
+        self.support = np.flatnonzero(support)
+        self.reach = reach = np.flatnonzero(reached)
+        # the positions a row must hold zero at before a pass, the slot included
+        self.outside = np.append(np.flatnonzero(~support[reach]), len(reach))
+        self.bits = 0
+        while self.bits < self.total:
+            size = 2 << self.bits
+            first = reach[::size]
+            if len(reach) % size or (first % size).any() or not np.array_equal(
+                reach[size - 1 :: size], first + size - 1
+            ):
+                break
+            self.bits += 1
+
+    def positions(self, states: np.ndarray) -> np.ndarray:
+        """Compact position of each basis state of `states`; a state outside
+        reach reads the zero slot."""
+        reach = self.reach
+        at = np.minimum(np.searchsorted(reach, states), len(reach) - 1)
+        return np.where(reach[at] == states, at, len(reach))
+
+    def expand(self, rows: np.ndarray) -> np.ndarray:
+        """Compact rows as full-register vectors."""
+        out = np.zeros(rows.shape[:-1] + (1 << self.total,), dtype=rows.dtype)
+        out[..., self.reach] = rows[..., :-1]
+        return out
+
+
+def _blocks(rows, size):
+    """The compact rows without their zero slot, as blocks of `size`."""
+    return rows[:, :-1].reshape(len(rows), -1, size)
+
+
+def _take_mix(rows, size, lo, hi, m00, m01, m10, m11):
+    """`_mix` on the blocks `lo` and `hi` of compact rows: the same float
+    operations on copies, written back."""
+    ten = _blocks(rows, size)
+    a, b = ten[:, lo], ten[:, hi]
+    new_a = a * m00
+    new_a += m01 * b
+    b *= m11
+    b += m10 * a
+    ten[:, lo] = new_a
+    ten[:, hi] = b
+
+
+def _take_blocks(rows, size, dst, src, sign, zero):
+    """A gather of whole blocks of compact rows: block dst[m] becomes
+    sign[m] * block src[m] (`sign` None: no block changes sign), and the
+    blocks `zero`, whose sources lie outside reach, become zero."""
+    ten = _blocks(rows, size)
+    moved = ten[:, src]
+    if sign is not None:
+        moved *= sign[:, None]
+    ten[:, dst] = moved
+    ten[:, zero] = 0.0
+
+
+@lru_cache(maxsize=8)
+def _subspace_plan(circuit: Circuit, dtype: np.dtype, space: Subspace) -> tuple:
+    """The gates of `circuit` as kernel steps on compact rows of `space`.
+    A unit on qubits >= b, b <= `space.bits`, works on blocks of 2**b
+    states: `_take_mix` over the pairs of reach blocks on a mix's two
+    slices, `_take_blocks` for a real gather.  Every other gather is a
+    `_gather` over every float of reach, from the zero slot where the
+    source lies outside reach.  A pair of blocks with one outside reach is
+    left out: both are zero whenever the pass meets them."""
+    if circuit not in space.circuits:
+        raise ValueError("the subspace was not built for this circuit")
+    reach, slot = space.reach, len(space.reach)
+    steps = []
+    for kind, *unit in _units(circuit, dtype):
+        if kind == "mix":
+            lo_idx, hi_idx, entries = unit
+            mask, lo = _slice_bits(lo_idx)
+            size = 1 << min(space.bits, (mask & -mask).bit_length() - 1)
+            first = reach[::size]
+            lo_at = np.flatnonzero((first & mask) == lo)
+            hi_at = space.positions(first[lo_at] ^ lo ^ _slice_bits(hi_idx)[1])
+            pair = hi_at < slot
+            if pair.any():
+                steps.append((_take_mix, size, lo_at[pair], hi_at[pair] // size, *entries))
+            continue
+        low, w, src, sign = unit
+        top = ~((1 << w) - 1)
+        size = 1 << min(space.bits, low)
+        if size > 1 and dtype != complex:
+            first = reach[::size]
+            at = first & ~top
+            src_at = space.positions((first & top) | src[at])
+            inside = src_at < slot
+            if sign is not None:
+                sign = sign[at][inside]
+            steps.append((
+                _take_blocks, size, np.flatnonzero(inside), src_at[inside] // size,
+                sign if sign is not None and (sign < 0).any() else None,
+                np.flatnonzero(~inside),
+            ))
+            continue
+        at = reach & ~top
+        if dtype == complex:  # the floats (re, im) of each amplitude
+            at = (2 * at[:, None] + (0, 1)).ravel()
+            fsrc = src[at]
+            src = 2 * space.positions((np.repeat(reach & top, 2)) | (fsrc >> 1)) + (fsrc & 1)
+        else:
+            src = space.positions((reach & top) | src[at])
+        if sign is not None:
+            sign = sign[at]
+        steps.append((_gather, src, sign if sign is not None and (sign < 0).any() else None))
+    return tuple(steps)
+
+
+def apply_in_subspace(circuit: Circuit, rows: np.ndarray, space: Subspace) -> np.ndarray:
+    """Run `circuit` in place on the C-order compact rows `rows` of `space`,
+    shaped (rows, len(reach) + 1).  Raises ValueError before any float
+    changes if a row is nonzero outside the support its plan was compiled
+    for, and AssertionError if a row's norm drifts."""
+    plan = _subspace_plan(circuit, rows.dtype, space)
+    if rows[:, space.outside].any():
+        raise ValueError("a row is nonzero outside the support of its subspace plan")
+    flat = rows.view(np.float64)
+    before = np.einsum("ij,ij->i", flat, flat)
+    for fn, *args in plan:
+        fn(rows, *args)
+    drift = np.sqrt(np.einsum("ij,ij->i", flat, flat)) - np.sqrt(before)
+    if np.abs(drift).max() > 1e-9:
+        raise AssertionError("statevector norm drifted across the circuit")
+    return rows
+
+
 @dataclass
 class QuantumState:
     layout: RegisterLayout
@@ -366,15 +628,20 @@ class QuantumState:
         """Run the circuit's segments in turn, each on the shortest prefix
         of 2**live amplitudes outside which the vector is zero."""
         vec, live = self.vec, self.layout.total_qubits
-        before = self.norm
-        for w, steps in _circuit_plan(circuit, vec.dtype):
+        segments = _circuit_plan(circuit, vec.dtype)
+        before = None
+        for w, steps in segments:
             if w < live and _is_zero(vec[1 << w : 1 << live]):
                 live = w
+            if before is None:
+                # the pass changes nothing above 2**top, which is zero or empty
+                top = max(live, *(w for w, _ in segments))
+                before = _norm(vec[: 1 << top])
             live = max(live, w)
             ten = vec[: 1 << live].reshape((-1,) + (2,) * w)
             for fn, *args in steps:
                 fn(ten, *args)
-        if abs(self.norm - before) > 1e-9:
+        if before is not None and abs(_norm(vec[: 1 << top]) - before) > 1e-9:
             raise AssertionError("statevector norm drifted across the circuit")
         return self
 

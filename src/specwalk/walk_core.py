@@ -126,13 +126,15 @@ def encoded_dense(branches, n_system: int) -> np.ndarray:
     return out
 
 
-def dressed_state(branches, sys_vec: np.ndarray, out: np.ndarray) -> None:
+def dressed_state(branches, sys_vec: np.ndarray, out: np.ndarray, offsets=None) -> None:
     """Write B|0> tensor |psi>, built from the branch table, into the
-    full-register vector `out`: sum_b amp_b |ctrl_b>|psi>."""
+    full-register vector `out`, or into a compact row whose branch blocks
+    start at `offsets`, one per branch: sum_b amp_b |ctrl_b>|psi>."""
     out.fill(0)
     dim = len(sys_vec)
-    for b in branches:
-        offset = b.control_state * dim
+    if offsets is None:
+        offsets = [b.control_state * dim for b in branches]
+    for b, offset in zip(branches, offsets):
         out[offset : offset + dim] += b.amplitude * sys_vec
 
 

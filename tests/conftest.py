@@ -93,6 +93,16 @@ def half_identity_x():
 
 
 @pytest.fixture(scope="session")
+def odd_y_model():
+    """A two-qubit model with words of one Y: its walk is not real, so its
+    invariant planes stay complex."""
+    labels = [("II", 0.1), ("XY", 0.5), ("YX", -0.3), ("ZI", 0.7), ("IZ", 0.2)]
+    return LcuHamiltonian.from_terms(
+        2, [(c, PauliString.from_label(label)) for label, c in labels]
+    )
+
+
+@pytest.fixture(scope="session")
 def random_models():
     rng = np.random.default_rng(20240811)
     return [random_lcu(rng) for _ in range(20)]

@@ -842,3 +842,98 @@ def test_the_zero_check_reads_every_chunk(dtype):
     if dtype == complex:
         vec[-1] = 1e-300j
         assert not _is_zero(vec)
+
+
+def _subspace_rows(space, dtype, rng, rows=2):
+    """Random normalized rows on the support of `space`, as full-register
+    vectors and as compact rows."""
+    total = space.total
+    dense = np.zeros((rows, 1 << total), dtype=dtype)
+    dense[:, space.support] = rng.normal(size=(rows, len(space.support)))
+    if dtype == complex:
+        dense.imag[:, space.support] = rng.normal(size=(rows, len(space.support)))
+    dense /= np.linalg.norm(dense, axis=1, keepdims=True)
+    compact = np.zeros((rows, len(space.reach) + 1), dtype=dtype)
+    compact[:, :-1] = dense[:, space.reach]
+    return dense, compact
+
+
+@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize(
+    "model, encoding, dtype",
+    [("tfim3", "binary", float), ("long_range3", "unary", float),
+     ("long_range4", "hybrid", float), ("tfim3", "binary", complex),
+     ("odd_y", "binary", complex), ("odd_y", "unary", complex)],
+)
+def test_subspace_passes_equal_dense_passes(
+    suite_models, odd_y_model, model, encoding, dtype, with_pe
+):
+    """A pass on compact rows equals the dense `apply_circuit` pass bit for
+    bit at every reach state, signed zeros included; the dense pass is zero
+    outside reach, and the zero slot stays zero."""
+    from specwalk import normalize
+    from specwalk.blocks import plane_subspace
+    from specwalk.simulator import apply_in_subspace
+    from specwalk.walk_core import build_walk
+
+    h = odd_y_model if model == "odd_y" else suite_models[model]
+    bundle = build_walk(normalize(h, "auto"), encoding, with_pe=with_pe)
+    space, rng = plane_subspace(bundle), np.random.default_rng(29)
+    outside = np.ones(1 << space.total, dtype=bool)
+    outside[space.reach] = False
+    for circuit in (bundle.select, bundle.reflect, bundle.walk):
+        dense, compact = _subspace_rows(space, dtype, rng)
+        apply_in_subspace(circuit, compact, space)
+        for row, vec in zip(compact, dense):
+            want = QuantumState(bundle.layout, vec).apply_circuit(circuit).vec
+            assert want.dtype == row.dtype
+            _assert_same_bits(row[:-1], want[space.reach])
+            assert not want[outside].any() and row[-1] == 0
+
+
+def test_a_row_nonzero_outside_its_plan_support_is_refused(suite_models):
+    """A plan is compiled for the support of its rows: a row with one tiny
+    amplitude elsewhere in reach, or in the zero slot, is refused before
+    any float changes, and so is a circuit the subspace was not built
+    from."""
+    from specwalk import normalize
+    from specwalk.blocks import plane_subspace
+    from specwalk.simulator import apply_in_subspace
+    from specwalk.walk_core import build_walk
+
+    bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary", with_pe=True)
+    space = plane_subspace(bundle)
+    _, compact = _subspace_rows(space, float, np.random.default_rng(31))
+    assert len(space.outside) > 1 and space.outside[-1] == len(space.reach)
+    for at in (space.outside[0], space.outside[-1]):  # a reach state, the slot
+        bad = compact.copy()
+        bad[1, at] = 1e-30
+        kept = bad.copy()
+        for circuit in (bundle.select, bundle.walk):
+            with pytest.raises(ValueError, match="outside the support"):
+                apply_in_subspace(circuit, bad, space)
+            assert np.array_equal(bad, kept)
+    with pytest.raises(ValueError, match="not built"):
+        apply_in_subspace(bundle.prepare, compact, space)
+
+
+def test_the_norm_check_reads_the_prefix_a_pass_can_change(monkeypatch):
+    """The norm-drift check takes both norms over the prefix the pass can
+    change, fixed by the first zero check: 8 amplitudes when the first
+    segment finds the 56 above its 3 qubits zero, and all 64 when it does
+    not."""
+    from specwalk import simulator
+
+    layout = plain_layout(6)
+    circuit = Circuit(layout, [Gate.ry(0.3, 2), Gate.h(0), Gate.cnot(0, 1)])
+    lengths = []
+    norm = simulator._norm
+    monkeypatch.setattr(simulator, "_norm", lambda a: lengths.append(len(a)) or norm(a))
+    vec = np.zeros(64)
+    vec[:8] = np.arange(1.0, 9.0) / math.sqrt(204.0)
+    QuantumState(layout, vec.copy()).apply_circuit(circuit)
+    assert lengths == [8, 8]
+    lengths.clear()
+    vec[63] = 1e-3
+    QuantumState(layout, vec.copy()).apply_circuit(circuit)
+    assert lengths == [64, 64]
