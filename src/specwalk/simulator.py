@@ -106,21 +106,23 @@ so a fixpoint would spread over the register.
 
 A compact row of a state holds its amplitudes at `reach`, in order, then
 one zero slot that no step writes.  `_subspace_plan` compiles a circuit
-once per (circuit, dtype, subspace), in a bounded cache that holds no
-dense 2**w gather: `reach` is a union of aligned blocks of 2**`bits`
-states, and a unit whose lowest qubit is q works on blocks of
-2**min(bits, q) states.  A mix becomes `_take_mix` over the pairs of
-reach blocks on its two slices, the exact arithmetic of `_mix` on
-fancy-indexed copies; a pair with one block outside reach is zero
-whenever the pass meets it and is left out.  A real run of `_FUSED_KINDS`
-on qubits above the blocks moves whole blocks (`_take_blocks`), and any
-other run, a lone gate included, becomes a `_gather` over every float of
-reach whose sources outside reach read the zero slot.  Each amplitude
-gets the float operations of the dense pass, so every value at a reach
-state is bit for bit the dense pass's (a zero may differ in sign), and
-the dense pass is zero everywhere else.  `apply_in_subspace` refuses, before any float changes,
-rows that are nonzero outside the support their plan was compiled for,
-and a circuit the subspace was not built from: it never truncates a row.
+once per (circuit, dtype, subspace) into two kinds of steps, in a bounded
+cache that holds no dense 2**w gather.  Each run of `_FUSED_KINDS`, a
+lone gate included, becomes a `_gather` over every float of reach, whose
+sources outside reach read the zero slot.  Each mix becomes `_take_mix`
+over the pairs of reach blocks on its two slices, the exact arithmetic
+of `_mix` on fancy-indexed copies: `reach` is a union of aligned blocks
+of 2**`bits` states, and a mix whose lowest qubit is q pairs whole blocks
+of 2**min(bits, q) states.  A pair with one block outside reach is zero
+whenever the pass meets it and is left out.  Each amplitude gets the
+float operations of the dense pass, so every value at a reach state is
+bit for bit the dense pass's (a zero may differ in sign), and the dense
+pass is zero everywhere else.  `apply_in_subspace` refuses, before any
+float changes, rows that are nonzero outside the support their plan was
+compiled for, and a circuit the subspace was not built from: it never
+truncates a row.  It checks each row's norm drift as `apply_circuit`
+does.
+
 No command runs one circuit on both dtypes: the walk's planes run select
 and walk, Zeno's complex states run prepare and the controlled walk.
 """
@@ -372,31 +374,6 @@ def _slice_bits(idx) -> tuple[int, int]:
     return mask, value
 
 
-def _units(circuit: Circuit, dtype: np.dtype):
-    """A pass of `circuit` as subspace plans take it: ("gather", low, w,
-    src, sign) for each run of `_FUSED_KINDS`, a lone gate included, with
-    the run's `_signed_permutation` on rows of w qubits and `low` its lowest
-    qubit; ("mix", lo, hi, entries) for each mix step."""
-    for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
-        if fused:
-            run = tuple(run)
-            w = _width(run)
-            low = min(q for g in run for q in g.qubits + g.controls)
-            yield ("gather", low, w, *_signed_permutation(run, w, dtype))
-            continue
-        for gate in run:
-            for _, lo, hi, *entries in _plan(gate, dtype):
-                yield ("mix", lo, hi, entries)
-
-
-def _reversed(ndim: int, axes) -> tuple:
-    """Basic index reversing the negative `axes` of an `ndim`-axis view."""
-    idx = [slice(None)] * ndim
-    for axis in axes:
-        idx[axis] = slice(None, None, -1)
-    return tuple(idx)
-
-
 def _closure(circuit: Circuit, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(reached, end) for one pass of `circuit` on states that may be
     nonzero where the register-sized bool mask `support` is set: the masks
@@ -424,7 +401,7 @@ def _closure(circuit: Circuit, support: np.ndarray) -> tuple[np.ndarray, np.ndar
                     idx, (_, flips, _) = args
                     if flips:
                         view = ten[idx]
-                        view[...] = view[_reversed(view.ndim, flips)]
+                        view[...] = np.flip(view, flips)
     reached |= now
     return reached, now
 
@@ -437,9 +414,9 @@ class Subspace:
     the circuits can make nonzero from `support`.  Both are sorted basis
     indices.  A compact row of a state holds its amplitudes at `reach`, in
     order, then one zero slot that no plan step writes.  `reach` is a union
-    of aligned blocks of 2**`bits` states, so a gate on qubits >= `bits`
-    moves and mixes whole blocks.  Instances compare and hash by identity,
-    which keys the cache of subspace plans.
+    of aligned blocks of 2**`bits` states, the largest such blocks.
+    Instances compare and hash by identity, which keys the cache of
+    subspace plans.
     """
 
     def __init__(self, start: np.ndarray, circuits):
@@ -455,15 +432,14 @@ class Subspace:
             reached |= _closure(circuit, support)[0]
         self.support = np.flatnonzero(support)
         self.reach = reach = np.flatnonzero(reached)
-        # the positions a row must hold zero at before a pass, the slot included
-        self.outside = np.append(np.flatnonzero(~support[reach]), len(reach))
+        # where a row must hold zero before a pass: off support, and the slot
+        self.outside = np.append(~support[reach], True)
         self.bits = 0
         while self.bits < self.total:
             size = 2 << self.bits
             first = reach[::size]
-            if len(reach) % size or (first % size).any() or not np.array_equal(
-                reach[size - 1 :: size], first + size - 1
-            ):
+            aligned = len(reach) % size == 0 and not (first % size).any()
+            if not (aligned and np.array_equal(reach[size - 1 :: size], first + size - 1)):
                 break
             self.bits += 1
 
@@ -481,15 +457,10 @@ class Subspace:
         return out
 
 
-def _blocks(rows, size):
-    """The compact rows without their zero slot, as blocks of `size`."""
-    return rows[:, :-1].reshape(len(rows), -1, size)
-
-
 def _take_mix(rows, size, lo, hi, m00, m01, m10, m11):
-    """`_mix` on the blocks `lo` and `hi` of compact rows: the same float
-    operations on copies, written back."""
-    ten = _blocks(rows, size)
+    """`_mix` on the blocks `lo` and `hi` of `size` states of compact rows:
+    the same float operations on copies, written back."""
+    ten = rows[:, :-1].reshape(len(rows), -1, size)
     a, b = ten[:, lo], ten[:, hi]
     new_a = a * m00
     new_a += m01 * b
@@ -499,69 +470,56 @@ def _take_mix(rows, size, lo, hi, m00, m01, m10, m11):
     ten[:, hi] = b
 
 
-def _take_blocks(rows, size, dst, src, sign, zero):
-    """A gather of whole blocks of compact rows: block dst[m] becomes
-    sign[m] * block src[m] (`sign` None: no block changes sign), and the
-    blocks `zero`, whose sources lie outside reach, become zero."""
-    ten = _blocks(rows, size)
-    moved = ten[:, src]
-    if sign is not None:
-        moved *= sign[:, None]
-    ten[:, dst] = moved
-    ten[:, zero] = 0.0
+def _compact_gather(space: Subspace, w: int, src: np.ndarray, sign, dtype) -> tuple:
+    """A `_signed_permutation` on rows of w qubits as a `_gather` over every
+    float of reach; a source outside reach reads the zero slot."""
+    top = ~((1 << w) - 1)
+    at = space.reach & ~top
+    high = space.reach & top
+    if dtype == complex:  # the floats (re, im) of each amplitude
+        at = (2 * at[:, None] + (0, 1)).ravel()
+        fsrc = src[at]
+        src = 2 * space.positions(np.repeat(high, 2) | (fsrc >> 1)) + (fsrc & 1)
+    else:
+        src = space.positions(high | src[at])
+    sign = None if sign is None else sign[at]
+    return (_gather, src, sign if sign is not None and (sign < 0).any() else None)
+
+
+def _compact_mix(space: Subspace, step) -> tuple | None:
+    """A `_mix` step as a `_take_mix` over the pairs of reach blocks on its
+    two slices, or None if no pair lies in reach.  A mix whose lowest qubit
+    is q works on blocks of 2**min(bits, q) states; a pair with one block
+    outside reach is zero whenever the pass meets it and is left out."""
+    _, lo_idx, hi_idx, *entries = step
+    mask, lo = _slice_bits(lo_idx)
+    size = 1 << min(space.bits, (mask & -mask).bit_length() - 1)
+    first = space.reach[::size]
+    lo_at = np.flatnonzero((first & mask) == lo)
+    hi_at = space.positions(first[lo_at] ^ lo ^ _slice_bits(hi_idx)[1])
+    pair = hi_at < len(space.reach)
+    if not pair.any():
+        return None
+    return (_take_mix, size, lo_at[pair], hi_at[pair] // size, *entries)
 
 
 @lru_cache(maxsize=8)
 def _subspace_plan(circuit: Circuit, dtype: np.dtype, space: Subspace) -> tuple:
-    """The gates of `circuit` as kernel steps on compact rows of `space`.
-    A unit on qubits >= b, b <= `space.bits`, works on blocks of 2**b
-    states: `_take_mix` over the pairs of reach blocks on a mix's two
-    slices, `_take_blocks` for a real gather.  Every other gather is a
-    `_gather` over every float of reach, from the zero slot where the
-    source lies outside reach.  A pair of blocks with one outside reach is
-    left out: both are zero whenever the pass meets them."""
+    """The gates of `circuit` as kernel steps on compact rows of `space`:
+    each run of `_FUSED_KINDS`, a lone gate included, as a
+    `_compact_gather`, and each mix step of another gate as a
+    `_compact_mix`."""
     if circuit not in space.circuits:
         raise ValueError("the subspace was not built for this circuit")
-    reach, slot = space.reach, len(space.reach)
     steps = []
-    for kind, *unit in _units(circuit, dtype):
-        if kind == "mix":
-            lo_idx, hi_idx, entries = unit
-            mask, lo = _slice_bits(lo_idx)
-            size = 1 << min(space.bits, (mask & -mask).bit_length() - 1)
-            first = reach[::size]
-            lo_at = np.flatnonzero((first & mask) == lo)
-            hi_at = space.positions(first[lo_at] ^ lo ^ _slice_bits(hi_idx)[1])
-            pair = hi_at < slot
-            if pair.any():
-                steps.append((_take_mix, size, lo_at[pair], hi_at[pair] // size, *entries))
+    for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
+        run = tuple(run)
+        if fused:
+            w = _width(run)
+            steps.append(_compact_gather(space, w, *_signed_permutation(run, w, dtype), dtype))
             continue
-        low, w, src, sign = unit
-        top = ~((1 << w) - 1)
-        size = 1 << min(space.bits, low)
-        if size > 1 and dtype != complex:
-            first = reach[::size]
-            at = first & ~top
-            src_at = space.positions((first & top) | src[at])
-            inside = src_at < slot
-            if sign is not None:
-                sign = sign[at][inside]
-            steps.append((
-                _take_blocks, size, np.flatnonzero(inside), src_at[inside] // size,
-                sign if sign is not None and (sign < 0).any() else None,
-                np.flatnonzero(~inside),
-            ))
-            continue
-        at = reach & ~top
-        if dtype == complex:  # the floats (re, im) of each amplitude
-            at = (2 * at[:, None] + (0, 1)).ravel()
-            fsrc = src[at]
-            src = 2 * space.positions((np.repeat(reach & top, 2)) | (fsrc >> 1)) + (fsrc & 1)
-        else:
-            src = space.positions((reach & top) | src[at])
-        if sign is not None:
-            sign = sign[at]
-        steps.append((_gather, src, sign if sign is not None and (sign < 0).any() else None))
+        for gate in run:
+            steps += filter(None, (_compact_mix(space, step) for step in _plan(gate, dtype)))
     return tuple(steps)
 
 
@@ -571,7 +529,7 @@ def apply_in_subspace(circuit: Circuit, rows: np.ndarray, space: Subspace) -> np
     changes if a row is nonzero outside the support its plan was compiled
     for, and AssertionError if a row's norm drifts."""
     plan = _subspace_plan(circuit, rows.dtype, space)
-    if rows[:, space.outside].any():
+    if np.logical_and(rows != 0, space.outside).any():
         raise ValueError("a row is nonzero outside the support of its subspace plan")
     flat = rows.view(np.float64)
     before = np.einsum("ij,ij->i", flat, flat)

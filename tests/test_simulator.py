@@ -904,8 +904,9 @@ def test_a_row_nonzero_outside_its_plan_support_is_refused(suite_models):
     bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary", with_pe=True)
     space = plane_subspace(bundle)
     _, compact = _subspace_rows(space, float, np.random.default_rng(31))
-    assert len(space.outside) > 1 and space.outside[-1] == len(space.reach)
-    for at in (space.outside[0], space.outside[-1]):  # a reach state, the slot
+    outside = np.flatnonzero(space.outside)
+    assert len(outside) > 1 and outside[-1] == len(space.reach)
+    for at in (outside[0], outside[-1]):  # a reach state, the slot
         bad = compact.copy()
         bad[1, at] = 1e-30
         kept = bad.copy()
