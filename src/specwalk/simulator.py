@@ -231,7 +231,7 @@ def _gather(ten, src, sign):
     alone; a real row's floats are its amplitudes, a complex row's are
     their (re, im) pairs."""
     rows = ten.reshape(len(ten), -1).view(np.float64)
-    out = rows[:, : len(src)]  # a compact row's zero slot stays as it is
+    out = rows[:, : len(src)]
     if sign is None:
         out[...] = rows.take(src, axis=1)
     else:
