@@ -19,8 +19,8 @@ Each plane is checked on its own.  A block holds a C-order array of 1 or
 the bundle (`plane_subspace`): the basis states that select, reflect and
 walk can reach from the dressed states, and one zero slot.  That is
 16,384 of 2**20 amplitudes for binary TFIM n=9 and 4,384 of 2**22 for
-unary TFIM n=5.  The subspace is built once per (select, reflect, walk),
-so a bundle whose walk was replaced gets its own.  `plane`, `phi0`,
+unary TFIM n=5.  The subspace is built once per bundle, so a bundle whose
+walk was replaced gets its own.  `plane`, `phi0`,
 `phi1`, `phi_plus` and `phi_minus` expand the rows into full-register
 vectors on each access, for analysis Zeno and observable recovery;
 they equal the planes built on the whole register bit for bit.
@@ -97,19 +97,16 @@ class InvariantBlock:
         return (self.theta, -self.theta)
 
 
+@lru_cache(maxsize=2)
 def plane_subspace(bundle: WalkBundle) -> Subspace:
     """The subspace of the bundle's planes: from the basis states of the
     dressed states, {ctrl_b << n_system | x}, through select, reflect and
-    walk; cached for the last two (select, reflect, walk)."""
-    controls = tuple(sorted({b.control_state for b in bundle.branches}))
-    return _plane_subspace(bundle.select, bundle.reflect, bundle.walk, controls)
-
-
-@lru_cache(maxsize=2)
-def _plane_subspace(select, reflect, walk, controls) -> Subspace:
-    n = select.layout.system_qubits
-    start = (np.array(controls, dtype=np.intp)[:, None] << n | np.arange(1 << n)).ravel()
-    return Subspace(start, (select, reflect, walk))
+    walk.  Bundles hash their circuits by identity, so the last two
+    bundles' subspaces are cached and a replaced walk gets its own."""
+    n = bundle.n_system
+    controls = np.array(sorted({b.control_state for b in bundle.branches}), dtype=np.intp)
+    start = (controls[:, None] << n | np.arange(1 << n)).ravel()
+    return Subspace(start, (bundle.select, bundle.reflect, bundle.walk))
 
 
 def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
@@ -120,8 +117,7 @@ def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
     phi1 is produced by running the select circuit, so these blocks double
     as a check that the circuit realizes the intended branch table.
     """
-    layout = bundle.layout
-    check_width(layout)
+    check_width(bundle.layout)
     energies, vectors = np.linalg.eigh(encoded_dense(bundle.branches, bundle.n_system))
     if bundle.select.is_real and bundle.walk.is_real and not vectors.imag.any():
         vectors = vectors.real
