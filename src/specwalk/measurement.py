@@ -41,7 +41,7 @@ from .hamiltonian import (
 )
 from .pauli import PauliString, apply_pauli, star
 from .simulator import QuantumState, make_rng
-from .walk_core import WalkBundle, build_walk
+from .walk_core import WalkBundle, build_walk, dressed_state
 
 
 class BoundaryEnergyError(ValueError):
@@ -463,6 +463,8 @@ def zeno_prepare(
     """Drag the supplied g=0 ground state to g=1 by a sequence of energy
     measurements along the interpolation schedule.
 
+    Each point starts from the dressed state B|0>|psi>, written from the
+    branch table by `dressed_state`, not by a simulated prepare pass.
     Analysis mode: each measurement is the exact projective measurement onto
     the walk eigenspaces of H(g_j), the ground branch is followed, and the
     trace records exact branch probabilities, whose product telescopes into
@@ -502,8 +504,8 @@ def zeno_prepare(
         oracle_vals, oracle_vecs = np.linalg.eigh(matrix)
         ground_vec = oracle_vecs[:, 0]
         overlap = float(abs(np.vdot(prev_ground, ground_vec)) ** 2)
-        state = QuantumState.from_system_state(bundle.layout, psi)
-        state.apply_circuit(bundle.prepare)
+        state = QuantumState.zero_state(bundle.layout)
+        dressed_state(bundle.branches, psi, state.vec)
         if sampling:
             # Built and dropped: the benchmark's sampled Zeno workload covers
             # the blocks layer, and its tracer test checks that it does.

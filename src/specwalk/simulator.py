@@ -44,61 +44,53 @@ and matrix entries, never an amplitude-sized array.  Every index starts
 with an Ellipsis, so it yields a writable view even when it fixes every
 qubit axis (an all-integer index would return a scalar copy), and one plan
 runs unchanged on a tensor of any number of qubits and rows: the whole
-register in `apply`, a block of basis states in `circuit_unitary`, a
-prefix of the vector in `apply_circuit`.
+register in `apply` and `apply_circuit`, a block of basis states in
+`circuit_unitary`, the basis labels of a fused run in
+`_signed_permutation`.
 
 Fused runs.  Each maximal run of two or more PAULI, TOFFOLI, CSWAP or MCZ
 gates becomes one gather ``vec[j] <- i**k[j] * vec[src[j]]``: these kinds
 map each basis state to one basis state times a power of i, and the kernel
 applies them with copies and sign flips only, never a complex multiply.
 `_signed_permutation` derives `src` and `k` by running the run's own gate
-steps over the basis labels 1..2**w of the run's width w, which are exact
-in float64, and refuses any result that is not a signed permutation, so
-the gates, not a branch table, define the map.  The gather works along the
-last axis of a (rows, floats of 2**w amplitudes) view, with one source
-index and one +-1 factor per float: on a complex state these are the (re,
-im) pairs, on a real state the amplitudes themselves, for which the labels
-are real and the Pauli kernel refuses any odd power of i.  It moves and
-negates exactly the floats the gates would, signed zeros included.  Every
-other gate keeps its own steps: H, rotations and FANOUT are not monomial.
+steps over the basis labels 1..2**w of w qubits, which are exact in
+float64, and refuses any result that is not a signed permutation, so the
+gates, not a branch table, define the map.  A dense pass compiles it over
+the whole register; a subspace plan compiles it at the run's width, 1 +
+the highest qubit its gates touch, and maps it onto compact rows.  The
+gather works along the last axis of a (rows, floats of 2**w amplitudes)
+view, with one source index and one +-1 factor per float: on a complex
+state these are the (re, im) pairs, on a real state the amplitudes
+themselves, for which the labels are real and the Pauli kernel refuses
+any odd power of i.  It moves and negates exactly the floats the gates
+would, signed zeros included.  Every other gate keeps its own steps: H,
+rotations and FANOUT are not monomial.
 
-Segments.  `_circuit_plan` compiles a circuit once per (circuit, dtype)
-into a tuple of segments, kept in a second bounded cache of the 8 most
-recent plans.  Circuits are immutable and hash by identity, so a lookup
-hashes no gates and a plan never goes stale.  A unit is a run's gather or
-one other gate's steps; its width w is 1 + the highest qubit its gates
-touch, and a segment is a maximal sequence of units of one width.  The
-walks touch their upper qubits only briefly: reflect acts on the control
-register alone, the binary ancillas are nonzero only inside select, and
-`spectrum` never touches its pe qubit.  So `apply_circuit` keeps `live`,
-the number of low qubits outside which the vector may be nonzero, which
-starts at the whole register.  Before a segment narrower than `live`, one
-read (`_is_zero`) checks whether ``vec[2**w : 2**live]`` is all zero; if
-it is, `live` drops to w.  The segment then runs on
-``vec[:2**live].reshape((-1,) + (2,) * w)`` with `live` = max(w, live):
-2**(live - w) rows of 2**w amplitudes.  This is exact, because a gate on
-qubits below w acts on each block of 2**w amplitudes by itself and maps a
-zero block to zeros.  A check that fails runs the segment at `live`, not
-at the whole register.  Every value of a segmented pass equals the
-gate-by-gate pass; a skipped block keeps its zeros, whose signs the
-gate-by-gate pass may flip (the real pass already lets zeros differ in
-sign), and every other float matches bit for bit.  The norm-drift check
-takes both norms over the prefix the pass can change: 2**top amplitudes,
-top the larger of `live` after the first zero check and the widest
-segment.  Everything above it is zero and left as it is, so the check is
-exact.  `apply` and `circuit_unitary` still run gate by gate, so the
-unitary stays an independent oracle for the fused path.
+Circuit plans.  `_circuit_plan` compiles a circuit once per (circuit,
+dtype) into one flat tuple of steps over the whole register, the gather of
+each run and the steps of every other gate in order, and keeps the 4 most
+recent plans in a second bounded cache: a Zeno point runs at most three,
+the controlled walk, prepare and its inverse, and then drops its bundle.
+Circuits are immutable and hash by identity, so a lookup hashes no gates
+and a plan never goes stale.  `apply_circuit` runs every step on the
+whole vector, viewed as one row of all its qubits, and checks that the
+vector's norm did not drift.  It reads no part of the vector to skip: the
+states whose register is mostly zero, the invariant planes, run on
+compact rows instead (below), and each Zeno point starts from the dressed
+state written from the branch table.  `apply` and `circuit_unitary` still
+run gate by gate, so the unitary stays an independent oracle for the
+fused path.
 
 Subspace plans.  The walk W = -S V preserves span{|ctrl_b>} (x) H_sys, so
 the invariant planes of `blocks.py` stay on a small part of the register:
 binary TFIM n=9 reaches 16,384 of 2**20 basis states, unary TFIM n=5
 4,384 of 2**22.  A `Subspace` is built from `start`, the basis states
-{ctrl_b << n_system | x} where the dressed states live, and from the
+{ctrl_b << n_system | x} that hold the dressed states, and from the
 circuits select, reflect and walk.  `_closure` follows one pass of a
 circuit on one byte per basis state: a mix marks the partner of every
 marked state on either of its slices, and a Pauli word or a swap moves
 the marks.  `support` is start and the end of one select pass from it,
-where both plane rows live (phi1 is select(phi0) - E phi0).  `reach` is
+which hold both plane rows (phi1 is select(phi0) - E phi0).  `reach` is
 support and every state a pass of select, reflect or walk can make
 nonzero from support, taken in one closure each, never iterated to a
 fixpoint: the cancellations that keep the walk on the plane are not seen,
@@ -109,22 +101,23 @@ one zero slot that no step writes.  `_subspace_plan` compiles a circuit
 once per (circuit, dtype, subspace) into two kinds of steps, in a bounded
 cache that holds no dense 2**w gather.  Each run of `_FUSED_KINDS`, a
 lone gate included, becomes a `_gather` over every float of reach, whose
-sources outside reach read the zero slot.  Each mix becomes `_take_mix`
-over the pairs of reach blocks on its two slices, the exact arithmetic
-of `_mix` on fancy-indexed copies: `reach` is a union of aligned blocks
-of 2**`bits` states, and a mix whose lowest qubit is q pairs whole blocks
-of 2**min(bits, q) states.  A pair with one block outside reach is zero
-whenever the pass meets it and is left out.  Each amplitude gets the
-float operations of the dense pass, so every value at a reach state is
-bit for bit the dense pass's (a zero may differ in sign), and the dense
-pass is zero everywhere else.  `apply_in_subspace` refuses, before any
-float changes, rows that are nonzero outside the support their plan was
-compiled for, and a circuit the subspace was not built from: it never
-truncates a row.  It checks each row's norm drift as `apply_circuit`
-does.
+sources outside reach read the zero slot.  Each mix becomes `_take_mix`,
+which runs `_mix` itself with fancy indices over the pairs of reach
+blocks on its two slices: `reach` is a union of aligned blocks of
+2**`bits` states, and a mix whose lowest qubit is q pairs whole blocks of
+2**min(bits, q) states.  A pair with one block outside reach is zero
+whenever the pass meets it and is left out.  Each
+amplitude gets the float operations of the dense pass, so every value at
+a reach state is bit for bit the dense pass's (a zero may differ in
+sign), and the dense pass is zero everywhere else.  `apply_in_subspace`
+refuses, before any float changes, rows that are nonzero outside the
+support their plan was compiled for, and a circuit the subspace was not
+built from: it never truncates a row.  It checks each row's norm drift as
+`apply_circuit` does.
 
 No command runs one circuit on both dtypes: the walk's planes run select
-and walk, Zeno's complex states run prepare and the controlled walk.
+and walk, Zeno's complex states run prepare, its inverse and the
+controlled walk.
 """
 from __future__ import annotations
 
@@ -157,7 +150,6 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * (1 / math.sqrt(2))
 _X = PauliString.single(1, 0, "X")
 _Z = PauliString.single(1, 0, "Z")
 _FUSED_KINDS = frozenset({PAULI, TOFFOLI, CSWAP, MCZ})
-_ZERO_CHUNK = 1 << 16  # floats per read of `_is_zero`
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -187,14 +179,6 @@ def _norm(array: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
-def _is_zero(array: np.ndarray) -> bool:
-    """Every float of the contiguous `array` is zero, of either sign.  The
-    floats are read in chunks from the front, and the read stops at the
-    first chunk that holds a nonzero float."""
-    flat = array.reshape(-1).view(np.float64)
-    return not any(flat[i : i + _ZERO_CHUNK].any() for i in range(0, len(flat), _ZERO_CHUNK))
-
-
 def _ry(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     return np.array([[c, -s], [s, c]])
@@ -215,13 +199,16 @@ def _swap(ten, lo, hi):
 
 
 def _mix(ten, lo, hi, m00, m01, m10, m11):
-    """(a, b) <- (m00 a + m01 b, m10 a + m11 b) on the slices lo and hi."""
+    """(a, b) <- (m00 a + m01 b, m10 a + m11 b) on the slices lo and hi,
+    basic or fancy indices.  Both are written back through the index: on a
+    basic index b is a view, and numpy skips a copy onto itself."""
     a, b = ten[lo], ten[hi]
     new_a = a * m00
     new_a += m01 * b
     b *= m11
     b += m10 * a
-    a[...] = new_a
+    ten[lo] = new_a
+    ten[hi] = b
 
 
 def _gather(ten, src, sign):
@@ -339,25 +326,20 @@ def _signed_permutation(gates, width: int, dtype=complex) -> tuple:
     return fsrc, (sign if np.any(sign < 0) else None)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4)
 def _circuit_plan(circuit: Circuit, dtype: np.dtype) -> tuple:
-    """The gates of `circuit` as segments `(w, steps)` for a vector of
-    `dtype`.  A unit is a `_gather` per run of two or more gates of
-    `_FUSED_KINDS`, or the `_plan` steps of one other gate; a segment is a
-    maximal sequence of units of one width w = `_width` of their gates,
-    and its steps run on any tensor whose last w axes are qubits."""
-    units = []
+    """The gates of `circuit` as kernel steps on the whole register, for a
+    vector of `dtype`: a `_gather` per run of two or more gates of
+    `_FUSED_KINDS`, and the `_plan` steps of every other gate."""
+    total = circuit.layout.total_qubits
+    steps = []
     for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
         run = list(run)
         if fused and len(run) >= 2:
-            w = _width(run)
-            units.append((w, ((_gather, *_signed_permutation(run, w, dtype)),)))
+            steps.append((_gather, *_signed_permutation(run, total, dtype)))
         else:
-            units += [(_width((gate,)), _plan(gate, dtype)) for gate in run]
-    return tuple(
-        (w, tuple(step for _, steps in segment for step in steps))
-        for w, segment in groupby(units, key=lambda unit: unit[0])
-    )
+            steps += [step for gate in run for step in _plan(gate, dtype)]
+    return tuple(steps)
 
 
 # --- subspace plans ------------------------------------------------------------
@@ -457,17 +439,10 @@ class Subspace:
         return out
 
 
-def _take_mix(rows, size, lo, hi, m00, m01, m10, m11):
-    """`_mix` on the blocks `lo` and `hi` of `size` states of compact rows:
-    the same float operations on copies, written back."""
+def _take_mix(rows, size, lo, hi, *entries):
+    """`_mix` on the blocks `lo` and `hi` of `size` states of compact rows."""
     ten = rows[:, :-1].reshape(len(rows), -1, size)
-    a, b = ten[:, lo], ten[:, hi]
-    new_a = a * m00
-    new_a += m01 * b
-    b *= m11
-    b += m10 * a
-    ten[:, lo] = new_a
-    ten[:, hi] = b
+    _mix(ten, (slice(None), lo), (slice(None), hi), *entries)
 
 
 def _compact_gather(space: Subspace, w: int, src: np.ndarray, sign, dtype) -> tuple:
@@ -557,17 +532,6 @@ class QuantumState:
         vec[0] = 1.0
         return cls(layout, vec)
 
-    @classmethod
-    def from_system_state(cls, layout, system_vec):
-        """All non-system qubits |0>, the system register in `system_vec`."""
-        state = cls.zero_state(layout)
-        dim = 1 << layout.system_qubits
-        if system_vec.shape != (dim,):
-            raise ValueError("system vector has the wrong dimension")
-        state.vec[:] = 0.0
-        state.vec[:dim] = system_vec
-        return state
-
     def copy(self) -> "QuantumState":
         return QuantumState(self.layout, self.vec.copy())
 
@@ -583,23 +547,13 @@ class QuantumState:
         return self
 
     def apply_circuit(self, circuit: Circuit) -> "QuantumState":
-        """Run the circuit's segments in turn, each on the shortest prefix
-        of 2**live amplitudes outside which the vector is zero."""
-        vec, live = self.vec, self.layout.total_qubits
-        segments = _circuit_plan(circuit, vec.dtype)
-        before = None
-        for w, steps in segments:
-            if w < live and _is_zero(vec[1 << w : 1 << live]):
-                live = w
-            if before is None:
-                # the pass changes nothing above 2**top, which is zero or empty
-                top = max(live, *(w for w, _ in segments))
-                before = _norm(vec[: 1 << top])
-            live = max(live, w)
-            ten = vec[: 1 << live].reshape((-1,) + (2,) * w)
-            for fn, *args in steps:
-                fn(ten, *args)
-        if before is not None and abs(_norm(vec[: 1 << top]) - before) > 1e-9:
+        """Run the circuit's compiled plan on the whole register."""
+        vec = self.vec
+        before = _norm(vec)
+        ten = vec.reshape((1,) + (2,) * self.layout.total_qubits)
+        for fn, *args in _circuit_plan(circuit, vec.dtype):
+            fn(ten, *args)
+        if abs(_norm(vec) - before) > 1e-9:
             raise AssertionError("statevector norm drifted across the circuit")
         return self
 

@@ -150,9 +150,9 @@ def test_estimate_energy_flags_mixtures(tfim3_bundle):
 def _start(bundle, blocks, which) -> QuantumState:
     """A dressed state (rounds one by one) or a walk eigenstate (one batch)."""
     if which == "dressed":
-        state = QuantumState.from_system_state(bundle.layout, product_state("000"))
-        state.apply_circuit(bundle.prepare)
-        return state
+        vec = np.zeros(1 << bundle.layout.total_qubits, dtype=complex)
+        vec[: 1 << bundle.layout.system_qubits] = product_state("000")
+        return QuantumState(bundle.layout, vec).apply_circuit(bundle.prepare)
     return eigenstate(bundle, [b for b in blocks if not b.is_boundary][0])
 
 

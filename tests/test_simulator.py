@@ -260,7 +260,7 @@ def test_expectation_against_eigenvector_oracle():
     h = sw.tfim(3, 1.0, 1.0)
     vals, vecs = sw.eigensystem(h)
     ground = vecs[:, 0]
-    state = QuantumState.from_system_state(plain_layout(3), ground)
+    state = QuantumState(plain_layout(3), ground)
     zz = PauliString.from_label("ZZI")
     direct = float(np.vdot(ground, sw.to_matrix(zz) @ ground).real)
     assert state.expectation(zz) == pytest.approx(direct, abs=1e-12)
@@ -734,7 +734,7 @@ def _slice_states(layout, dtype, rng):
     qubits, each with a different part above them nonzero: nothing, the
     ancillas, the pe half, or everything.  Zeros carry either sign.
 
-    Yields (name, vec, zero), where `zero` marks the floats set to zero."""
+    Yields (name, vec)."""
     k, total = layout.system_qubits + layout.control_qubits, layout.total_qubits
     top = k + layout.ancilla_qubits
     parts = {"none": (), "all": ((1 << k, 1 << total),)}
@@ -755,7 +755,7 @@ def _slice_states(layout, dtype, rng):
             vec.real, vec.imag = floats  # complex arithmetic could change a zero's sign
         else:
             vec[:] = floats[0]
-        yield name, vec, ~live
+        yield name, vec
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -766,30 +766,29 @@ def _slice_states(layout, dtype, rng):
      ("long_range4", "hybrid")],
 )
 def test_segmented_passes_equal_gate_by_gate(suite_models, model, encoding, with_pe, dtype):
-    """Each segment runs on the shortest prefix outside which the state is
-    zero.  Every value equals the gate-by-gate pass, and every float outside
-    the zero part of the input keeps its bits, signed zeros included.  A
-    zero part skipped by a segment keeps the input's zeros, whose signs the
-    gate-by-gate pass may flip."""
+    """A compiled pass runs on the whole register, whichever part of it is
+    zero, and repeats every float of the gate-by-gate pass, signed zeros
+    included."""
     from specwalk import normalize
     from specwalk.walk_core import build_walk
 
     bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=with_pe)
     layout, rng = bundle.layout, np.random.default_rng(17)
     circuits = ("prepare", "select", "reflect", "walk", "controlled_walk")
-    for name, vec, zero in _slice_states(layout, dtype, rng):
+    for name, vec in _slice_states(layout, dtype, rng):
         for circuit in (getattr(bundle, c) for c in circuits):
             fused = QuantumState(layout, vec.copy()).apply_circuit(circuit)
             stepwise = QuantumState(layout, vec.copy())
             for gate in circuit:
                 stepwise.apply(gate)
             assert np.array_equal(fused.vec, stepwise.vec), name
-            _assert_same_bits(fused.vec[~zero], stepwise.vec[~zero])
+            _assert_same_bits(fused.vec, stepwise.vec)
 
 
 def test_one_nonzero_float_above_the_prefix_takes_the_wider_pass(suite_models):
-    """The zero check reads every float above a segment's width: one tiny
-    amplitude with the pe qubit set keeps reflect on the whole register."""
+    """Reflect acts on the control register, but its pass runs on the whole
+    register: one tiny amplitude with the pe qubit set is carried as the
+    gate-by-gate pass carries it."""
     from specwalk import normalize
     from specwalk.walk_core import build_walk
 
@@ -809,39 +808,31 @@ def test_one_nonzero_float_above_the_prefix_takes_the_wider_pass(suite_models):
     _assert_same_real_bits(fused.vec, stepwise.vec)
 
 
-def test_reflect_segments_stay_on_the_system_and_control_qubits():
-    """Binary TFIM n=6 with pe is 15 qubits; reflect touches only the
-    control register, so each of its segments is at most 10 qubits wide."""
-    from specwalk import normalize, tfim
-    from specwalk.simulator import _circuit_plan
-    from specwalk.walk_core import build_walk
+@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize(
+    "model, encoding",
+    [("tfim3", "binary"), ("tfim3", "unary"), ("long_range3", "unary"),
+     ("long_range4", "hybrid")],
+)
+def test_prepare_from_the_vacuum_is_the_dressed_state(suite_models, model, encoding, with_pe):
+    """Zeno starts each point from `dressed_state`, written from the branch
+    table: the prepare circuit on |0>|psi> gives the same vector over the
+    whole register, sum_b amp_b |ctrl_b>|psi>."""
+    from specwalk import normalize
+    from specwalk.walk_core import build_walk, dressed_state
 
-    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "binary", with_pe=True)
-    layout = bundle.layout
-    assert layout.total_qubits == 15
-    segments = _circuit_plan(bundle.reflect, np.dtype(np.float64))
-    assert segments and all(
-        w <= layout.system_qubits + layout.control_qubits for w, _ in segments
-    )
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_the_zero_check_reads_every_chunk(dtype):
-    """`_is_zero` reads in chunks: a nonzero float in any chunk, the last
-    float included, is found, and zeros of either sign are zero."""
-    from specwalk.simulator import _ZERO_CHUNK, _is_zero
-
-    vec = np.zeros(3 * _ZERO_CHUNK // 2 + 1, dtype=dtype)
-    assert _is_zero(vec)
-    vec.view(np.float64)[1::2] = -0.0
-    assert _is_zero(vec)
-    for at in (0, _ZERO_CHUNK // 2, len(vec) - 1):
-        hit = vec.copy()
-        hit.view(np.float64)[2 * at if dtype == complex else at] = 5e-324
-        assert not _is_zero(hit)
-    if dtype == complex:
-        vec[-1] = 1e-300j
-        assert not _is_zero(vec)
+    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=with_pe)
+    layout, rng = bundle.layout, np.random.default_rng(41)
+    dim = 1 << layout.system_qubits
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    vec = np.zeros(1 << layout.total_qubits, dtype=complex)
+    vec[:dim] = psi
+    prepared = QuantumState(layout, vec).apply_circuit(bundle.prepare).vec
+    dressed = np.empty_like(prepared)
+    dressed_state(bundle.branches, psi, dressed)
+    assert np.count_nonzero(dressed) > dim
+    assert np.max(np.abs(prepared - dressed)) < 1e-12
 
 
 def _subspace_rows(space, dtype, rng, rows=2):
@@ -918,23 +909,23 @@ def test_a_row_nonzero_outside_its_plan_support_is_refused(suite_models):
         apply_in_subspace(bundle.prepare, compact, space)
 
 
-def test_the_norm_check_reads_the_prefix_a_pass_can_change(monkeypatch):
-    """The norm-drift check takes both norms over the prefix the pass can
-    change, fixed by the first zero check: 8 amplitudes when the first
-    segment finds the 56 above its 3 qubits zero, and all 64 when it does
-    not."""
-    from specwalk import simulator
+def test_a_pass_that_changes_the_norm_is_refused(suite_models, monkeypatch):
+    """Both engines check each pass for norm drift: a step that doubles one
+    amplitude makes `apply_circuit` and `apply_in_subspace` raise."""
+    from specwalk import normalize, simulator
+    from specwalk.blocks import plane_subspace
+    from specwalk.walk_core import build_walk
 
-    layout = plain_layout(6)
-    circuit = Circuit(layout, [Gate.ry(0.3, 2), Gate.h(0), Gate.cnot(0, 1)])
-    lengths = []
-    norm = simulator._norm
-    monkeypatch.setattr(simulator, "_norm", lambda a: lengths.append(len(a)) or norm(a))
-    vec = np.zeros(64)
-    vec[:8] = np.arange(1.0, 9.0) / math.sqrt(204.0)
-    QuantumState(layout, vec.copy()).apply_circuit(circuit)
-    assert lengths == [8, 8]
-    lengths.clear()
-    vec[63] = 1e-3
-    QuantumState(layout, vec.copy()).apply_circuit(circuit)
-    assert lengths == [64, 64]
+    def double_one(ten):
+        flat = ten.reshape(-1)
+        flat[np.argmax(np.abs(flat))] *= 2
+
+    bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary", with_pe=False)
+    space = plane_subspace(bundle)
+    dense, compact = _subspace_rows(space, float, np.random.default_rng(37))
+    monkeypatch.setattr(simulator, "_circuit_plan", lambda *_: ((double_one,),))
+    monkeypatch.setattr(simulator, "_subspace_plan", lambda *_: ((double_one,),))
+    with pytest.raises(AssertionError, match="norm drifted"):
+        QuantumState(bundle.layout, dense[0]).apply_circuit(bundle.select)
+    with pytest.raises(AssertionError, match="norm drifted"):
+        simulator.apply_in_subspace(bundle.select, compact, space)
