@@ -1,5 +1,21 @@
 """Walk-based spectral measurement of Pauli-sum Hamiltonians, simulated
-exactly at small scale, with fault-tolerant gate accounting."""
+exactly at small scale, with fault-tolerant gate accounting.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
+already set, so it must come before the first import of numpy, as it does
+in both CLI entry points.  The gate kernels are plain numpy and the
+diagonalizations small, so a pool of BLAS threads mostly spins idle; and
+LAPACK's results can depend on the thread count.  CLI bytes are identical
+for a given ``OPENBLAS_NUM_THREADS``, so with the default of one thread
+they do not depend on the host.  At eigh-bound sizes, threads save wall
+time: on a 2-vCPU host, binary TFIM n=11 ``spectrum`` took 27-29 s with
+one thread and 20-22 s with two, and analysis Zeno binary n=9 5.5-6.3 s
+and 4.3-4.6 s.  Set ``OPENBLAS_NUM_THREADS`` to use them.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .blocks import BOUNDARY_EPS, InvariantBlock, invariant_blocks, walk_eigenphases
 from .census import GateCensus

@@ -223,6 +223,7 @@ def test_console_entry_point_runs():
 
 
 def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count():
+    """Pinned at n=6: at binary TFIM n=8, `matched_phase` moves with the count."""
     argv = [sys.executable, "-m", "specwalk.cli", "spectrum", "--model", "tfim", "--n", "6",
             "--g", "0.7", "--J", "1.3", "--encoding", "binary"]
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -234,6 +235,43 @@ def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def run_child(argv, threads):
+    """`python argv` with src on the path and OPENBLAS_NUM_THREADS set to
+    `threads`, or removed when it is None."""
+    env = dict(os.environ, PYTHONWARNINGS="error")
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc")
+@pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")])
+def test_importing_specwalk_sets_one_blas_thread_unless_the_user_set_a_count(
+    threads, expected
+):
+    code = (
+        "import os, specwalk, numpy as np; np.linalg.eigh(np.eye(64)); "
+        "status = open('/proc/self/status').read().split('\\n'); "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], "
+        "next(line.split()[1] for line in status if line.startswith('Threads:')))"
+    )
+    variable, running = run_child(["-c", code], threads).split()
+    assert variable == expected
+    if expected == "1" or len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS caps at the CPUs
+        assert running == expected
+
+
+def test_default_spectrum_bytes_are_those_of_one_blas_thread():
+    argv = ["-m", "specwalk.cli", "spectrum", "--model", "tfim", "--n", "8",
+            "--encoding", "binary"]
+    assert run_child(argv, None) == run_child(argv, "1")
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):
