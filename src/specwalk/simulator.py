@@ -29,8 +29,7 @@ by basic indexing, so no gate copies or transposes the whole vector:
   its scalar power of i by negation and a real/imaginary swap
   (`pauli.view_action`, shared with `expectation` and `pauli.apply_pauli`).
   MCZ is the Z word on its last qubit, controlled by the others, so every
-  sign, the walk's word -I included, comes from `pauli.apply_view_action`
-  (a fused run below takes its signs from these same steps);
+  sign, the walk's word -I included, comes from `pauli.apply_view_action`;
 - CSWAP exchanges the |10> and |01> slices of its two qubits;
 - H, ROT, each non-zero MROT angle and FANOUT mix two slices by a real
   2x2 matrix.  `_ry` builds every rotation among them: Ry(angle) for ROT
@@ -45,26 +44,22 @@ with an Ellipsis, so it yields a writable view even when it fixes every
 qubit axis (an all-integer index would return a scalar copy), and one plan
 runs unchanged on a tensor of any number of qubits and rows: the whole
 register in `apply` and `apply_circuit`, a block of basis states in
-`circuit_unitary`, the basis labels of a fused run in
-`_signed_permutation`.
+`circuit_unitary`.
 
-Fused runs.  Each maximal run of two or more PAULI, TOFFOLI, CSWAP or MCZ
-gates becomes one gather ``vec[j] <- i**k[j] * vec[src[j]]``: these kinds
-map each basis state to one basis state times a power of i, and the kernel
-applies them with copies and sign flips only, never a complex multiply.
-`_signed_permutation` derives `src` and `k` by running the run's own gate
-steps over the basis labels 1..2**w of w qubits, which are exact in
-float64, and refuses any result that is not a signed permutation, so the
-gates, not a branch table, define the map.  A dense pass compiles it over
-the whole register; a subspace plan compiles it at the run's width, 1 +
-the highest qubit its gates touch, and maps it onto compact rows.  The
-gather works along the last axis of a (rows, floats of 2**w amplitudes)
-view, with one source index and one +-1 factor per float: on a complex
-state these are the (re, im) pairs, on a real state the amplitudes
-themselves, for which the labels are real and the Pauli kernel refuses
-any odd power of i.  It moves and negates exactly the floats the gates
-would, signed zeros included.  Every other gate keeps its own steps: H,
-rotations and FANOUT are not monomial.
+Fused runs.  PAULI, TOFFOLI, CSWAP and MCZ map each basis state to one
+basis state times a power of i.  `_run_labels` maps integer basis labels
+through a run of them by bit rules: where its controls read 1, a Pauli
+word flips its X qubits and takes the power of i of `pauli.view_action`,
+with -1 for each Z qubit that reads 1; Toffoli flips its target, CSWAP
+swaps its two bits and MCZ negates where all its qubits read 1.  Each of
+these gates is its own inverse, so `_signed_permutation` runs a run
+reversed on the labels of its destinations to compile it into one gather
+``vec[j] <- i**k[j] * vec[src[j]]``, with one source index and one +-1
+factor per float of a (rows, floats) view: the (re, im) pairs of a complex
+state, the amplitudes of a real one, which refuses an imaginary Pauli
+word.  It moves and negates exactly the floats the gates would, signed
+zeros included, and never multiplies a complex number.  A dense pass
+gathers each run of two or more of them over every label of the register.
 
 Circuit plans.  `_circuit_plan` compiles a circuit once per (circuit,
 dtype) into one flat tuple of steps over the whole register, the gather of
@@ -84,36 +79,34 @@ fused path.
 Subspace plans.  The walk W = -S V preserves span{|ctrl_b>} (x) H_sys, so
 the invariant planes of `blocks.py` stay on a small part of the register:
 binary TFIM n=9 reaches 16,384 of 2**20 basis states, unary TFIM n=5
-4,384 of 2**22.  A `Subspace` is built from `start`, the basis states
-{ctrl_b << n_system | x} that hold the dressed states, and from the
-circuits select, reflect and walk.  `_closure` follows one pass of a
-circuit on one byte per basis state: a mix marks the partner of every
-marked state on either of its slices, and a Pauli word or a swap moves
-the marks.  `support` is start and the end of one select pass from it,
-which hold both plane rows (phi1 is select(phi0) - E phi0).  `reach` is
-support and every state a pass of select, reflect or walk can make
-nonzero from support, taken in one closure each, never iterated to a
-fixpoint: the cancellations that keep the walk on the plane are not seen,
-so a fixpoint would spread over the register.
+4,384 of 2**22.  A `Subspace` holds sorted arrays of basis labels, never
+an array the size of the register.  It is built from `start`, the labels
+{ctrl_b << n_system | x} of the dressed states, and from select, reflect
+and walk.  `_closure` follows one pass of a circuit on a set of labels: a
+fused run maps it through `_run_labels`, a mix adds the partner of every
+label on either of its slices.  `support` is start and the end of one
+select pass from it, which hold both plane rows (phi1 is select(phi0) - E
+phi0).  `reach` is support and every state a pass of select, reflect or
+walk can make nonzero from support, taken in one closure each, never
+iterated to a fixpoint: the cancellations that keep the walk on the plane
+are not seen, so a fixpoint would spread over the register.
 
 A compact row of a state holds its amplitudes at `reach`, in order, then
 one zero slot that no step writes.  `_subspace_plan` compiles a circuit
-once per (circuit, dtype, subspace) into two kinds of steps, in a bounded
-cache that holds no dense 2**w gather.  Each run of `_FUSED_KINDS`, a
-lone gate included, becomes a `_gather` over every float of reach, whose
-sources outside reach read the zero slot.  Each mix becomes `_take_mix`,
-which runs `_mix` itself with fancy indices over the pairs of reach
-blocks on its two slices: `reach` is a union of aligned blocks of
+once per (circuit, dtype, subspace), in a bounded cache.  Each run of
+`_FUSED_KINDS`, a lone gate included, becomes a gather on the labels of
+reach, whose sources outside reach read the zero slot.  Each mix becomes
+`_take_mix`, which runs `_mix` itself with fancy indices over the pairs of
+reach blocks on its two slices: `reach` is a union of aligned blocks of
 2**`bits` states, and a mix whose lowest qubit is q pairs whole blocks of
 2**min(bits, q) states.  A pair with one block outside reach is zero
-whenever the pass meets it and is left out.  Each
-amplitude gets the float operations of the dense pass, so every value at
-a reach state is bit for bit the dense pass's (a zero may differ in
-sign), and the dense pass is zero everywhere else.  `apply_in_subspace`
-refuses, before any float changes, rows that are nonzero outside the
-support their plan was compiled for, and a circuit the subspace was not
-built from: it never truncates a row.  It checks each row's norm drift as
-`apply_circuit` does.
+whenever the pass meets it and is left out.  Each amplitude gets the float
+operations of the dense pass, so every value at a reach state is bit for
+bit the dense pass's (a zero may differ in sign), and the dense pass is
+zero everywhere else.  `apply_in_subspace` refuses, before any float
+changes, rows that are nonzero outside the support their plan was
+compiled for, and a circuit the subspace was not built from: it never
+truncates a row.  It checks each row's norm drift as `apply_circuit` does.
 
 No command runs one circuit on both dtypes: the walk's planes run select
 and walk, Zeno's complex states run prepare, its inverse and the
@@ -242,16 +235,11 @@ def _mix_step(lo_values, hi_values, mat, dtype) -> tuple:
     return (_mix, _index(lo_values), _index(hi_values), m00, m01, m10, m11)
 
 
-def _width(gates) -> int:
-    """1 + the highest qubit any of `gates` touches."""
-    return 1 + max(q for g in gates for q in g.qubits + g.controls)
-
-
 @lru_cache(maxsize=4096)
 def _plan(gate: Gate, dtype: np.dtype) -> tuple:
     """The gate as a tuple of kernel steps `(fn, *args)` for a vector of
-    `dtype`, on any tensor whose last `_width((gate,))` axes are qubits;
-    only the entries of a mix depend on the dtype."""
+    `dtype`, on any tensor whose last axes are its qubits and every qubit
+    below them; only the entries of a mix depend on the dtype."""
     kind = gate.kind
     on = tuple((q, 1) for q in gate.controls)
     if kind in (PAULI, TOFFOLI, MCZ):
@@ -288,39 +276,60 @@ def _plan(gate: Gate, dtype: np.dtype) -> tuple:
     return (_mix_step(on + ((target, 0),), on + ((target, 1),), mat, dtype),)
 
 
-def _signed_permutation(gates, width: int, dtype=complex) -> tuple:
-    """`_gather`'s (src, sign) for the product of `gates` on rows of `width`
-    qubits, for a vector of `dtype`.
-
-    The gates' own steps run over the basis labels 1..2**width, so entry j
-    ends as i**k[j] * (src[j] + 1).  Raises ValueError unless every entry is
-    a label times a power of i and every label is used once; with a real
-    `dtype` the Pauli kernel already refuses any odd power of i.
-    """
-    dim = 1 << width
-    labels = np.arange(1, dim + 1, dtype=dtype)
-    ten = labels.reshape((2,) * width)
+def _run_labels(gates, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(image, k): the product of `gates` maps basis label labels[j] to
+    i**k[j] times basis label image[j], with k in 0..3.  Raises ValueError
+    for a gate kind that is not a signed permutation of the basis."""
+    image = np.array(labels, dtype=np.int64)
+    k = np.zeros(len(image), dtype=np.int64)
     for gate in gates:
-        for fn, *args in _plan(gate, labels.dtype):
-            fn(ten, *args)
-    re, im = labels.real, labels.imag
-    odd = im != 0  # k odd: the label sits in the imaginary part
-    signed = np.where(odd, im, re)
-    neg = signed < 0  # k is 2 or 3
-    if not (
-        np.all(odd != (re != 0))
-        and np.array_equal(np.sort(np.abs(signed)), np.arange(1, dim + 1))
-    ):
-        raise ValueError("gate run is not a signed permutation of the basis")
-    src = np.abs(signed).astype(np.intp) - 1
-    if not np.iscomplexobj(labels):
+        kind, qubits = gate.kind, gate.qubits
+        if kind not in _FUSED_KINDS:
+            raise ValueError(f"a {kind} gate is not a signed permutation of the basis")
+        # a gate acts where its controls all read 1, MCZ's qubits taken as controls
+        mask = sum(1 << q for q in (qubits if kind == MCZ else gate.controls))
+        on = (image & mask) == mask if mask else True
+        if kind == MCZ:
+            np.add(k, 2, out=k, where=on)
+        elif kind == CSWAP:
+            a, b = qubits
+            flips = (((image >> a) ^ (image >> b)) & 1) * (1 << a | 1 << b)
+            np.bitwise_xor(image, flips, out=image, where=on)
+        elif kind == TOFFOLI:
+            np.bitwise_xor(image, 1 << qubits[0], out=image, where=on)
+        else:  # i**(phase_exp + |x&z|) X^x Z^z, as in `pauli.view_action`
+            word = gate.pauli
+            z = [q for i, q in enumerate(qubits) if (word.z_bits >> i) & 1]
+            if (coef := word.phase_exp + (word.x_bits & word.z_bits).bit_count()) or z:
+                np.add(k, coef + 2 * sum((image >> q) & 1 for q in z), out=k, where=on)
+            flips = sum(1 << q for i, q in enumerate(qubits) if (word.x_bits >> i) & 1)
+            np.bitwise_xor(image, flips, out=image, where=on)
+    return image, k & 3
+
+
+def _signed_permutation(gates, dest: np.ndarray, positions, dtype) -> tuple:
+    """`_gather`'s (src, sign) for the product of `gates` on rows of `dtype`
+    that hold the amplitudes of the basis labels `dest`, in order, where
+    `positions` maps labels to places in a row.  The gates are their own
+    inverses: the run reversed maps each destination to i**-k times its
+    source.  Raises ValueError for a gate that is not a signed permutation,
+    and, on a real `dtype`, for an imaginary Pauli word."""
+    real = np.dtype(dtype).kind != "c"
+    if real and any(g.kind == PAULI and not g.pauli.is_real for g in gates):
+        raise ValueError("a real state cannot take an imaginary Pauli word")
+    source, k = _run_labels(reversed(gates), dest)
+    src = positions(source)
+    k = -k & 3
+    odd = (k & 1).astype(bool)
+    neg = k >= 2
+    if real:
         sign = np.where(neg, -1.0, 1.0)
         return src, (sign if np.any(neg) else None)
     # i (a + bi) = -b + ai and -i (a + bi) = b - ai
-    fsrc = np.empty(2 * dim, dtype=np.intp)
+    fsrc = np.empty(2 * len(src), dtype=np.intp)
     fsrc[0::2] = 2 * src + odd
     fsrc[1::2] = 2 * src + ~odd
-    sign = np.empty(2 * dim)
+    sign = np.empty(2 * len(src))
     sign[0::2] = np.where(odd ^ neg, -1.0, 1.0)
     sign[1::2] = np.where(neg, -1.0, 1.0)
     return fsrc, (sign if np.any(sign < 0) else None)
@@ -336,7 +345,8 @@ def _circuit_plan(circuit: Circuit, dtype: np.dtype) -> tuple:
     for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
         run = list(run)
         if fused and len(run) >= 2:
-            steps.append((_gather, *_signed_permutation(run, total, dtype)))
+            labels = np.arange(1 << total)
+            steps.append((_gather, *_signed_permutation(run, labels, lambda src: src, dtype)))
         else:
             steps += [step for gate in run for step in _plan(gate, dtype)]
     return tuple(steps)
@@ -356,66 +366,68 @@ def _slice_bits(idx) -> tuple[int, int]:
     return mask, value
 
 
+def _lookup(labels: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The place of each of `states` in the sorted `labels`; len(labels) if missing."""
+    at = np.minimum(np.searchsorted(labels, states), len(labels) - 1)
+    return np.where(labels[at] == states, at, len(labels))
+
+
+def _union(labels: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """The sorted union of the sorted distinct `labels` and the distinct `more`."""
+    if np.array_equal(labels, more):
+        return labels
+    fresh = more[_lookup(labels, more) == len(labels)]
+    return np.sort(np.concatenate((labels, fresh))) if len(fresh) else labels
+
+
 def _closure(circuit: Circuit, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(reached, end) for one pass of `circuit` on states that may be
-    nonzero where the register-sized bool mask `support` is set: the masks
-    of every state the pass can make nonzero, support included, and of
-    those it can leave nonzero.
-
-    Each gate's own `_plan` steps move the marks: a mix marks the partner
-    of every marked state on either of its slices, with no regard for
-    cancellations, and a Pauli word or a swap moves the marks as it moves
-    amplitudes.  A subspace plan runs each run of `_FUSED_KINDS` as one
-    gather, so the marks are read into `reached` only between runs; a mix
-    only adds marks."""
-    now, reached = support.copy(), support.copy()
-    ten = now.reshape((2,) * circuit.layout.total_qubits)
-    for _, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
-        reached |= now
+    nonzero at the sorted labels `support`: the sorted labels the pass can
+    make nonzero, support included, and those it can leave nonzero.  A
+    subspace plan gathers each fused run at once, so labels enter `reached`
+    only before a run and at the end; a mix step adds the partner of every
+    label on either of its slices, regardless of cancellations."""
+    now = reached = support
+    for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
+        if fused:
+            reached = _union(reached, now)
+            now = np.sort(_run_labels(run, now)[0])
+            continue
         for gate in run:
-            for fn, *args in _plan(gate, np.dtype(np.float64)):
-                if fn is _mix:
-                    lo, hi = args[:2]
-                    ten[lo] = ten[hi] = ten[lo] | ten[hi]
-                elif fn is _swap:
-                    _swap(ten, *args)
-                else:  # a Pauli word: only its flips move amplitudes
-                    idx, (_, flips, _) = args
-                    if flips:
-                        view = ten[idx]
-                        view[...] = np.flip(view, flips)
-    reached |= now
-    return reached, now
+            for _, lo_idx, hi_idx, *_ in _plan(gate, np.dtype(np.float64)):
+                mask, lo = _slice_bits(lo_idx)
+                hi = _slice_bits(hi_idx)[1]
+                # with no partner missing, one slice is the other moved by hi - lo
+                on_lo, on_hi = now[(now & mask) == lo], now[(now & mask) == hi]
+                if not np.array_equal(on_lo ^ lo ^ hi, on_hi):
+                    now = _union(now, np.concatenate((on_lo, on_hi)) ^ lo ^ hi)
+    return _union(reached, now), now
 
 
 class Subspace:
     """The basis states that passes of `circuits` can reach from `start`.
 
-    `support` holds `start` and the states one pass of the first circuit
-    can leave nonzero from it; `reach` holds every state a pass of any of
-    the circuits can make nonzero from `support`.  Both are sorted basis
-    indices.  A compact row of a state holds its amplitudes at `reach`, in
-    order, then one zero slot that no plan step writes.  `reach` is a union
-    of aligned blocks of 2**`bits` states, the largest such blocks.
-    Instances compare and hash by identity, which keys the cache of
-    subspace plans.
+    `support` holds `start`, distinct basis labels, and the labels one pass
+    of the first circuit can leave nonzero from it; `reach` holds every
+    label a pass of any of the circuits can make nonzero from `support`.
+    Both are sorted.  A compact row of a state holds its amplitudes at
+    `reach`, in order, then one zero slot that no plan step writes.
+    `reach` is a union of aligned blocks of 2**`bits` states, the largest
+    such blocks, whose first labels are `keys` << `bits`.  Instances
+    compare and hash by identity, which keys the cache of subspace plans.
     """
 
     def __init__(self, start: np.ndarray, circuits):
         self.circuits = tuple(circuits)
         self.total = self.circuits[0].layout.total_qubits
-        support = np.zeros(1 << self.total, dtype=bool)
-        support[start] = True
-        reached, end = _closure(self.circuits[0], support)
-        if (end & ~support).any():  # one pass of the first circuit leaves start
-            support |= end
-            reached = _closure(self.circuits[0], support)[0]
+        support = np.sort(np.asarray(start, dtype=np.int64))
+        reach, end = _closure(self.circuits[0], support)
+        if len(grown := _union(support, end)) > len(support):  # one pass leaves start
+            support = grown
+            reach = _closure(self.circuits[0], support)[0]
         for circuit in self.circuits[1:]:
-            reached |= _closure(circuit, support)[0]
-        self.support = np.flatnonzero(support)
-        self.reach = reach = np.flatnonzero(reached)
-        # where a row must hold zero before a pass: off support, and the slot
-        self.outside = np.append(~support[reach], True)
+            reach = _union(reach, _closure(circuit, support)[0])
+        self.support, self.reach = support, reach
         self.bits = 0
         while self.bits < self.total:
             size = 2 << self.bits
@@ -424,13 +436,17 @@ class Subspace:
             if not (aligned and np.array_equal(reach[size - 1 :: size], first + size - 1)):
                 break
             self.bits += 1
+        self.keys = reach[:: 1 << self.bits] >> self.bits
+        # where a row must hold zero before a pass: off support, and the slot
+        self.outside = np.ones(len(reach) + 1, dtype=bool)
+        self.outside[self.positions(support)] = False
 
     def positions(self, states: np.ndarray) -> np.ndarray:
         """Compact position of each basis state of `states`; a state outside
         reach reads the zero slot."""
-        reach = self.reach
-        at = np.minimum(np.searchsorted(reach, states), len(reach) - 1)
-        return np.where(reach[at] == states, at, len(reach))
+        at = _lookup(self.keys, states >> self.bits)
+        low = states & ((1 << self.bits) - 1)
+        return np.where(at < len(self.keys), at << self.bits | low, len(self.reach))
 
     def expand(self, rows: np.ndarray) -> np.ndarray:
         """Compact rows as full-register vectors."""
@@ -443,22 +459,6 @@ def _take_mix(rows, size, lo, hi, *entries):
     """`_mix` on the blocks `lo` and `hi` of `size` states of compact rows."""
     ten = rows[:, :-1].reshape(len(rows), -1, size)
     _mix(ten, (slice(None), lo), (slice(None), hi), *entries)
-
-
-def _compact_gather(space: Subspace, w: int, src: np.ndarray, sign, dtype) -> tuple:
-    """A `_signed_permutation` on rows of w qubits as a `_gather` over every
-    float of reach; a source outside reach reads the zero slot."""
-    top = ~((1 << w) - 1)
-    at = space.reach & ~top
-    high = space.reach & top
-    if dtype == complex:  # the floats (re, im) of each amplitude
-        at = (2 * at[:, None] + (0, 1)).ravel()
-        fsrc = src[at]
-        src = 2 * space.positions(np.repeat(high, 2) | (fsrc >> 1)) + (fsrc & 1)
-    else:
-        src = space.positions(high | src[at])
-    sign = None if sign is None else sign[at]
-    return (_gather, src, sign if sign is not None and (sign < 0).any() else None)
 
 
 def _compact_mix(space: Subspace, step) -> tuple | None:
@@ -481,8 +481,8 @@ def _compact_mix(space: Subspace, step) -> tuple | None:
 @lru_cache(maxsize=8)
 def _subspace_plan(circuit: Circuit, dtype: np.dtype, space: Subspace) -> tuple:
     """The gates of `circuit` as kernel steps on compact rows of `space`:
-    each run of `_FUSED_KINDS`, a lone gate included, as a
-    `_compact_gather`, and each mix step of another gate as a
+    each run of `_FUSED_KINDS`, a lone gate included, as a `_gather` on the
+    labels of reach, and each mix step of another gate as a
     `_compact_mix`."""
     if circuit not in space.circuits:
         raise ValueError("the subspace was not built for this circuit")
@@ -490,8 +490,7 @@ def _subspace_plan(circuit: Circuit, dtype: np.dtype, space: Subspace) -> tuple:
     for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
         run = tuple(run)
         if fused:
-            w = _width(run)
-            steps.append(_compact_gather(space, w, *_signed_permutation(run, w, dtype), dtype))
+            steps.append((_gather, *_signed_permutation(run, space.reach, space.positions, dtype)))
             continue
         for gate in run:
             steps += filter(None, (_compact_mix(space, step) for step in _plan(gate, dtype)))

@@ -144,3 +144,28 @@ def test_walk_eigenphases_stays_far_below_one_register_vector():
         tracemalloc.stop()
     assert report.max_error < ROUNDOFF and report.closure_error < ROUNDOFF
     assert peak < (8 << bundle.layout.total_qubits) // 32
+
+
+def test_a_subspace_and_its_plans_allocate_nothing_register_sized():
+    """Unary TFIM n=6 with pe is 23 qubits, 64 MiB per real vector, and the
+    cap refuses it; its planes reach 137 control keys times 2**6 system
+    states.  Building the subspace and compiling the select and walk plans
+    on it each peak under 8 MiB, an eighth of one register vector."""
+    from specwalk.simulator import _subspace_plan
+
+    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "unary", with_pe=True)
+    assert bundle.layout.total_qubits == 23
+    steps = [
+        lambda: plane_subspace(bundle),
+        lambda: _subspace_plan(bundle.select, np.dtype(np.float64), plane_subspace(bundle)),
+        lambda: _subspace_plan(bundle.walk, np.dtype(np.float64), plane_subspace(bundle)),
+    ]
+    for step in steps:
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+    assert len(plane_subspace(bundle).reach) == 137 << 6

@@ -577,10 +577,10 @@ def test_fused_run_with_controlled_imaginary_phases():
 def test_non_monomial_run_is_refused(gates):
     from specwalk.simulator import _signed_permutation
 
-    with pytest.raises(ValueError, match="not a signed permutation"):
-        _signed_permutation(gates, 2)
-    with pytest.raises(ValueError, match="not a signed permutation"):
-        _signed_permutation(gates, 2, float)
+    labels = np.arange(4)
+    for dtype in (complex, float):
+        with pytest.raises(ValueError, match="not a signed permutation"):
+            _signed_permutation(gates, labels, lambda src: src, dtype)
 
 
 @pytest.mark.parametrize(
@@ -854,7 +854,8 @@ def _subspace_rows(space, dtype, rng, rows=2):
     "model, encoding, dtype",
     [("tfim3", "binary", float), ("long_range3", "unary", float),
      ("long_range4", "hybrid", float), ("tfim3", "binary", complex),
-     ("odd_y", "binary", complex), ("odd_y", "unary", complex)],
+     ("long_range4", "hybrid", complex), ("odd_y", "binary", complex),
+     ("odd_y", "unary", complex)],
 )
 def test_subspace_passes_equal_dense_passes(
     suite_models, odd_y_model, model, encoding, dtype, with_pe
