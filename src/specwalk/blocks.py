@@ -16,14 +16,14 @@ one-dimensional block (phi1 has a 0/0 form there).
 
 Each plane is checked on its own.  A block holds a C-order array of 1 or
 2 compact rows, phi0 and, off the boundary, phi1, over the `Subspace` of
-the bundle (`plane_subspace`): the basis states that select, reflect and
-walk can reach from the dressed states, and one zero slot.  That is
-16,384 of 2**20 amplitudes for binary TFIM n=9 and 4,384 of 2**22 for
-unary TFIM n=5.  The subspace is built once per bundle, so a bundle whose
-walk was replaced gets its own.  `plane`, `phi0`,
-`phi1`, `phi_plus` and `phi_minus` expand the rows into full-register
-vectors on each access, for analysis Zeno and observable recovery;
-they equal the planes built on the whole register bit for bit.
+the bundle (`plane_subspace`): the basis states that select, reflect,
+walk and prepare_dagger can reach from the dressed states, and one zero
+slot.  That is 16,384 of 2**18 amplitudes for binary TFIM n=9 and 4,384
+of 2**21 for unary TFIM n=5.  The subspace is built once per bundle, so a
+bundle whose walk was replaced gets its own.  `plane`, `phi0`, `phi1`,
+`phi_plus` and `phi_minus` expand the rows into full-register vectors on
+each access, for the eigenspace projection and observable recovery; they
+equal the planes built on the whole register bit for bit.
 The plane is float64 when the encoded operator and the walk are real: the
 eigenvectors of the one complex `eigh` (which also gives the energies, so
 they do not depend on the dtype) have no imaginary part, and every gate of
@@ -100,13 +100,15 @@ class InvariantBlock:
 @lru_cache(maxsize=2)
 def plane_subspace(bundle: WalkBundle) -> Subspace:
     """The subspace of the bundle's planes: from the basis states of the
-    dressed states, {ctrl_b << n_system | x}, through select, reflect and
-    walk.  Bundles hash their circuits by identity, so the last two
-    bundles' subspaces are cached and a replaced walk gets its own."""
+    dressed states, {ctrl_b << n_system | x}, through select, reflect, walk
+    and prepare_dagger (for analysis Zeno; reflect reaches all it does).
+    Bundles hash their circuits by identity, so the last two bundles'
+    subspaces are cached and a replaced walk gets its own."""
     n = bundle.n_system
     controls = np.array(sorted({b.control_state for b in bundle.branches}), dtype=np.intp)
     start = (controls[:, None] << n | np.arange(1 << n)).ravel()
-    return Subspace(start, (bundle.select, bundle.reflect, bundle.walk))
+    circuits = (bundle.select, bundle.reflect, bundle.walk, bundle.prepare_dagger)
+    return Subspace(bundle.layout.total_qubits, start, circuits)
 
 
 def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
@@ -122,15 +124,11 @@ def invariant_blocks(bundle: WalkBundle) -> Iterator[InvariantBlock]:
     if bundle.select.is_real and bundle.walk.is_real and not vectors.imag.any():
         vectors = vectors.real
     space = plane_subspace(bundle)
-    # each branch's 2**n_system states are consecutive in reach
-    offsets = space.positions(
-        np.array([b.control_state << bundle.n_system for b in bundle.branches], dtype=np.intp)
-    )
     for k, e in enumerate(energies.tolist()):
         phi = vectors[:, k]
         n_rows = 1 if abs(e) >= 1.0 - BOUNDARY_EPS else 2
         rows = np.empty((n_rows, len(space.reach) + 1), dtype=vectors.dtype)
-        dressed_state(bundle.branches, phi, rows[0], offsets)
+        dressed_state(bundle.branches, phi, rows[0], space.positions)
         if n_rows == 1:
             # A bare walk eigenvector with eigenvalue +-1; acos of a
             # within-epsilon energy would smear the phase by ~sqrt(eps).

@@ -35,6 +35,7 @@ from .hamiltonian import (
     tfim,
 )
 from .measurement import ProjectionFailedError, uniform_schedule, zeno_prepare
+from .pauli import check_matrix_width
 from .resources import (
     CostModel,
     CostQuery,
@@ -197,7 +198,7 @@ def build_model(cfg: argparse.Namespace) -> LcuHamiltonian:
 
 def run_spectrum(cfg: argparse.Namespace) -> tuple[dict, int]:
     h = build_model(cfg)
-    bundle = build_walk(normalize(h, "auto"), cfg.encoding, with_pe=True)
+    bundle = build_walk(normalize(h, "auto"), cfg.encoding, with_pe=False)
     report = walk_eigenphases(bundle)
     rows = [
         {
@@ -226,6 +227,7 @@ def run_spectrum(cfg: argparse.Namespace) -> tuple[dict, int]:
 def run_zeno(cfg: argparse.Namespace) -> tuple[dict, int]:
     if cfg.mode == "sample" and cfg.seed is None:
         raise InputError("sample mode requires --seed")
+    check_matrix_width(cfg.n)  # zeno diagonalizes h0 densely; refuse before the 2**n state
     h0 = tfim(cfg.n, -abs(cfg.g), 0.0, cfg.boundary)
     v = tfim(cfg.n, 0.0, cfg.J, cfg.boundary)
     model = InterpolatedModel(h0, v, h0_ground=product_state("+" * cfg.n))

@@ -43,8 +43,10 @@ and matrix entries, never an amplitude-sized array.  Every index starts
 with an Ellipsis, so it yields a writable view even when it fixes every
 qubit axis (an all-integer index would return a scalar copy), and one plan
 runs unchanged on a tensor of any number of qubits and rows: the whole
-register in `apply` and `apply_circuit`, a block of basis states in
-`circuit_unitary`.
+register in `apply`, a block of basis states in `circuit_unitary`, and the
+blocks of compact rows in each mix of a compiled pass (below).  `apply` and
+`circuit_unitary` run gate by gate, so they stay an independent oracle for
+compiled passes.
 
 Fused runs.  PAULI, TOFFOLI, CSWAP and MCZ map each basis state to one
 basis state times a power of i.  `_run_labels` maps integer basis labels
@@ -58,55 +60,49 @@ reversed on the labels of its destinations to compile it into one gather
 factor per float of a (rows, floats) view: the (re, im) pairs of a complex
 state, the amplitudes of a real one, which refuses an imaginary Pauli
 word.  It moves and negates exactly the floats the gates would, signed
-zeros included, and never multiplies a complex number.  A dense pass
-gathers each run of two or more of them over every label of the register.
+zeros included, and never multiplies a complex number.
 
-Circuit plans.  `_circuit_plan` compiles a circuit once per (circuit,
-dtype) into one flat tuple of steps over the whole register, the gather of
-each run and the steps of every other gate in order, and keeps the 4 most
-recent plans in a second bounded cache: a Zeno point runs at most three,
-the controlled walk, prepare and its inverse, and then drops its bundle.
-Circuits are immutable and hash by identity, so a lookup hashes no gates
-and a plan never goes stale.  `apply_circuit` runs every step on the
-whole vector, viewed as one row of all its qubits, and checks that the
-vector's norm did not drift.  It reads no part of the vector to skip: the
-states whose register is mostly zero, the invariant planes, run on
-compact rows instead (below), and each Zeno point starts from the dressed
-state written from the branch table.  `apply` and `circuit_unitary` still
-run gate by gate, so the unitary stays an independent oracle for the
-fused path.
+Subspaces.  Every circuit pass is compiled for a `Subspace`, the sorted
+basis labels `reach` that the pass may touch, and runs on compact rows of
+the amplitudes at reach.  `QuantumState.apply_circuit` runs its vector as
+the one row of the whole register, whose start holds every label: it is
+its own support and reach, for any circuit, so no closure runs over it.
+One is kept at a time.
 
-Subspace plans.  The walk W = -S V preserves span{|ctrl_b>} (x) H_sys, so
-the invariant planes of `blocks.py` stay on a small part of the register:
-binary TFIM n=9 reaches 16,384 of 2**20 basis states, unary TFIM n=5
-4,384 of 2**22.  A `Subspace` holds sorted arrays of basis labels, never
-an array the size of the register.  It is built from `start`, the labels
-{ctrl_b << n_system | x} of the dressed states, and from select, reflect
-and walk.  `_closure` follows one pass of a circuit on a set of labels: a
+The walk W = -S V preserves span{|ctrl_b>} (x) H_sys, so the invariant
+planes of `blocks.py`, and analysis Zeno's states, stay on a small part of
+the register: binary TFIM n=9 reaches 16,384 of 2**18 basis states, unary
+TFIM n=5 4,384 of 2**21.  Their subspace is built from `start`, the labels
+{ctrl_b << n_system | x} of the dressed states, and from select, reflect,
+walk and prepare_dagger, on labels alone: it holds no array the size of the
+register.  `_closure` follows one pass of a circuit on a set of labels: a
 fused run maps it through `_run_labels`, a mix adds the partner of every
 label on either of its slices.  `support` is start and the end of one
 select pass from it, which hold both plane rows (phi1 is select(phi0) - E
-phi0).  `reach` is support and every state a pass of select, reflect or
-walk can make nonzero from support, taken in one closure each, never
-iterated to a fixpoint: the cancellations that keep the walk on the plane
-are not seen, so a fixpoint would spread over the register.
+phi0).  `reach` is support and every state a pass of select, reflect,
+walk or prepare_dagger can make nonzero from support, taken in one closure
+each, never iterated to a fixpoint: the cancellations that keep the walk
+on the plane are not seen, so a fixpoint would spread over the register.
 
-A compact row of a state holds its amplitudes at `reach`, in order, then
-one zero slot that no step writes.  `_subspace_plan` compiles a circuit
-once per (circuit, dtype, subspace), in a bounded cache.  Each run of
+`_subspace_plan` compiles a circuit once per (circuit, dtype, subspace),
+in a bounded cache.  Circuits are immutable and hash by identity, so a
+lookup hashes no gates and a plan never goes stale.  Each run of
 `_FUSED_KINDS`, a lone gate included, becomes a gather on the labels of
-reach, whose sources outside reach read the zero slot.  Each mix becomes
-`_take_mix`, which runs `_mix` itself with fancy indices over the pairs of
-reach blocks on its two slices: `reach` is a union of aligned blocks of
-2**`bits` states, and a mix whose lowest qubit is q pairs whole blocks of
-2**min(bits, q) states.  A pair with one block outside reach is zero
-whenever the pass meets it and is left out.  Each amplitude gets the float
-operations of the dense pass, so every value at a reach state is bit for
-bit the dense pass's (a zero may differ in sign), and the dense pass is
+reach, whose sources outside reach read a zero slot after the row's
+amplitudes, which no step writes; a whole register has none.  Each mix
+becomes `_take_mix`, which runs `_mix` itself with fancy indices over the
+pairs of reach blocks on its two slices: `reach` is a union of aligned
+blocks of 2**`bits` states, and a mix whose lowest qubit is q pairs whole
+blocks of 2**min(bits, q) states.  A pair with one block outside reach is
+zero whenever the pass meets it and is left out.  Each amplitude gets the
+float operations of the gate-by-gate pass, so every value at a reach state
+is bit for bit that pass's (a zero may differ in sign), and that pass is
 zero everywhere else.  `apply_in_subspace` refuses, before any float
-changes, rows that are nonzero outside the support their plan was
-compiled for, and a circuit the subspace was not built from: it never
-truncates a row.  It checks each row's norm drift as `apply_circuit` does.
+changes, rows that are nonzero outside the support their plan was compiled
+for, and a circuit the subspace was not built from: it never truncates a
+row.  A whole register takes any circuit and has no state outside its
+support, so it skips both checks.  Every pass checks each row's norm
+drift.
 
 No command runs one circuit on both dtypes: the walk's planes run select
 and walk, Zeno's complex states run prepare, its inverse and the
@@ -335,23 +331,6 @@ def _signed_permutation(gates, dest: np.ndarray, positions, dtype) -> tuple:
     return fsrc, (sign if np.any(sign < 0) else None)
 
 
-@lru_cache(maxsize=4)
-def _circuit_plan(circuit: Circuit, dtype: np.dtype) -> tuple:
-    """The gates of `circuit` as kernel steps on the whole register, for a
-    vector of `dtype`: a `_gather` per run of two or more gates of
-    `_FUSED_KINDS`, and the `_plan` steps of every other gate."""
-    total = circuit.layout.total_qubits
-    steps = []
-    for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
-        run = list(run)
-        if fused and len(run) >= 2:
-            labels = np.arange(1 << total)
-            steps.append((_gather, *_signed_permutation(run, labels, lambda src: src, dtype)))
-        else:
-            steps += [step for gate in run for step in _plan(gate, dtype)]
-    return tuple(steps)
-
-
 # --- subspace plans ------------------------------------------------------------
 
 
@@ -405,28 +384,32 @@ def _closure(circuit: Circuit, support: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class Subspace:
-    """The basis states that passes of `circuits` can reach from `start`.
+    """The basis states of a register of `total` qubits that passes of
+    `circuits` can reach from `start`.
 
     `support` holds `start`, distinct basis labels, and the labels one pass
     of the first circuit can leave nonzero from it; `reach` holds every
     label a pass of any of the circuits can make nonzero from `support`.
     Both are sorted.  A compact row of a state holds its amplitudes at
-    `reach`, in order, then one zero slot that no plan step writes.
-    `reach` is a union of aligned blocks of 2**`bits` states, the largest
-    such blocks, whose first labels are `keys` << `bits`.  Instances
-    compare and hash by identity, which keys the cache of subspace plans.
+    `reach`, in order, then one zero slot that no plan step writes.  A
+    start of every label is `whole`: its own support and reach, for any
+    circuit, with rows of no slot.  `reach` is a union of aligned blocks
+    of 2**`bits` states, the largest such blocks, whose first labels are
+    `keys` << `bits`.  Instances compare and hash by identity, which keys
+    the cache of subspace plans.
     """
 
-    def __init__(self, start: np.ndarray, circuits):
-        self.circuits = tuple(circuits)
-        self.total = self.circuits[0].layout.total_qubits
-        support = np.sort(np.asarray(start, dtype=np.int64))
-        reach, end = _closure(self.circuits[0], support)
-        if len(grown := _union(support, end)) > len(support):  # one pass leaves start
-            support = grown
-            reach = _closure(self.circuits[0], support)[0]
-        for circuit in self.circuits[1:]:
-            reach = _union(reach, _closure(circuit, support)[0])
+    def __init__(self, total: int, start: np.ndarray, circuits):
+        self.total, self.circuits = total, tuple(circuits)
+        support = reach = np.sort(np.asarray(start, dtype=np.int64))
+        self.whole = len(support) == 1 << total
+        if not self.whole:
+            reach, end = _closure(self.circuits[0], support)
+            if len(grown := _union(support, end)) > len(support):  # one pass leaves start
+                support = grown
+                reach = _closure(self.circuits[0], support)[0]
+            for circuit in self.circuits[1:]:
+                reach = _union(reach, _closure(circuit, support)[0])
         self.support, self.reach = support, reach
         self.bits = 0
         while self.bits < self.total:
@@ -437,9 +420,12 @@ class Subspace:
                 break
             self.bits += 1
         self.keys = reach[:: 1 << self.bits] >> self.bits
-        # where a row must hold zero before a pass: off support, and the slot
-        self.outside = np.ones(len(reach) + 1, dtype=bool)
-        self.outside[self.positions(support)] = False
+        # where a row must hold zero before a pass: off support, and the slot;
+        # a whole row has neither
+        self.outside = None
+        if not self.whole:
+            self.outside = np.ones(len(reach) + 1, dtype=bool)
+            self.outside[self.positions(support)] = False
 
     def positions(self, states: np.ndarray) -> np.ndarray:
         """Compact position of each basis state of `states`; a state outside
@@ -451,13 +437,20 @@ class Subspace:
     def expand(self, rows: np.ndarray) -> np.ndarray:
         """Compact rows as full-register vectors."""
         out = np.zeros(rows.shape[:-1] + (1 << self.total,), dtype=rows.dtype)
-        out[..., self.reach] = rows[..., :-1]
+        out[..., self.reach] = rows[..., : len(self.reach)]
         return out
 
 
-def _take_mix(rows, size, lo, hi, *entries):
-    """`_mix` on the blocks `lo` and `hi` of `size` states of compact rows."""
-    ten = rows[:, :-1].reshape(len(rows), -1, size)
+@lru_cache(maxsize=1)
+def _register(total: int) -> Subspace:
+    """The whole register of `total` qubits, whose rows are state vectors."""
+    return Subspace(total, np.arange(1 << total), ())
+
+
+def _take_mix(rows, width, size, lo, hi, *entries):
+    """`_mix` on the blocks `lo` and `hi` of `size` states of the first
+    `width` amplitudes of compact rows."""
+    ten = rows[:, :width].reshape(len(rows), -1, size)
     _mix(ten, (slice(None), lo), (slice(None), hi), *entries)
 
 
@@ -475,7 +468,7 @@ def _compact_mix(space: Subspace, step) -> tuple | None:
     pair = hi_at < len(space.reach)
     if not pair.any():
         return None
-    return (_take_mix, size, lo_at[pair], hi_at[pair] // size, *entries)
+    return (_take_mix, len(space.reach), size, lo_at[pair], hi_at[pair] // size, *entries)
 
 
 @lru_cache(maxsize=8)
@@ -484,7 +477,7 @@ def _subspace_plan(circuit: Circuit, dtype: np.dtype, space: Subspace) -> tuple:
     each run of `_FUSED_KINDS`, a lone gate included, as a `_gather` on the
     labels of reach, and each mix step of another gate as a
     `_compact_mix`."""
-    if circuit not in space.circuits:
+    if not space.whole and circuit not in space.circuits:
         raise ValueError("the subspace was not built for this circuit")
     steps = []
     for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
@@ -499,11 +492,12 @@ def _subspace_plan(circuit: Circuit, dtype: np.dtype, space: Subspace) -> tuple:
 
 def apply_in_subspace(circuit: Circuit, rows: np.ndarray, space: Subspace) -> np.ndarray:
     """Run `circuit` in place on the C-order compact rows `rows` of `space`,
-    shaped (rows, len(reach) + 1).  Raises ValueError before any float
-    changes if a row is nonzero outside the support its plan was compiled
-    for, and AssertionError if a row's norm drifts."""
+    shaped (rows, len(reach) + 1), or (rows, len(reach)) on a whole
+    register.  Raises ValueError before any float changes if a row is
+    nonzero outside the support its plan was compiled for, and
+    AssertionError if a row's norm drifts."""
     plan = _subspace_plan(circuit, rows.dtype, space)
-    if np.logical_and(rows != 0, space.outside).any():
+    if not space.whole and np.logical_and(rows != 0, space.outside).any():
         raise ValueError("a row is nonzero outside the support of its subspace plan")
     flat = rows.view(np.float64)
     before = np.einsum("ij,ij->i", flat, flat)
@@ -546,14 +540,9 @@ class QuantumState:
         return self
 
     def apply_circuit(self, circuit: Circuit) -> "QuantumState":
-        """Run the circuit's compiled plan on the whole register."""
-        vec = self.vec
-        before = _norm(vec)
-        ten = vec.reshape((1,) + (2,) * self.layout.total_qubits)
-        for fn, *args in _circuit_plan(circuit, vec.dtype):
-            fn(ten, *args)
-        if abs(_norm(vec) - before) > 1e-9:
-            raise AssertionError("statevector norm drifted across the circuit")
+        """Run the circuit's compiled plan on the vector, one row of the
+        whole register."""
+        apply_in_subspace(circuit, self.vec.reshape(1, -1), _register(self.layout.total_qubits))
         return self
 
     # --- observables ----------------------------------------------------------

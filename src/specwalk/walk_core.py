@@ -126,15 +126,17 @@ def encoded_dense(branches, n_system: int) -> np.ndarray:
     return out
 
 
-def dressed_state(branches, sys_vec: np.ndarray, out: np.ndarray, offsets=None) -> None:
+def dressed_state(branches, sys_vec: np.ndarray, out: np.ndarray, positions=None) -> None:
     """Write B|0> tensor |psi>, built from the branch table, into the
-    full-register vector `out`, or into a compact row whose branch blocks
-    start at `offsets`, one per branch: sum_b amp_b |ctrl_b>|psi>."""
+    full-register vector `out`, or into a compact row whose `positions`
+    maps basis labels to places and holds each branch's states in order:
+    sum_b amp_b |ctrl_b>|psi>."""
     out.fill(0)
     dim = len(sys_vec)
-    if offsets is None:
-        offsets = [b.control_state * dim for b in branches]
-    for b, offset in zip(branches, offsets):
+    offsets = np.array([b.control_state * dim for b in branches], dtype=np.int64)
+    if positions is not None:
+        offsets = positions(offsets)
+    for b, offset in zip(branches, offsets.tolist()):
         out[offset : offset + dim] += b.amplitude * sys_vec
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from specwalk.cli import main
+from specwalk.pauli import MATRIX_QUBIT_CAP
 from specwalk.simulator import SIMULATION_QUBIT_CAP
 
 
@@ -303,17 +304,30 @@ def test_failed_sampled_projection_exits_1(monkeypatch, capsys):
 
 
 def test_spectrum_above_the_simulation_cap_is_refused_before_allocating(capsys):
-    # unary TFIM n=6 with its pe qubit is 23 qubits: one dense vector is
-    # 128 MiB, so the refusal must come before the first one is built
+    # unary TFIM n=7 is 23 qubits: one dense vector is 128 MiB, so the
+    # refusal must come before the first one is built
     tracemalloc.start()
     try:
-        code, out = run_cli(["spectrum", "--model", "tfim", "--n", "6", "--encoding", "unary"])
+        code, out = run_cli(["spectrum", "--model", "tfim", "--n", "7", "--encoding", "unary"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2 and out == ""
     assert f"23 qubits exceeds the dense cap of {SIMULATION_QUBIT_CAP}" in capsys.readouterr().err
     assert peak < 64 * 2**20
+
+
+def test_zeno_above_the_matrix_cap_is_refused_before_allocating(capsys):
+    # the g=0 ground state of 24 qubits alone is 256 MiB
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["zeno", "--n", "24"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"24 qubits exceeds the dense cap of {MATRIX_QUBIT_CAP}" in capsys.readouterr().err
+    assert peak < 16 * 2**20
 
 
 def test_missing_hamiltonian_file_exits_2(tmp_path, capsys):

@@ -11,6 +11,7 @@ Regenerate a file (only when an output is meant to change) with
 """
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -96,3 +97,18 @@ def test_spectrum_identical_up_to_roundoff(name):
     assert len(got_errors) == len(want_errors) > 0
     assert max(got_errors) <= ROUNDOFF_LIMIT
     assert max(want_errors) <= ROUNDOFF_LIMIT
+
+
+def test_unary_analysis_zeno_holds_no_register_vector():
+    """Unary TFIM n=6 is 22 qubits, where one complex state of the register
+    is 64 MiB: analysis Zeno runs on plane rows, and repeats the bytes that
+    dense states gave."""
+    argv = ["zeno", "--mode", "analyze", "--model", "tfim", "--n", "6", "--encoding", "unary"]
+    tracemalloc.start()
+    try:
+        text = run_cli(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert text == (DATA / "zeno-analyze-unary-n6.json").read_text(encoding="utf-8")

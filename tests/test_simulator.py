@@ -860,9 +860,9 @@ def _subspace_rows(space, dtype, rng, rows=2):
 def test_subspace_passes_equal_dense_passes(
     suite_models, odd_y_model, model, encoding, dtype, with_pe
 ):
-    """A pass on compact rows equals the dense `apply_circuit` pass bit for
-    bit at every reach state, signed zeros included; the dense pass is zero
-    outside reach, and the zero slot stays zero."""
+    """A pass on compact rows equals the gate-by-gate `QuantumState.apply`
+    pass bit for bit at every reach state, signed zeros included; the
+    gate-by-gate pass is zero outside reach, and the zero slot stays zero."""
     from specwalk import normalize
     from specwalk.blocks import plane_subspace
     from specwalk.simulator import apply_in_subspace
@@ -877,7 +877,10 @@ def test_subspace_passes_equal_dense_passes(
         dense, compact = _subspace_rows(space, dtype, rng)
         apply_in_subspace(circuit, compact, space)
         for row, vec in zip(compact, dense):
-            want = QuantumState(bundle.layout, vec).apply_circuit(circuit).vec
+            stepwise = QuantumState(bundle.layout, vec)
+            for gate in circuit:
+                stepwise.apply(gate)
+            want = stepwise.vec
             assert want.dtype == row.dtype
             _assert_same_bits(row[:-1], want[space.reach])
             assert not want[outside].any() and row[-1] == 0
@@ -911,8 +914,9 @@ def test_a_row_nonzero_outside_its_plan_support_is_refused(suite_models):
 
 
 def test_a_pass_that_changes_the_norm_is_refused(suite_models, monkeypatch):
-    """Both engines check each pass for norm drift: a step that doubles one
-    amplitude makes `apply_circuit` and `apply_in_subspace` raise."""
+    """Whole-register and compact passes check each pass for norm drift: a
+    step that doubles one amplitude makes `apply_circuit` and
+    `apply_in_subspace` raise."""
     from specwalk import normalize, simulator
     from specwalk.blocks import plane_subspace
     from specwalk.walk_core import build_walk
@@ -924,9 +928,30 @@ def test_a_pass_that_changes_the_norm_is_refused(suite_models, monkeypatch):
     bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary", with_pe=False)
     space = plane_subspace(bundle)
     dense, compact = _subspace_rows(space, float, np.random.default_rng(37))
-    monkeypatch.setattr(simulator, "_circuit_plan", lambda *_: ((double_one,),))
     monkeypatch.setattr(simulator, "_subspace_plan", lambda *_: ((double_one,),))
     with pytest.raises(AssertionError, match="norm drifted"):
         QuantumState(bundle.layout, dense[0]).apply_circuit(bundle.select)
     with pytest.raises(AssertionError, match="norm drifted"):
         simulator.apply_in_subspace(bundle.select, compact, space)
+
+
+def test_a_whole_register_subspace_runs_no_closure(monkeypatch):
+    """A start that holds every label is its own support and reach, for any
+    circuit on the register; no closure runs over the register's labels."""
+    from specwalk import simulator
+    from specwalk.simulator import Subspace, apply_in_subspace
+
+    def refuse(*_):
+        raise AssertionError("closure over the whole register")
+
+    monkeypatch.setattr(simulator, "_closure", refuse)
+    layout = plain_layout(4)
+    space = Subspace(4, np.arange(16), ())
+    assert space.whole and space.outside is None
+    assert np.array_equal(space.support, np.arange(16))
+    assert np.array_equal(space.reach, np.arange(16))
+    circuit = Circuit(layout, [Gate.h(0), Gate.cnot(0, 3), Gate.x(1)])
+    rows = np.eye(16)[:1].copy()
+    apply_in_subspace(circuit, rows, space)
+    assert np.array_equal(rows[0], QuantumState(layout, np.eye(16)[0]).apply_circuit(circuit).vec)
+    assert np.flatnonzero(rows[0]).tolist() == [2, 11]
