@@ -22,19 +22,12 @@ character at qubit 0 and an optional leading sign, e.g. ``-XZIZ``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 # Dense export guard: a 14-qubit word is the largest we ever materialise.
 MATRIX_QUBIT_CAP = 14
 
-_LETTER_MATRICES = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
 _LETTER_NAMES = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _NAME_BITS = {name: bits for bits, name in _LETTER_NAMES.items()}
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -178,13 +171,20 @@ def check_matrix_width(n: int) -> None:
 
 
 def to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2**n matrix of the word (phase included)."""
+    """Dense 2**n matrix of the word (phase included), written entry by
+    entry: P = i^(phase_exp + popcount(x&z)) * X^x Z^z has one nonzero in
+    each column c, at row c ^ x, and Z^z gives it the sign
+    (-1)^popcount(c&z)."""
     check_matrix_width(p.n_qubits)
-    letters = [
-        _LETTER_MATRICES[(p.x_bits >> q) & 1, (p.z_bits >> q) & 1]
-        for q in range(p.n_qubits - 1, -1, -1)
-    ]
-    return p.phase * reduce(np.kron, letters)
+    cols = np.arange(1 << p.n_qubits)
+    odd = np.zeros(len(cols), dtype=bool)  # popcount(c&z) is odd
+    for q in range(p.n_qubits):
+        if (p.z_bits >> q) & 1:
+            odd ^= ((cols >> q) & 1).astype(bool)
+    coef = _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    out[cols ^ p.x_bits, cols] = np.where(odd, -coef, coef)
+    return out
 
 
 def view_action(

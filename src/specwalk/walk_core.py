@@ -130,14 +130,15 @@ def dressed_state(branches, sys_vec: np.ndarray, out: np.ndarray, positions=None
     """Write B|0> tensor |psi>, built from the branch table, into the
     full-register vector `out`, or into a compact row whose `positions`
     maps basis labels to places and holds each branch's states in order:
-    sum_b amp_b |ctrl_b>|psi>."""
+    sum_b amp_b |ctrl_b>|psi>.  A stack of system vectors, one per row of
+    `out`, is written with one write per branch."""
     out.fill(0)
-    dim = len(sys_vec)
+    dim = sys_vec.shape[-1]
     offsets = np.array([b.control_state * dim for b in branches], dtype=np.int64)
     if positions is not None:
         offsets = positions(offsets)
     for b, offset in zip(branches, offsets.tolist()):
-        out[offset : offset + dim] += b.amplitude * sys_vec
+        out[..., offset : offset + dim] += b.amplitude * sys_vec
 
 
 def vacuum_reflection(layout: RegisterLayout, pe_control: bool = False) -> Circuit:

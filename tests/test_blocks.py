@@ -9,8 +9,10 @@ must fail.
 The planes are float64 exactly when the encoded operator and the walk are
 real; a word with an odd number of Ys keeps them complex.  They are stored
 on the basis states the walk can reach, and read as full-register vectors
-that equal the planes built on the whole register bit for bit.
+that equal the planes built on the whole register bit for bit.  They are
+built and walked in batches, which change no bit of the phase report.
 """
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -18,8 +20,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specwalk import long_range_ising, normalize, tfim
-from specwalk.blocks import invariant_blocks, plane_subspace, walk_eigenphases
+from specwalk import blocks, long_range_ising, normalize, tfim
+from specwalk.blocks import _restrict, invariant_blocks, plane_subspace, walk_eigenphases
 from specwalk.circuits import PAULI, Circuit
 from specwalk.simulator import QuantumState
 from specwalk.walk_core import build_walk, dressed_state
@@ -169,3 +171,71 @@ def test_a_subspace_and_its_plans_allocate_nothing_register_sized():
             tracemalloc.stop()
         assert peak <= 8 << 20
     assert len(plane_subspace(bundle).reach) == 137 << 6
+
+
+def _phases_one_block_at_a_time(bundle):
+    """`walk_eigenphases` as one walk pass, one `eigvals` and one match per
+    block."""
+    pairs, residuals = [], []
+    for block in invariant_blocks(bundle):
+        m, residual = _restrict(bundle.walk, block, np.empty_like(block.rows))
+        residuals.append(residual)
+        free = list(np.angle(np.linalg.eigvals(m)))
+        for e in sorted(block.eigenphases()):
+            chords = [abs(cmath.exp(1j * e) - cmath.exp(1j * p)) for p in free]
+            i = int(np.argmin(chords))
+            pairs.append((e, free.pop(i), 2.0 * math.asin(min(1.0, chords[i] / 2.0))))
+    pairs.sort(key=lambda p: p[0])
+    return pairs, math.hypot(*residuals)
+
+
+@pytest.mark.parametrize(
+    "model, encoding",
+    [("long_range4", "unary"), ("long_range4", "hybrid"), ("long_range3", "binary"),
+     ("tfim4", "unary"), ("odd_y", "binary"), ("odd_y", "unary")],
+)
+def test_batched_phases_equal_one_block_at_a_time(suite_models, odd_y_model, model, encoding):
+    """The batches change no bit: the pairs and the closure error equal
+    those of one walk pass per block.  Long-range models have boundary
+    planes, the odd-Y model complex ones, and unary long-range n=4 (12
+    planes a batch), hybrid long-range n=4 (15) and unary TFIM n=4 (13)
+    run 16 planes in two batches."""
+    h = odd_y_model if model == "odd_y" else suite_models[model]
+    bundle = build_walk(normalize(h, "auto"), encoding, with_pe=True)
+    report = walk_eigenphases(bundle)
+    pairs, closure = _phases_one_block_at_a_time(bundle)
+    assert np.array(report.pairs).tobytes() == np.array(pairs).tobytes()
+    assert np.float64(report.closure_error).tobytes() == np.float64(closure).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, encoding, with_pe, size",
+    [(6, "binary", False, 7), (9, "binary", False, 1), (5, "unary", True, 1)],
+)
+def test_a_batch_holds_at_most_2_14_amplitudes_of_rows(n, encoding, with_pe, size):
+    """k planes a batch, k = max(1, 2**14 // (2 * row length)): 7 at binary
+    TFIM n=6 (rows of 1,025), one at binary n=9 (16,385) and at unary TFIM
+    n=5 with pe (4,385), so the memory bounds of one plane at a time
+    still hold there."""
+    bundle = build_walk(normalize(tfim(n, 1.0, 1.0), "auto"), encoding, with_pe=with_pe)
+    width = len(plane_subspace(bundle).reach) + 1
+    batch, rows = next(blocks._plane_batches(bundle))
+    assert rows.shape == (size, 2, width) and rows.flags.c_contiguous and len(batch) == size
+
+
+def test_walk_eigenphases_runs_one_select_and_one_walk_pass_a_batch(monkeypatch):
+    """Binary TFIM n=6: 64 planes in batches of 7, so 10 select and 10 walk
+    passes where one plane a pass took 128."""
+    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "binary", with_pe=False)
+    passes = []
+
+    def counted(circuit, rows, space):
+        passes.append((circuit, len(rows)))
+        return apply_in_subspace(circuit, rows, space)
+
+    apply_in_subspace = blocks.apply_in_subspace
+    monkeypatch.setattr(blocks, "apply_in_subspace", counted)
+    report = walk_eigenphases(bundle)
+    assert report.max_error < ROUNDOFF and report.closure_error < ROUNDOFF
+    assert [c for c, _ in passes] == [bundle.select, bundle.walk] * 10
+    assert [k for _, k in passes] == [7, 14] * 9 + [1, 2]

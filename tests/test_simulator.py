@@ -886,6 +886,35 @@ def test_subspace_passes_equal_dense_passes(
             assert not want[outside].any() and row[-1] == 0
 
 
+@pytest.mark.parametrize(
+    "model, encoding, dtype",
+    [("tfim3", "binary", float), ("odd_y", "binary", complex), ("long_range4", "unary", float)],
+)
+def test_a_pass_on_stacked_rows_equals_one_pass_per_row(
+    suite_models, odd_y_model, model, encoding, dtype
+):
+    """The floats a compact pass writes for one row do not depend on the
+    other rows: select and walk on k stacked rows equal k one-row passes
+    bit for bit, signed zeros included.  `blocks.py` runs its planes in
+    batches on this; the zero rows stand for boundary planes' second rows."""
+    from specwalk import normalize
+    from specwalk.blocks import plane_subspace
+    from specwalk.simulator import apply_in_subspace
+    from specwalk.walk_core import build_walk
+
+    h = odd_y_model if model == "odd_y" else suite_models[model]
+    bundle = build_walk(normalize(h, "auto"), encoding, with_pe=True)
+    space, rng = plane_subspace(bundle), np.random.default_rng(43)
+    for circuit in (bundle.select, bundle.walk):
+        _, stacked = _subspace_rows(space, dtype, rng, rows=6)
+        stacked[[1, 4]] = 0.0
+        single = [row[None].copy() for row in stacked]
+        apply_in_subspace(circuit, stacked, space)
+        for got, want in zip(stacked, single):
+            apply_in_subspace(circuit, want, space)
+            _assert_same_bits(got, want[0])
+
+
 def test_a_row_nonzero_outside_its_plan_support_is_refused(suite_models):
     """A plan is compiled for the support of its rows: a row with one tiny
     amplitude elsewhere in reach, or in the zero slot, is refused before

@@ -231,8 +231,8 @@ def test_walk_eigenphases_holds_one_plane_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the whole subspace is 64 register vectors here; one plane and its
-    # images are a few
+    # the whole subspace is 64 register vectors here; one batch of planes
+    # (15 here, at most 2**14 amplitudes of rows) and its images are a few
     assert peak < 16 * (1 << b.layout.total_qubits) * 16
 
 
