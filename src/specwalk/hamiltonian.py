@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, PauliWidthError, check_matrix_width, to_matrix
+from .pauli import PauliString, PauliWidthError, dense_sum
 
 GROUP_TOL = 1e-12
 
@@ -279,12 +279,7 @@ def interpolate(model: InterpolatedModel, g: float) -> LcuHamiltonian:
 
 def dense_matrix(h: LcuHamiltonian | RescaledLcu) -> np.ndarray:
     """Dense Hermitian matrix sum_j c_j P_j (weights for a rescaled input)."""
-    check_matrix_width(h.n_qubits)
-    pairs = h.terms if isinstance(h, LcuHamiltonian) else h.weights
-    out = np.zeros((2**h.n_qubits, 2**h.n_qubits), dtype=complex)
-    for coeff, p in pairs:
-        out += coeff * to_matrix(p)
-    return out
+    return dense_sum(h.n_qubits, h.terms if isinstance(h, LcuHamiltonian) else h.weights)
 
 
 def eigensystem(h: LcuHamiltonian | RescaledLcu) -> tuple[np.ndarray, np.ndarray]:

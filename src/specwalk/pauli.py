@@ -18,6 +18,10 @@ ValueError, before it changes any float.
 
 Text syntax (files, CLI): a string over {I, X, Y, Z} with the leftmost
 character at qubit 0 and an optional leading sign, e.g. ``-XZIZ``.
+
+`dense_sum`, the one dense builder, adds each word's 2**n nonzeros of a
+weighted sum into one matrix in place; `to_matrix`, `dense_matrix` and
+`encoded_dense` call it.
 """
 from __future__ import annotations
 
@@ -171,19 +175,26 @@ def check_matrix_width(n: int) -> None:
 
 
 def to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2**n matrix of the word (phase included), written entry by
-    entry: P = i^(phase_exp + popcount(x&z)) * X^x Z^z has one nonzero in
-    each column c, at row c ^ x, and Z^z gives it the sign
-    (-1)^popcount(c&z)."""
-    check_matrix_width(p.n_qubits)
-    cols = np.arange(1 << p.n_qubits)
-    odd = np.zeros(len(cols), dtype=bool)  # popcount(c&z) is odd
-    for q in range(p.n_qubits):
-        if (p.z_bits >> q) & 1:
-            odd ^= ((cols >> q) & 1).astype(bool)
-    coef = _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
+    """Dense 2**n matrix of the word, phase included."""
+    return dense_sum(p.n_qubits, ((1, p),))
+
+
+def dense_sum(n: int, pairs) -> np.ndarray:
+    """Dense 2**n matrix of sum_j c_j P_j over (c_j, P_j) pairs, added in
+    order and in place: P = i^(phase_exp + popcount(x&z)) * X^x Z^z has one
+    nonzero in each column c, at row c ^ x, of sign (-1)^popcount(c&z)."""
+    check_matrix_width(n)
+    cols = np.arange(1 << n)
     out = np.zeros((len(cols), len(cols)), dtype=complex)
-    out[cols ^ p.x_bits, cols] = np.where(odd, -coef, coef)
+    for coeff, p in pairs:
+        if p.n_qubits != n:
+            raise PauliWidthError(f"a {p.n_qubits}-qubit word in a {n}-qubit sum")
+        odd = np.zeros(len(cols), dtype=bool)  # popcount(c&z) is odd
+        for q in range(n):
+            if (p.z_bits >> q) & 1:
+                odd ^= ((cols >> q) & 1).astype(bool)
+        coef = coeff * _PHASES[(p.phase_exp + (p.x_bits & p.z_bits).bit_count()) % 4]
+        out.reshape(-1)[(cols ^ p.x_bits) * len(cols) + cols] += np.where(odd, -coef, coef)
     return out
 
 

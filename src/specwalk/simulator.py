@@ -77,12 +77,13 @@ TFIM n=5 4,384 of 2**21.  Their subspace is built from `start`, the labels
 walk and prepare_dagger, on labels alone: it holds no array the size of the
 register.  `_closure` follows one pass of a circuit on a set of labels: a
 fused run maps it through `_run_labels`, a mix adds the partner of every
-label on either of its slices.  `support` is start and the end of one
-select pass from it, which hold both plane rows (phi1 is select(phi0) - E
-phi0).  `reach` is support and every state a pass of select, reflect,
-walk or prepare_dagger can make nonzero from support, taken in one closure
-each, never iterated to a fixpoint: the cancellations that keep the walk
-on the plane are not seen, so a fixpoint would spread over the register.
+label on either of its slices.  `support` is start, which holds both
+plane rows: select maps |ctrl_b>|x> to |ctrl_b> word_b|x>, so phi1 =
+select(phi0) - E phi0 stays on it.  `reach` is start and every state a
+pass of select, reflect, walk or prepare_dagger can make nonzero from it,
+one closure each, never iterated to a fixpoint: the cancellations that
+keep the walk on the plane are not seen, so a fixpoint would spread over
+the register.
 
 `_subspace_plan` compiles a circuit once per (circuit, dtype, subspace),
 in a bounded cache.  Circuits are immutable and hash by identity, so a
@@ -359,14 +360,13 @@ def _union(labels: np.ndarray, more: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((labels, fresh))) if len(fresh) else labels
 
 
-def _closure(circuit: Circuit, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(reached, end) for one pass of `circuit` on states that may be
-    nonzero at the sorted labels `support`: the sorted labels the pass can
-    make nonzero, support included, and those it can leave nonzero.  A
-    subspace plan gathers each fused run at once, so labels enter `reached`
-    only before a run and at the end; a mix step adds the partner of every
-    label on either of its slices, regardless of cancellations."""
-    now = reached = support
+def _closure(circuit: Circuit, start: np.ndarray) -> np.ndarray:
+    """The sorted labels one pass of `circuit` can make nonzero from states
+    that may be nonzero at the sorted labels `start`, start included.  A
+    subspace plan gathers each fused run at once, so labels are taken only
+    before a run and at the end; a mix step adds the partner of every label
+    on either of its slices, regardless of cancellations."""
+    now = reached = start
     for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
         if fused:
             reached = _union(reached, now)
@@ -380,17 +380,17 @@ def _closure(circuit: Circuit, support: np.ndarray) -> tuple[np.ndarray, np.ndar
                 on_lo, on_hi = now[(now & mask) == lo], now[(now & mask) == hi]
                 if not np.array_equal(on_lo ^ lo ^ hi, on_hi):
                     now = _union(now, np.concatenate((on_lo, on_hi)) ^ lo ^ hi)
-    return _union(reached, now), now
+    return _union(reached, now)
 
 
 class Subspace:
     """The basis states of a register of `total` qubits that passes of
     `circuits` can reach from `start`.
 
-    `support` holds `start`, distinct basis labels, and the labels one pass
-    of the first circuit can leave nonzero from it; `reach` holds every
-    label a pass of any of the circuits can make nonzero from `support`.
-    Both are sorted.  A compact row of a state holds its amplitudes at
+    `support` is `start`, distinct basis labels, sorted: the labels where a
+    row may be nonzero before a pass.  `reach` holds, sorted, every label a
+    pass of any of the circuits can make nonzero from it, one closure per
+    circuit.  A compact row of a state holds its amplitudes at
     `reach`, in order, then one zero slot that no plan step writes.  A
     start of every label is `whole`: its own support and reach, for any
     circuit, with rows of no slot.  `reach` is a union of aligned blocks
@@ -404,12 +404,8 @@ class Subspace:
         support = reach = np.sort(np.asarray(start, dtype=np.int64))
         self.whole = len(support) == 1 << total
         if not self.whole:
-            reach, end = _closure(self.circuits[0], support)
-            if len(grown := _union(support, end)) > len(support):  # one pass leaves start
-                support = grown
-                reach = _closure(self.circuits[0], support)[0]
-            for circuit in self.circuits[1:]:
-                reach = _union(reach, _closure(circuit, support)[0])
+            for circuit in self.circuits:
+                reach = _union(reach, _closure(circuit, support))
         self.support, self.reach = support, reach
         self.bits = 0
         while self.bits < self.total:

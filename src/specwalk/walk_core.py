@@ -30,7 +30,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, RegisterLayout
 from .hamiltonian import RescaledLcu, group
-from .pauli import PauliString, check_matrix_width, to_matrix
+from .pauli import PauliString, dense_sum
 
 # The walk's sign; qubit 0 is always a system qubit.
 _MINUS_ONE = Gate.pauli_word(-PauliString.identity(1), (0,))
@@ -119,11 +119,7 @@ def assemble_bundle(
 
 def encoded_dense(branches, n_system: int) -> np.ndarray:
     """sum_b amp_b^2 * word_b as a dense matrix; the operator the walk encodes."""
-    check_matrix_width(n_system)
-    out = np.zeros((1 << n_system, 1 << n_system), dtype=complex)
-    for b in branches:
-        out += b.amplitude**2 * to_matrix(b.word)
-    return out
+    return dense_sum(n_system, ((b.amplitude**2, b.word) for b in branches))
 
 
 def dressed_state(branches, sys_vec: np.ndarray, out: np.ndarray, positions=None) -> None:

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specwalk import dense_matrix, normalize, tfim
 from specwalk.pauli import (
     MATRIX_QUBIT_CAP,
     PauliString,
     PauliWidthError,
     apply_pauli,
+    dense_sum,
     multiply,
     star,
     to_matrix,
 )
-from specwalk.walk_core import Branch, encoded_dense
+from specwalk.walk_core import Branch, build_walk, encoded_dense
 
 from conftest import kron_oracle
 
@@ -132,3 +134,49 @@ def test_phase_validation():
     assert s.phase_exp == 3
     with pytest.raises(PauliWidthError):
         PauliString(1, 2, 0)
+
+
+def _per_term(n, pairs):
+    """sum_j c_j P_j with one whole matrix per term, added in order."""
+    ref = np.zeros((1 << n, 1 << n), dtype=complex)
+    for c, p in pairs:
+        ref += c * to_matrix(p)
+    return ref
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_dense_sums_equal_a_per_term_sum_bit_for_bit(suite_models, odd_y_model):
+    models = dict(suite_models, odd_y=odd_y_model)
+    for name, h in models.items():
+        r = normalize(h, "auto")
+        for source in (h, r):
+            pairs = source.terms if source is h else source.weights
+            assert _same_bits(dense_matrix(source), _per_term(h.n_qubits, pairs))
+        encodings = ("binary", "unary") + (("hybrid",) if name == "long_range4" else ())
+        for encoding in encodings:
+            bundle = build_walk(r, encoding, with_pe=False)
+            pairs = [(b.amplitude**2, b.word) for b in bundle.branches]
+            got = encoded_dense(bundle.branches, bundle.n_system)
+            assert _same_bits(got, _per_term(bundle.n_system, pairs)), (name, encoding)
+
+
+def test_dense_sum_refuses_a_word_of_another_width():
+    with pytest.raises(PauliWidthError, match="2-qubit word in a 3-qubit sum"):
+        dense_sum(3, [(1.0, P("XZ"))])
+
+
+def test_encoded_dense_builds_no_per_term_matrix():
+    # binary TFIM n=10: the output is 16 MiB and 20 words are added into it;
+    # a whole matrix per term would take the peak to twice the output
+    bundle = build_walk(normalize(tfim(10, 1.0, 1.0), "auto"), "binary", with_pe=False)
+    tracemalloc.start()
+    try:
+        out = encoded_dense(bundle.branches, bundle.n_system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 16 * 2**20
+    assert peak <= 1.25 * out.nbytes

@@ -984,3 +984,36 @@ def test_a_whole_register_subspace_runs_no_closure(monkeypatch):
     apply_in_subspace(circuit, rows, space)
     assert np.array_equal(rows[0], QuantumState(layout, np.eye(16)[0]).apply_circuit(circuit).vec)
     assert np.flatnonzero(rows[0]).tolist() == [2, 11]
+
+
+def test_a_plane_subspace_is_one_closure_per_circuit_from_its_start(suite_models, monkeypatch):
+    """The support of a plane subspace is its start, the dressed states'
+    labels, and its reach is the union of one closure of each circuit from
+    there: one select pass never leaves the start."""
+    from specwalk import normalize, simulator
+    from specwalk.blocks import plane_subspace
+    from specwalk.walk_core import build_walk
+
+    closures = []
+    closure = simulator._closure
+
+    def counted(circuit, start):
+        closures.append(circuit)
+        reached = closure(circuit, start)
+        assert isinstance(reached, np.ndarray)
+        return reached
+
+    monkeypatch.setattr(simulator, "_closure", counted)
+    for model in ("tfim3", "long_range4"):
+        rescaled = normalize(suite_models[model], "auto")
+        for encoding in ("binary", "unary", "hybrid"):
+            if encoding == "hybrid" and model == "tfim3":
+                continue  # the hybrid walk needs a power-of-two chain
+            for with_pe in (False, True):
+                bundle = build_walk(rescaled, encoding, with_pe=with_pe)
+                closures.clear()
+                space = plane_subspace.__wrapped__(bundle)
+                n = bundle.n_system
+                start = {b.control_state << n | x for b in bundle.branches for x in range(1 << n)}
+                assert space.support.tolist() == sorted(start)
+                assert closures == [bundle.select, bundle.reflect, bundle.walk, bundle.prepare_dagger]

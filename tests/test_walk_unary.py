@@ -16,10 +16,10 @@ from specwalk import (
     unary_walk,
 )
 from specwalk.blocks import walk_eigenphases
-from specwalk.circuits import FANOUT, RegisterLayout, distinct_rotation_count
+from specwalk.circuits import FANOUT, Gate, RegisterLayout, distinct_rotation_count
 from specwalk.simulator import QuantumState
 from specwalk.walk_core import encoded_dense
-from specwalk.walk_unary import build_fanout
+from specwalk.walk_unary import build_fanout, build_head_prep
 
 
 def make_unary(h):
@@ -297,3 +297,22 @@ def test_identity_only_model_has_an_empty_control_register():
     bundle = make_unary(h)
     assert bundle.layout.control_qubits == 0
     assert walk_eigenphases(bundle).max_error == 0.0
+
+
+@pytest.mark.parametrize("heads", [(0.5, 0.0, 0.5), (0.4, 0.0, 0.0, 0.3)])
+def test_head_prep_passes_a_zero_head_with_a_controlled_x(heads):
+    # a zero head makes its transfer link an exact pi rotation, which the
+    # chain emits as a CNOT from the previous head
+    layout = RegisterLayout(system_qubits=1, control_qubits=len(heads))
+    positions = layout.control
+    beta0_sq = 1.0 - sum(h * h for h in heads)
+    circ = build_head_prep(layout, beta0_sq, heads, positions)
+    state = QuantumState.zero_state(layout)
+    state.apply_circuit(circ)
+    want = np.zeros(1 << layout.total_qubits)
+    want[0] = math.sqrt(beta0_sq)
+    for head, q in zip(heads, positions):
+        want[1 << q] += head
+    assert np.max(np.abs(state.vec - want)) < 1e-12
+    zero = heads.index(0.0)
+    assert Gate.cnot(positions[zero], positions[zero + 1]) in circ.gates
