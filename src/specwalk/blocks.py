@@ -16,14 +16,16 @@ one-dimensional block (phi1 has a 0/0 form there).
 
 Each plane is checked on its own.  A block holds 1 or 2 compact rows,
 phi0 and, off the boundary, phi1, over the `Subspace` of the bundle
-(`plane_subspace`): the basis states that select, reflect,
-walk and prepare_dagger can reach from the dressed states, and one zero
-slot.  That is 16,384 of 2**18 amplitudes for binary TFIM n=9 and 4,384
-of 2**21 for unary TFIM n=5.  The subspace is built once per bundle, so a
-bundle whose walk was replaced gets its own.  `plane`, `phi0`, `phi1`,
-`phi_plus` and `phi_minus` expand the rows into full-register vectors on
-each access, for the eigenspace projection and observable recovery; they
-equal the planes built on the whole register bit for bit.
+(`plane_subspace`): the control keys that select, reflect, walk and
+prepare_dagger can reach from the branches' keys, each with its block of
+2**n_system system states, and one zero slot.  That is 16,384 of 2**18
+amplitudes for binary TFIM n=9 and 4,384 of 2**21 for unary TFIM n=5.
+Only these rows are capped, never the register: the subspace, built once
+per bundle and before the dense `eigh`, refuses rows above 2**22.
+`plane`, `phi0`, `phi1`, `phi_plus` and `phi_minus` expand the rows into
+full-register vectors on each access, for the eigenspace projection and
+observable recovery; they equal the planes built on the whole register
+bit for bit.
 The plane is float64 when the encoded operator and the walk are real: the
 eigenvectors of the one complex `eigh` (which also gives the energies, so
 they do not depend on the dtype) have no imaginary part, and every gate of
@@ -59,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .simulator import Subspace, _norm, apply_in_subspace, check_width
+from .simulator import Subspace, _norm, apply_in_subspace
 from .walk_core import WalkBundle, dressed_state, encoded_dense
 
 BOUNDARY_EPS = 1e-9
@@ -110,16 +112,14 @@ class InvariantBlock:
 
 @lru_cache(maxsize=2)
 def plane_subspace(bundle: WalkBundle) -> Subspace:
-    """The subspace of the bundle's planes: from the basis states of the
-    dressed states, {ctrl_b << n_system | x}, through select, reflect, walk
-    and prepare_dagger (for analysis Zeno; reflect reaches all it does).
-    Bundles hash their circuits by identity, so the last two bundles'
-    subspaces are cached and a replaced walk gets its own."""
-    n = bundle.n_system
-    controls = np.array(sorted({b.control_state for b in bundle.branches}), dtype=np.intp)
-    start = (controls[:, None] << n | np.arange(1 << n)).ravel()
+    """The subspace of the bundle's planes: the branches' control keys,
+    each with its block of 2**n_system system states, through select,
+    reflect, walk and prepare_dagger (for analysis Zeno; reflect reaches
+    all it does).  Bundles hash their circuits by identity, so the last two
+    bundles' subspaces are cached and a replaced walk gets its own."""
+    keys = sorted({b.control_state for b in bundle.branches})
     circuits = (bundle.select, bundle.reflect, bundle.walk, bundle.prepare_dagger)
-    return Subspace(bundle.layout.total_qubits, start, circuits)
+    return Subspace(bundle.layout.total_qubits, bundle.n_system, keys, circuits)
 
 
 def _plane_batches(bundle: WalkBundle) -> Iterator[tuple[list[InvariantBlock], np.ndarray]]:
@@ -128,11 +128,10 @@ def _plane_batches(bundle: WalkBundle) -> Iterator[tuple[list[InvariantBlock], n
     each plane, and a zero second row for a boundary plane.  One
     `dressed_state` writes every phi0 of a batch and one select pass gives
     every phi1."""
-    check_width(bundle.layout)
+    space = plane_subspace(bundle)
     energies, vectors = np.linalg.eigh(encoded_dense(bundle.branches, bundle.n_system))
     if bundle.select.is_real and bundle.walk.is_real and not vectors.imag.any():
         vectors = vectors.real
-    space = plane_subspace(bundle)
     width = len(space.reach) + 1
     size = max(1, (1 << 14) // (2 * width))  # 2k rows of at most 2**14 amplitudes
     for lo in range(0, len(energies), size):

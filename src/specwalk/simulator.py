@@ -62,28 +62,27 @@ state, the amplitudes of a real one, which refuses an imaginary Pauli
 word.  It moves and negates exactly the floats the gates would, signed
 zeros included, and never multiplies a complex number.
 
-Subspaces.  Every circuit pass is compiled for a `Subspace`, the sorted
-basis labels `reach` that the pass may touch, and runs on compact rows of
-the amplitudes at reach.  `QuantumState.apply_circuit` runs its vector as
-the one row of the whole register, whose start holds every label: it is
-its own support and reach, for any circuit, so no closure runs over it.
-One is kept at a time.
+Subspaces.  Every circuit pass is compiled for a `Subspace`, a set of
+keys, the values of the qubits from `bits` up, each with its block of
+2**`bits` states riding along, and runs on compact rows of the amplitudes
+at its basis labels `reach`.  `QuantumState.apply_circuit` runs its
+vector as the one row of the whole register, one key whose block is the
+register.  `check_rows` is the one size rule: a row holds at most
+2**SIMULATION_QUBIT_CAP amplitudes, however wide the register.
 
 The walk W = -S V preserves span{|ctrl_b>} (x) H_sys, so the invariant
-planes of `blocks.py`, and analysis Zeno's states, stay on a small part of
-the register: binary TFIM n=9 reaches 16,384 of 2**18 basis states, unary
-TFIM n=5 4,384 of 2**21.  Their subspace is built from `start`, the labels
-{ctrl_b << n_system | x} of the dressed states, and from select, reflect,
-walk and prepare_dagger, on labels alone: it holds no array the size of the
-register.  `_closure` follows one pass of a circuit on a set of labels: a
-fused run maps it through `_run_labels`, a mix adds the partner of every
-label on either of its slices.  `support` is start, which holds both
-plane rows: select maps |ctrl_b>|x> to |ctrl_b> word_b|x>, so phi1 =
-select(phi0) - E phi0 stays on it.  `reach` is start and every state a
-pass of select, reflect, walk or prepare_dagger can make nonzero from it,
-one closure each, never iterated to a fixpoint: the cancellations that
-keep the walk on the plane are not seen, so a fixpoint would spread over
-the register.
+planes of `blocks.py`, and analysis Zeno's states, are blocks of
+2**n_system system states under a few control keys.  Their subspace is
+closed from the branches' control keys under select, reflect, walk and
+prepare_dagger, one `_closure` each, on keys alone.  That is exact under
+the passenger rule, which `Subspace` checks: no gate writes a key qubit
+while it reads a system qubit (hybrid's system CSWAPs are steered by
+site keys).  Rows may be nonzero before a pass only on the start keys'
+blocks, the support, which holds both plane rows: select maps
+|ctrl_b>|x> to |ctrl_b> word_b|x>, so phi1 = select(phi0) - E phi0 stays
+on it.  The closures are never iterated to a fixpoint: the cancellations
+that keep the walk on the plane are not seen, so a fixpoint would spread
+over the register.
 
 `_subspace_plan` compiles a circuit once per (circuit, dtype, subspace),
 in a bounded cache.  Circuits are immutable and hash by identity, so a
@@ -92,13 +91,12 @@ lookup hashes no gates and a plan never goes stale.  Each run of
 reach, whose sources outside reach read a zero slot after the row's
 amplitudes, which no step writes; a whole register has none.  Each mix
 becomes `_take_mix`, which runs `_mix` itself with fancy indices over the
-pairs of reach blocks on its two slices: `reach` is a union of aligned
-blocks of 2**`bits` states, and a mix whose lowest qubit is q pairs whole
-blocks of 2**min(bits, q) states.  A pair with one block outside reach is
-zero whenever the pass meets it and is left out.  Each amplitude gets the
-float operations of the gate-by-gate pass, so every value at a reach state
-is bit for bit that pass's (a zero may differ in sign), and that pass is
-zero everywhere else.  `apply_in_subspace` refuses, before any float
+pairs of reach blocks on its two slices: a mix whose lowest qubit is q
+pairs whole blocks of 2**min(bits, q) states.  A pair with one block
+outside reach is zero whenever the pass meets it and is left out.  Each
+amplitude gets the float operations of the gate-by-gate pass, so every
+value at a reach state is bit for bit that pass's (a zero may differ in
+sign), and that pass is zero everywhere else.  `apply_in_subspace` refuses, before any float
 changes, rows that are nonzero outside the support their plan was compiled
 for, and a circuit the subspace was not built from: it never truncates a
 row.  A whole register takes any circuit and has no state outside its
@@ -152,13 +150,11 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def check_width(layout: RegisterLayout) -> None:
-    """Refuse a register wider than SIMULATION_QUBIT_CAP; callers check
-    before they allocate anything of size 2**total."""
-    if layout.total_qubits > SIMULATION_QUBIT_CAP:
-        raise ValueError(
-            f"{layout.total_qubits} qubits exceeds the dense cap of {SIMULATION_QUBIT_CAP}"
-        )
+def check_rows(size: int) -> None:
+    """Refuse rows of more than 2**SIMULATION_QUBIT_CAP amplitudes; callers
+    check before they allocate one."""
+    if size > 1 << (cap := SIMULATION_QUBIT_CAP):
+        raise ValueError(f"rows of at least {size} amplitudes exceed the cap of 2**{cap}")
 
 
 def _norm(array: np.ndarray) -> float:
@@ -360,68 +356,79 @@ def _union(labels: np.ndarray, more: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((labels, fresh))) if len(fresh) else labels
 
 
-def _closure(circuit: Circuit, start: np.ndarray) -> np.ndarray:
-    """The sorted labels one pass of `circuit` can make nonzero from states
-    that may be nonzero at the sorted labels `start`, start included.  A
-    subspace plan gathers each fused run at once, so labels are taken only
-    before a run and at the end; a mix step adds the partner of every label
-    on either of its slices, regardless of cancellations."""
+def _closure(circuit: Circuit, start: np.ndarray, bits: int) -> np.ndarray:
+    """The sorted keys, basis labels >> `bits`, that one pass of `circuit`
+    can make nonzero from states under the sorted keys `start`, start
+    included, each run as its one label key << bits (the passenger rule
+    makes that exact).  Keys are taken only before a fused run, which a
+    plan gathers at once, and at the end; a mix step adds the partner of
+    every key on either of its slices, regardless of cancellations.
+    Refuses keys beyond `check_rows` as soon as they grow."""
     now = reached = start
     for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
         if fused:
             reached = _union(reached, now)
-            now = np.sort(_run_labels(run, now)[0])
+            check_rows(len(reached) << bits)
+            now = np.sort(_run_labels(run, now << bits)[0] >> bits)
             continue
         for gate in run:
             for _, lo_idx, hi_idx, *_ in _plan(gate, np.dtype(np.float64)):
-                mask, lo = _slice_bits(lo_idx)
-                hi = _slice_bits(hi_idx)[1]
+                mask, lo = (v >> bits for v in _slice_bits(lo_idx))
+                hi = _slice_bits(hi_idx)[1] >> bits
                 # with no partner missing, one slice is the other moved by hi - lo
                 on_lo, on_hi = now[(now & mask) == lo], now[(now & mask) == hi]
                 if not np.array_equal(on_lo ^ lo ^ hi, on_hi):
                     now = _union(now, np.concatenate((on_lo, on_hi)) ^ lo ^ hi)
+                    check_rows(len(now) << bits)
     return _union(reached, now)
 
 
-class Subspace:
-    """The basis states of a register of `total` qubits that passes of
-    `circuits` can reach from `start`.
+def _check_passengers(circuit: Circuit, bits: int) -> None:
+    """Refuse a gate that writes a qubit >= `bits` while it reads one below:
+    a gate reads its controls, CSWAP and FANOUT their pair too; a Pauli word
+    writes its X qubits, MCZ none."""
+    for g in circuit.gates:
+        reads = g.controls + (g.qubits if g.kind in (CSWAP, FANOUT) else ())
+        writes = () if g.kind == MCZ else g.qubits
+        if g.kind == PAULI:
+            writes = [q for i, q in enumerate(g.qubits) if g.pauli.x_bits >> i & 1]
+        if min(reads, default=bits) < bits <= max(writes, default=-1):
+            raise ValueError(f"a {g.kind} gate writes a key qubit by reading one below {bits}")
 
-    `support` is `start`, distinct basis labels, sorted: the labels where a
-    row may be nonzero before a pass.  `reach` holds, sorted, every label a
-    pass of any of the circuits can make nonzero from it, one closure per
-    circuit.  A compact row of a state holds its amplitudes at
-    `reach`, in order, then one zero slot that no plan step writes.  A
-    start of every label is `whole`: its own support and reach, for any
-    circuit, with rows of no slot.  `reach` is a union of aligned blocks
-    of 2**`bits` states, the largest such blocks, whose first labels are
-    `keys` << `bits`.  Instances compare and hash by identity, which keys
-    the cache of subspace plans.
+
+class Subspace:
+    """The blocks of 2**`bits` basis states of a register of `total`
+    qubits, keyed by its qubits from `bits` up, that passes of `circuits`,
+    which must keep the low qubits passengers (`_check_passengers`), can
+    reach from the sorted keys `start`, their support.
+
+    `keys` holds, sorted, every key one pass of a circuit reaches, one
+    `_closure` each, and `reach` their blocks' labels, in order.  A compact
+    row holds a state's amplitudes at `reach`, then one zero slot that no
+    plan step writes.  With `bits` == `total` it is `whole`: one key whose
+    block is the register, for any circuit, with rows of no slot.  Over 62
+    qubits (int64 labels) and keys beyond `check_rows` raise ValueError
+    before any label exists.  Instances compare and hash by identity,
+    which keys the cache of subspace plans.
     """
 
-    def __init__(self, total: int, start: np.ndarray, circuits):
-        self.total, self.circuits = total, tuple(circuits)
-        support = reach = np.sort(np.asarray(start, dtype=np.int64))
-        self.whole = len(support) == 1 << total
-        if not self.whole:
-            for circuit in self.circuits:
-                reach = _union(reach, _closure(circuit, support))
-        self.support, self.reach = support, reach
-        self.bits = 0
-        while self.bits < self.total:
-            size = 2 << self.bits
-            first = reach[::size]
-            aligned = len(reach) % size == 0 and not (first % size).any()
-            if not (aligned and np.array_equal(reach[size - 1 :: size], first + size - 1)):
-                break
-            self.bits += 1
-        self.keys = reach[:: 1 << self.bits] >> self.bits
-        # where a row must hold zero before a pass: off support, and the slot;
-        # a whole row has neither
+    def __init__(self, total: int, bits: int, start, circuits):
+        if total > 62:
+            raise ValueError(f"{total} qubits exceeds the 62 that an int64 basis label holds")
+        self.total, self.bits, self.circuits = total, bits, tuple(circuits)
+        self.whole = bits == total
+        self.start = keys = np.sort(np.asarray(start, dtype=np.int64))
+        for circuit in self.circuits:
+            _check_passengers(circuit, bits)
+            keys = _union(keys, _closure(circuit, self.start, bits))
+            check_rows(len(keys) << bits)
+        self.keys = keys
+        self.reach = (keys[:, None] << bits | np.arange(1 << bits)).ravel()
+        # where a row must hold zero before a pass; a whole row has no such place
         self.outside = None
         if not self.whole:
-            self.outside = np.ones(len(reach) + 1, dtype=bool)
-            self.outside[self.positions(support)] = False
+            self.outside = np.ones(len(self.reach) + 1, dtype=bool)
+            self.outside[:-1].reshape(len(keys), -1)[_lookup(keys, self.start)] = False
 
     def positions(self, states: np.ndarray) -> np.ndarray:
         """Compact position of each basis state of `states`; a state outside
@@ -432,6 +439,7 @@ class Subspace:
 
     def expand(self, rows: np.ndarray) -> np.ndarray:
         """Compact rows as full-register vectors."""
+        check_rows(1 << self.total)
         out = np.zeros(rows.shape[:-1] + (1 << self.total,), dtype=rows.dtype)
         out[..., self.reach] = rows[..., : len(self.reach)]
         return out
@@ -440,7 +448,7 @@ class Subspace:
 @lru_cache(maxsize=1)
 def _register(total: int) -> Subspace:
     """The whole register of `total` qubits, whose rows are state vectors."""
-    return Subspace(total, np.arange(1 << total), ())
+    return Subspace(total, total, (0,), ())
 
 
 def _take_mix(rows, width, size, lo, hi, *entries):
@@ -450,11 +458,10 @@ def _take_mix(rows, width, size, lo, hi, *entries):
     _mix(ten, (slice(None), lo), (slice(None), hi), *entries)
 
 
-def _compact_mix(space: Subspace, step) -> tuple | None:
-    """A `_mix` step as a `_take_mix` over the pairs of reach blocks on its
-    two slices, or None if no pair lies in reach.  A mix whose lowest qubit
-    is q works on blocks of 2**min(bits, q) states; a pair with one block
-    outside reach is zero whenever the pass meets it and is left out."""
+def _compact_mix(space: Subspace, step) -> tuple:
+    """A `_mix` step as a `_take_mix` over the pairs of reach blocks of
+    2**min(bits, q) states on its two slices, q its lowest qubit; a pair
+    with one block outside reach is zero whenever the pass meets it."""
     _, lo_idx, hi_idx, *entries = step
     mask, lo = _slice_bits(lo_idx)
     size = 1 << min(space.bits, (mask & -mask).bit_length() - 1)
@@ -462,8 +469,6 @@ def _compact_mix(space: Subspace, step) -> tuple | None:
     lo_at = np.flatnonzero((first & mask) == lo)
     hi_at = space.positions(first[lo_at] ^ lo ^ _slice_bits(hi_idx)[1])
     pair = hi_at < len(space.reach)
-    if not pair.any():
-        return None
     return (_take_mix, len(space.reach), size, lo_at[pair], hi_at[pair] // size, *entries)
 
 
@@ -482,7 +487,7 @@ def _subspace_plan(circuit: Circuit, dtype: np.dtype, space: Subspace) -> tuple:
             steps.append((_gather, *_signed_permutation(run, space.reach, space.positions, dtype)))
             continue
         for gate in run:
-            steps += filter(None, (_compact_mix(space, step) for step in _plan(gate, dtype)))
+            steps += (_compact_mix(space, step) for step in _plan(gate, dtype))
     return tuple(steps)
 
 
@@ -516,7 +521,7 @@ class QuantumState:
 
     @classmethod
     def zero_state(cls, layout: RegisterLayout):
-        check_width(layout)
+        check_rows(1 << layout.total_qubits)
         vec = np.zeros(1 << layout.total_qubits, dtype=complex)
         vec[0] = 1.0
         return cls(layout, vec)

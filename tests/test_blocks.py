@@ -126,7 +126,7 @@ def test_planes_hold_only_the_states_the_walk_can_reach():
     bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "binary", with_pe=True)
     space = plane_subspace(bundle)
     assert bundle.layout.total_qubits == 15
-    assert (len(space.support), len(space.reach)) == (768, 1024)
+    assert (len(space.start) << space.bits, len(space.reach)) == (768, 1024)
     for block in invariant_blocks(bundle):
         assert block.rows.shape == (len(block.rows), 1025) and not block.rows[:, -1].any()
 

@@ -303,30 +303,49 @@ def test_failed_sampled_projection_exits_1(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_spectrum_above_the_simulation_cap_is_refused_before_allocating(capsys):
-    # unary TFIM n=7 is 23 qubits: one dense vector is 128 MiB, so the
-    # refusal must come before the first one is built
+def _refused(argv, capsys):
+    """Exit code, stdout, stderr and `tracemalloc` peak of an in-process run."""
     tracemalloc.start()
     try:
-        code, out = run_cli(["spectrum", "--model", "tfim", "--n", "7", "--encoding", "unary"])
+        code, out = run_cli(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return code, out, capsys.readouterr().err, peak
+
+
+def test_spectrum_above_the_simulation_cap_is_refused_before_allocating(capsys):
+    # unary TFIM n=13 reaches 4,333,568 states, beyond rows of 2**22: the
+    # key closure stops before any row, or the reach's labels, is built
+    code, out, err, peak = _refused(
+        ["spectrum", "--model", "tfim", "--n", "13", "--encoding", "unary"], capsys
+    )
     assert code == 2 and out == ""
-    assert f"23 qubits exceeds the dense cap of {SIMULATION_QUBIT_CAP}" in capsys.readouterr().err
+    assert f"exceed the cap of 2**{SIMULATION_QUBIT_CAP}" in err
+    assert "Traceback" not in err
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "n, message", [(9, "exceed the cap of 2**"), (10, "69 qubits exceeds the 62")]
+)
+def test_long_range_unary_spectrum_is_refused_before_allocating(capsys, n, message):
+    # n=9 is 52 qubits whose keys the closure stops at 2**22 >> 9; n=10 is
+    # 69 qubits, whose basis labels an int64 cannot hold
+    code, out, err, peak = _refused(
+        ["spectrum", "--model", "long-range", "--n", str(n), "--encoding", "unary"], capsys
+    )
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
     assert peak < 64 * 2**20
 
 
 def test_zeno_above_the_matrix_cap_is_refused_before_allocating(capsys):
-    # the g=0 ground state of 24 qubits alone is 256 MiB
-    tracemalloc.start()
-    try:
-        code, out = run_cli(["zeno", "--n", "24"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # the complex h0 of 14 qubits alone is 4 GiB
+    n = MATRIX_QUBIT_CAP + 1
+    code, out, err, peak = _refused(["zeno", "--n", str(n)], capsys)
     assert code == 2 and out == ""
-    assert f"24 qubits exceeds the dense cap of {MATRIX_QUBIT_CAP}" in capsys.readouterr().err
+    assert f"{n} qubits exceeds the dense cap of {MATRIX_QUBIT_CAP}" in err
     assert peak < 16 * 2**20
 
 

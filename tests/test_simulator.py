@@ -838,11 +838,11 @@ def test_prepare_from_the_vacuum_is_the_dressed_state(suite_models, model, encod
 def _subspace_rows(space, dtype, rng, rows=2):
     """Random normalized rows on the support of `space`, as full-register
     vectors and as compact rows."""
-    total = space.total
+    total, support = space.total, space.reach[~space.outside[:-1]]
     dense = np.zeros((rows, 1 << total), dtype=dtype)
-    dense[:, space.support] = rng.normal(size=(rows, len(space.support)))
+    dense[:, support] = rng.normal(size=(rows, len(support)))
     if dtype == complex:
-        dense.imag[:, space.support] = rng.normal(size=(rows, len(space.support)))
+        dense.imag[:, support] = rng.normal(size=(rows, len(support)))
     dense /= np.linalg.norm(dense, axis=1, keepdims=True)
     compact = np.zeros((rows, len(space.reach) + 1), dtype=dtype)
     compact[:, :-1] = dense[:, space.reach]
@@ -965,8 +965,8 @@ def test_a_pass_that_changes_the_norm_is_refused(suite_models, monkeypatch):
 
 
 def test_a_whole_register_subspace_runs_no_closure(monkeypatch):
-    """A start that holds every label is its own support and reach, for any
-    circuit on the register; no closure runs over the register's labels."""
+    """A subspace whose block is the register is one key, its own support
+    and reach, for any circuit on the register; no closure runs over it."""
     from specwalk import simulator
     from specwalk.simulator import Subspace, apply_in_subspace
 
@@ -975,9 +975,9 @@ def test_a_whole_register_subspace_runs_no_closure(monkeypatch):
 
     monkeypatch.setattr(simulator, "_closure", refuse)
     layout = plain_layout(4)
-    space = Subspace(4, np.arange(16), ())
+    space = Subspace(4, 4, [0], ())
     assert space.whole and space.outside is None
-    assert np.array_equal(space.support, np.arange(16))
+    assert space.keys.tolist() == space.start.tolist() == [0]
     assert np.array_equal(space.reach, np.arange(16))
     circuit = Circuit(layout, [Gate.h(0), Gate.cnot(0, 3), Gate.x(1)])
     rows = np.eye(16)[:1].copy()
@@ -986,24 +986,12 @@ def test_a_whole_register_subspace_runs_no_closure(monkeypatch):
     assert np.flatnonzero(rows[0]).tolist() == [2, 11]
 
 
-def test_a_plane_subspace_is_one_closure_per_circuit_from_its_start(suite_models, monkeypatch):
-    """The support of a plane subspace is its start, the dressed states'
-    labels, and its reach is the union of one closure of each circuit from
-    there: one select pass never leaves the start."""
-    from specwalk import normalize, simulator
-    from specwalk.blocks import plane_subspace
+def _suite_bundles(suite_models):
+    """(name, bundle) of every suite walk, binary, unary and hybrid, with
+    and without pe."""
+    from specwalk import normalize
     from specwalk.walk_core import build_walk
 
-    closures = []
-    closure = simulator._closure
-
-    def counted(circuit, start):
-        closures.append(circuit)
-        reached = closure(circuit, start)
-        assert isinstance(reached, np.ndarray)
-        return reached
-
-    monkeypatch.setattr(simulator, "_closure", counted)
     for model in ("tfim3", "long_range4"):
         rescaled = normalize(suite_models[model], "auto")
         for encoding in ("binary", "unary", "hybrid"):
@@ -1011,9 +999,94 @@ def test_a_plane_subspace_is_one_closure_per_circuit_from_its_start(suite_models
                 continue  # the hybrid walk needs a power-of-two chain
             for with_pe in (False, True):
                 bundle = build_walk(rescaled, encoding, with_pe=with_pe)
-                closures.clear()
-                space = plane_subspace.__wrapped__(bundle)
-                n = bundle.n_system
-                start = {b.control_state << n | x for b in bundle.branches for x in range(1 << n)}
-                assert space.support.tolist() == sorted(start)
-                assert closures == [bundle.select, bundle.reflect, bundle.walk, bundle.prepare_dagger]
+                yield f"{model}-{encoding}-{with_pe}", bundle
+
+
+def test_a_plane_subspace_is_one_closure_per_circuit_from_its_start(suite_models, monkeypatch):
+    """The start of a plane subspace is the branches' control keys, whose
+    blocks of system states ride along, and its keys are the union of one
+    closure of each circuit from there: one select pass never leaves the
+    start."""
+    from specwalk import simulator
+    from specwalk.blocks import plane_subspace
+
+    closures = []
+    closure = simulator._closure
+
+    def counted(circuit, start, bits):
+        closures.append(circuit)
+        reached = closure(circuit, start, bits)
+        assert isinstance(reached, np.ndarray)
+        return reached
+
+    monkeypatch.setattr(simulator, "_closure", counted)
+    for _, bundle in _suite_bundles(suite_models):
+        closures.clear()
+        space = plane_subspace.__wrapped__(bundle)
+        assert space.bits == bundle.n_system and not space.whole
+        assert space.start.tolist() == sorted({b.control_state for b in bundle.branches})
+        assert closures == [bundle.select, bundle.reflect, bundle.walk, bundle.prepare_dagger]
+
+
+def test_keyed_reach_equals_the_label_closure(suite_models):
+    """Under the passenger rule, a closure on one label per key reaches
+    exactly the blocks that the closure over every (key, x) label of the
+    start reaches, one call per circuit: `reach` is those labels, in
+    order."""
+    from specwalk.blocks import plane_subspace
+    from specwalk.simulator import _closure, _union
+
+    for name, bundle in _suite_bundles(suite_models):
+        space = plane_subspace.__wrapped__(bundle)
+        n = bundle.n_system
+        labels = reach = (space.start[:, None] << n | np.arange(1 << n)).ravel()
+        for circuit in space.circuits:
+            reach = _union(reach, _closure(circuit, labels, 0))
+        assert np.array_equal(space.reach, reach), name
+        assert len(space.reach) == len(space.keys) << n, name
+
+
+def test_a_gate_that_moves_a_key_by_a_system_qubit_is_refused():
+    """The passenger rule: a gate may not write a qubit >= bits while it
+    reads one below.  A system-controlled X on a control qubit, a CSWAP of
+    a control and a system qubit, and a FANOUT of the same pair are
+    refused when the subspace is built; a key-controlled X or CSWAP on
+    system qubits, a Z on a key under a system control, an MCZ across
+    both and a system-controlled rotation of a system qubit ride along."""
+    from specwalk.simulator import Subspace
+
+    layout = RegisterLayout(system_qubits=2, control_qubits=2)
+    z = PauliString.single(1, 0, "Z")
+    for gate in (Gate.cnot(0, 2), Gate.cswap(3, 1, 2), Gate.fanout(1, 2)):
+        with pytest.raises(ValueError, match="writes a key qubit"):
+            Subspace(4, 2, [0, 1], [Circuit(layout, [Gate.h(2), gate])])
+    fine = [Gate.cnot(2, 0), Gate.cswap(3, 0, 1), Gate.pauli_word(z, (3,), (0,)),
+            Gate.mcz((0, 3)), Gate.ry(0.4, 1, (0,)), Gate.h(3)]
+    space = Subspace(4, 2, [0], [Circuit(layout, fine)])
+    assert space.keys.tolist() == [0, 2] and space.reach.tolist() == [0, 1, 2, 3, 8, 9, 10, 11]
+
+
+def test_a_subspace_beyond_its_labels_or_its_rows_is_refused_early():
+    """A register wider than 62 qubits is refused before any label exists,
+    and a closure stops as soon as its keys' blocks pass 2**22 amplitudes:
+    Hadamards on 24 key qubits over 2**10 system states would reach 2**24
+    keys, and the refusal holds arrays of 2**13 keys at most.  Rows of
+    exactly 2**22 amplitudes pass."""
+    import tracemalloc
+
+    from specwalk.simulator import SIMULATION_QUBIT_CAP, Subspace
+
+    with pytest.raises(ValueError, match="63 qubits exceeds the 62"):
+        Subspace(63, 10, [0], ())
+    layout = RegisterLayout(system_qubits=10, control_qubits=24)
+    circuit = Circuit(layout, [Gate.h(q) for q in layout.control])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"cap of 2\\*\\*{SIMULATION_QUBIT_CAP}"):
+            Subspace(34, 10, [0], [circuit])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    at_cap = Circuit(layout, [Gate.h(q) for q in layout.control[:12]])
+    assert len(Subspace(34, 10, [0], [at_cap]).reach) == 1 << SIMULATION_QUBIT_CAP
