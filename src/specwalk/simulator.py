@@ -32,20 +32,24 @@ by basic indexing, so no gate copies or transposes the whole vector:
   sign, the walk's word -I included, comes from `pauli.apply_view_action`;
 - CSWAP exchanges the |10> and |01> slices of its two qubits;
 - H, ROT, each non-zero MROT angle and FANOUT mix two slices by a real
-  2x2 matrix.  `_ry` builds every rotation among them: Ry(angle) for ROT
-  and an MROT slot, and Ry(2 * angle) on the |10> and |01> slices for
-  FANOUT.
+  2x2 matrix.  `_mixes` writes each mix once, as a record (mask, lo, hi,
+  m00, m01, m10, m11) whose two slices hold the basis states whose bits
+  under `mask` read `lo` and `hi`.  `_ry` builds every rotation among
+  them: Ry(angle) for ROT and an MROT slot, and Ry(2 * angle) on the |10>
+  and |01> slices for FANOUT.
 
-`_plan` compiles a gate into these steps once per (gate, dtype) and keeps
-the most recent ones in a bounded cache; the dtype only sets the type of a
-mix's entries.  A gate plan holds only index tuples, negative axis numbers
-and matrix entries, never an amplitude-sized array.  Every index starts
-with an Ellipsis, so it yields a writable view even when it fixes every
-qubit axis (an all-integer index would return a scalar copy), and one plan
-runs unchanged on a tensor of any number of qubits and rows: the whole
-register in `apply`, a block of basis states in `circuit_unitary`, and the
-blocks of compact rows in each mix of a compiled pass (below).  `apply` and
-`circuit_unitary` run gate by gate, so they stay an independent oracle for
+`_plan` compiles a gate into these steps once and keeps the most recent
+ones in a bounded cache.  A gate plan holds only index tuples, negative
+axis numbers and matrix entries, never an amplitude-sized array, and it
+has no dtype: a mix's entries are floats, which numpy promotes on a
+complex slice to the complex entries they stand for, so a complex pass
+makes the float operations that complex entries would.  `_index` turns a
+slice (mask, value) into a basic index.  Every index starts with an
+Ellipsis, so it yields a writable view even when it fixes every qubit axis
+(an all-integer index would return a scalar copy), and one plan runs
+unchanged on a tensor of any number of qubits and rows: the whole register
+in `apply`, a block of basis states in `circuit_unitary`.  Only these two
+run gate plans, gate by gate, so they stay an independent oracle for
 compiled passes.
 
 Fused runs.  PAULI, TOFFOLI, CSWAP and MCZ map each basis state to one
@@ -89,19 +93,19 @@ in a bounded cache.  Circuits are immutable and hash by identity, so a
 lookup hashes no gates and a plan never goes stale.  Each run of
 `_FUSED_KINDS`, a lone gate included, becomes a gather on the labels of
 reach, whose sources outside reach read a zero slot after the row's
-amplitudes, which no step writes; a whole register has none.  Each mix
-becomes `_take_mix`, which runs `_mix` itself with fancy indices over the
-pairs of reach blocks on its two slices: a mix whose lowest qubit is q
-pairs whole blocks of 2**min(bits, q) states.  A pair with one block
-outside reach is zero whenever the pass meets it and is left out.  Each
-amplitude gets the float operations of the gate-by-gate pass, so every
-value at a reach state is bit for bit that pass's (a zero may differ in
-sign), and that pass is zero everywhere else.  `apply_in_subspace` refuses, before any float
-changes, rows that are nonzero outside the support their plan was compiled
-for, and a circuit the subspace was not built from: it never truncates a
-row.  A whole register takes any circuit and has no state outside its
-support, so it skips both checks.  Every pass checks each row's norm
-drift.
+amplitudes, which no step writes; a whole register has none.  Each
+`_mixes` record becomes `_take_mix`, which runs `_mix` itself with fancy
+indices over the pairs of reach blocks on its two slices: a mix whose
+lowest qubit is q pairs whole blocks of 2**min(bits, q) states.  A pair
+with one block outside reach is zero whenever the pass meets it and is
+left out.  Each amplitude gets the float operations of the gate-by-gate
+pass, so every value at a reach state is bit for bit that pass's (a zero
+may differ in sign), and that pass is zero everywhere else.
+`apply_in_subspace` refuses, before any float changes, rows that are
+nonzero outside the support their plan was compiled for, and a circuit the
+subspace was not built from: it never truncates a row.  A whole register
+takes any circuit and has no state outside its support, so it skips both
+checks.  Every pass checks each row's norm drift.
 
 No command runs one circuit on both dtypes: the walk's planes run select
 and walk, Zeno's complex states run prepare, its inverse and the
@@ -134,7 +138,7 @@ from .pauli import PauliString, apply_view_action, view_action
 SIMULATION_QUBIT_CAP = 22
 UNITARY_QUBIT_CAP = 12
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * (1 / math.sqrt(2))
+_HADAMARD = (1 / math.sqrt(2),) * 3 + (-1 / math.sqrt(2),)
 _X = PauliString.single(1, 0, "X")
 _Z = PauliString.single(1, 0, "Z")
 _FUSED_KINDS = frozenset({PAULI, TOFFOLI, CSWAP, MCZ})
@@ -165,9 +169,10 @@ def _norm(array: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
-def _ry(angle: float) -> np.ndarray:
+def _ry(angle: float) -> tuple:
+    """(m00, m01, m10, m11) of Ry(angle)."""
     c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -s], [s, c]])
+    return c, -s, s, c
 
 
 # --- kernel steps: each takes first a tensor whose last axes are qubits ----------
@@ -211,30 +216,47 @@ def _gather(ten, src, sign):
         np.multiply(rows.take(src, axis=1), sign, out=out)
 
 
-def _index(values) -> tuple:
-    """Basic index fixing each (qubit, bit) in `values`, with qubit q on
-    axis -1 - q; always a view."""
-    values = tuple(values)
-    idx = [slice(None)] * (1 + max((q for q, _ in values), default=-1))
-    for q, v in values:
-        idx[-1 - q] = v
+def _index(mask: int, value: int) -> tuple:
+    """Basic index of the slice whose bits under `mask` read `value`, with
+    qubit q on axis -1 - q; always a view."""
+    idx = [slice(None)] * mask.bit_length()
+    for q in range(mask.bit_length()):
+        if mask >> q & 1:
+            idx[-1 - q] = value >> q & 1
     return (Ellipsis, *idx)
 
 
-def _mix_step(lo_values, hi_values, mat, dtype) -> tuple:
-    """The step applying the real 2x2 `mat` to the slices (lo, hi) of a
-    vector of `dtype`, with entries of that dtype."""
-    (m00, m01), (m10, m11) = mat.astype(dtype).tolist()
-    return (_mix, _index(lo_values), _index(hi_values), m00, m01, m10, m11)
+@lru_cache(maxsize=4096)
+def _mixes(gate: Gate) -> tuple:
+    """The mixes of an H, ROT, MROT or FANOUT gate, each a record (mask,
+    lo, hi, m00, m01, m10, m11) of `_mix` on the slices whose bits under
+    `mask` read `lo` and `hi`."""
+    kind = gate.kind
+    on = sum(1 << q for q in gate.controls)
+    if kind == FANOUT:
+        # Ry(pi/2) on (|10>, |01>): |10> -> (|10> + |01>)/sqrt(2)
+        a, b = gate.qubits
+        return ((on | 1 << a | 1 << b, on | 1 << a, on | 1 << b, *_ry(2 * gate.angle)),)
+    if kind not in (H, ROT, MROT):
+        raise ValueError(f"unknown gate kind {kind!r}")
+    (target,) = gate.qubits
+    mask = on | 1 << target
+    if kind != MROT:
+        return ((mask, on, on | 1 << target, *(_HADAMARD if kind == H else _ry(gate.angle))),)
+    d = len(gate.controls)
+    mixes = []
+    for p, angle in enumerate(gate.angles):
+        if angle != 0.0:
+            sel = sum(((p >> (d - 1 - i)) & 1) << q for i, q in enumerate(gate.controls))
+            mixes.append((mask, sel, sel | 1 << target, *_ry(angle)))
+    return tuple(mixes)
 
 
 @lru_cache(maxsize=4096)
-def _plan(gate: Gate, dtype: np.dtype) -> tuple:
-    """The gate as a tuple of kernel steps `(fn, *args)` for a vector of
-    `dtype`, on any tensor whose last axes are its qubits and every qubit
-    below them; only the entries of a mix depend on the dtype."""
+def _plan(gate: Gate) -> tuple:
+    """The gate as a tuple of kernel steps `(fn, *args)` on any tensor whose
+    last axes are its qubits and every qubit below them, real or complex."""
     kind = gate.kind
-    on = tuple((q, 1) for q in gate.controls)
     if kind in (PAULI, TOFFOLI, MCZ):
         word, controls, targets = gate.pauli, gate.controls, gate.qubits
         if kind == TOFFOLI:
@@ -243,30 +265,13 @@ def _plan(gate: Gate, dtype: np.dtype) -> tuple:
             word, controls, targets = _Z, targets[:-1], targets[-1:]
         # fixing the controls drops their axes: target q keeps those below it
         axes = tuple(sum(c < q for c in controls) - 1 - q for q in targets)
-        idx = _index((q, 1) for q in controls)
-        return ((_pauli, idx, view_action(word, axes)),)
-    if kind in (CSWAP, FANOUT):
-        a, b = gate.qubits
-        lo, hi = on + ((a, 1), (b, 0)), on + ((a, 0), (b, 1))
-        if kind == FANOUT:
-            # Ry(pi/2) on (|10>, |01>): |10> -> (|10> + |01>)/sqrt(2)
-            return (_mix_step(lo, hi, _ry(2 * gate.angle), dtype),)
-        return ((_swap, _index(lo), _index(hi)),)
-    if kind not in (H, ROT, MROT):
-        raise ValueError(f"unknown gate kind {kind!r}")
-    (target,) = gate.qubits
-    if kind == MROT:
-        d = len(gate.controls)
-        steps = []
-        for p, angle in enumerate(gate.angles):
-            if angle == 0.0:
-                continue
-            sel = tuple((q, (p >> (d - 1 - i)) & 1) for i, q in enumerate(gate.controls))
-            lo, hi = sel + ((target, 0),), sel + ((target, 1),)
-            steps.append(_mix_step(lo, hi, _ry(angle), dtype))
-        return tuple(steps)
-    mat = _HADAMARD if kind == H else _ry(gate.angle)
-    return (_mix_step(on + ((target, 0),), on + ((target, 1),), mat, dtype),)
+        on = sum(1 << q for q in controls)
+        return ((_pauli, _index(on, on), view_action(word, axes)),)
+    if kind == CSWAP:
+        on, (a, b) = sum(1 << q for q in gate.controls), gate.qubits
+        mask = on | 1 << a | 1 << b
+        return ((_swap, _index(mask, on | 1 << a), _index(mask, on | 1 << b)),)
+    return tuple((_mix, _index(m, lo), _index(m, hi), *e) for m, lo, hi, *e in _mixes(gate))
 
 
 def _run_labels(gates, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,17 +336,6 @@ def _signed_permutation(gates, dest: np.ndarray, positions, dtype) -> tuple:
 # --- subspace plans ------------------------------------------------------------
 
 
-def _slice_bits(idx) -> tuple[int, int]:
-    """(mask, value): the basis states in the slice that the `_index` tuple
-    `idx` takes are those whose bits under `mask` read `value`."""
-    mask = value = 0
-    for q, v in enumerate(reversed(idx[1:])):
-        if not isinstance(v, slice):
-            mask |= 1 << q
-            value |= v << q
-    return mask, value
-
-
 def _lookup(labels: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The place of each of `states` in the sorted `labels`; len(labels) if missing."""
     at = np.minimum(np.searchsorted(labels, states), len(labels) - 1)
@@ -361,8 +355,8 @@ def _closure(circuit: Circuit, start: np.ndarray, bits: int) -> np.ndarray:
     can make nonzero from states under the sorted keys `start`, start
     included, each run as its one label key << bits (the passenger rule
     makes that exact).  Keys are taken only before a fused run, which a
-    plan gathers at once, and at the end; a mix step adds the partner of
-    every key on either of its slices, regardless of cancellations.
+    plan gathers at once, and at the end; a `_mixes` record adds the
+    partner of every key on either of its slices, regardless of cancellations.
     Refuses keys beyond `check_rows` as soon as they grow."""
     now = reached = start
     for fused, run in groupby(circuit.gates, key=lambda g: g.kind in _FUSED_KINDS):
@@ -372,9 +366,8 @@ def _closure(circuit: Circuit, start: np.ndarray, bits: int) -> np.ndarray:
             now = np.sort(_run_labels(run, now << bits)[0] >> bits)
             continue
         for gate in run:
-            for _, lo_idx, hi_idx, *_ in _plan(gate, np.dtype(np.float64)):
-                mask, lo = (v >> bits for v in _slice_bits(lo_idx))
-                hi = _slice_bits(hi_idx)[1] >> bits
+            for mask, lo, hi, *_ in _mixes(gate):
+                mask, lo, hi = mask >> bits, lo >> bits, hi >> bits
                 # with no partner missing, one slice is the other moved by hi - lo
                 on_lo, on_hi = now[(now & mask) == lo], now[(now & mask) == hi]
                 if not np.array_equal(on_lo ^ lo ^ hi, on_hi):
@@ -458,16 +451,14 @@ def _take_mix(rows, width, size, lo, hi, *entries):
     _mix(ten, (slice(None), lo), (slice(None), hi), *entries)
 
 
-def _compact_mix(space: Subspace, step) -> tuple:
-    """A `_mix` step as a `_take_mix` over the pairs of reach blocks of
+def _compact_mix(space: Subspace, mask, lo, hi, *entries) -> tuple:
+    """A `_mixes` record as a `_take_mix` over the pairs of reach blocks of
     2**min(bits, q) states on its two slices, q its lowest qubit; a pair
     with one block outside reach is zero whenever the pass meets it."""
-    _, lo_idx, hi_idx, *entries = step
-    mask, lo = _slice_bits(lo_idx)
     size = 1 << min(space.bits, (mask & -mask).bit_length() - 1)
     first = space.reach[::size]
     lo_at = np.flatnonzero((first & mask) == lo)
-    hi_at = space.positions(first[lo_at] ^ lo ^ _slice_bits(hi_idx)[1])
+    hi_at = space.positions(first[lo_at] ^ lo ^ hi)
     pair = hi_at < len(space.reach)
     return (_take_mix, len(space.reach), size, lo_at[pair], hi_at[pair] // size, *entries)
 
@@ -476,7 +467,7 @@ def _compact_mix(space: Subspace, step) -> tuple:
 def _subspace_plan(circuit: Circuit, dtype: np.dtype, space: Subspace) -> tuple:
     """The gates of `circuit` as kernel steps on compact rows of `space`:
     each run of `_FUSED_KINDS`, a lone gate included, as a `_gather` on the
-    labels of reach, and each mix step of another gate as a
+    labels of reach, and each `_mixes` record of another gate as a
     `_compact_mix`."""
     if not space.whole and circuit not in space.circuits:
         raise ValueError("the subspace was not built for this circuit")
@@ -487,7 +478,7 @@ def _subspace_plan(circuit: Circuit, dtype: np.dtype, space: Subspace) -> tuple:
             steps.append((_gather, *_signed_permutation(run, space.reach, space.positions, dtype)))
             continue
         for gate in run:
-            steps += (_compact_mix(space, step) for step in _plan(gate, dtype))
+            steps += (_compact_mix(space, *mix) for mix in _mixes(gate))
     return tuple(steps)
 
 
@@ -536,7 +527,7 @@ class QuantumState:
     # --- unitary application ---------------------------------------------
     def apply(self, gate: Gate) -> "QuantumState":
         ten = self.vec.reshape((2,) * self.layout.total_qubits)
-        for fn, *args in _plan(gate, self.vec.dtype):
+        for fn, *args in _plan(gate):
             fn(ten, *args)
         return self
 
@@ -574,12 +565,14 @@ class QuantumState:
         pattern always hits.
         """
         layout, total = self.layout, self.layout.total_qubits
-        for q in bits:
+        for q, v in bits.items():
             if not 0 <= q < total:
                 raise ValueError(f"qubit {q} outside the register")
+            if v not in (0, 1):
+                raise ValueError(f"qubit {q} cannot read {v!r}")
         if not bits:
             return 1.0, QuantumState(layout, self.vec.copy()), None
-        idx = _index(bits.items())
+        idx = _index(sum(1 << q for q in bits), sum(v << q for q, v in bits.items()))
         block = self.vec.reshape((2,) * total)[idx]
         p = float(np.sum(np.abs(block) ** 2))
         hit = miss = None
@@ -623,7 +616,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         block[:, lo : lo + width] = np.eye(width)
         ten = block.reshape((width,) + (2,) * n)
         for gate in circuit.gates:
-            for fn, *args in _plan(gate, block.dtype):
+            for fn, *args in _plan(gate):
                 fn(ten, *args)
         cols[:, lo : lo + width] = block.T
     return cols

@@ -373,6 +373,25 @@ def test_recovery_half_identity_x(half_identity_x):
         assert rec["error"] < 1e-9
 
 
+def test_recovery_with_a_vanishing_scale_is_an_invalid_precondition():
+    """H = (X + Z)/2 has E = +-1/sqrt(2), and sigma = X anticommutes with
+    Z: Gamma = 0 = 2 E**2 - 1, so the scale vanishes at both eigenvalues.
+    sigma = Y anticommutes with both words and recovers."""
+    h = LcuHamiltonian.from_terms(
+        1, [(0.5, PauliString.from_label("X")), (0.5, PauliString.from_label("Z"))]
+    )
+    bundle = binary_walk(normalize(h, "none"))
+    records = verify_observable_recovery(bundle, [PauliString.from_label("X")])
+    assert len(records) == 4
+    for rec in records:
+        assert rec["status"] == "invalid-precondition"
+        assert "vanishes" in rec["reason"]
+        assert "recovered" not in rec
+    records = verify_observable_recovery(bundle, [PauliString.from_label("Y")])
+    assert len(records) == 4
+    assert all(rec["status"] == "pass" for rec in records)
+
+
 def test_recovery_full_coverage_tfim2():
     r = normalize(tfim(2, 1, 1))
     bundle = binary_walk(r)

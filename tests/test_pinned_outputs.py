@@ -24,6 +24,7 @@ DATA = Path(__file__).parent / "data"
 _ZENO = ["zeno", "--model", "tfim", "--n", "3", "--g", "1.2", "--J", "0.8",
          "--schedule-steps", "4"]
 _SAMPLE = ["--mode", "sample", "--seed", "11", "--shots", "60"]
+_ODD_Y = ["spectrum", "--model", "file", "--hamiltonian-file", str(DATA / "odd-y-model.json")]
 
 CASES = {
     "zeno-analyze-binary.json": _ZENO + ["--mode", "analyze", "--encoding", "binary"],
@@ -53,6 +54,9 @@ CASES = {
         "spectrum", "--model", "long-range", "--n", "4", "--J", "1", "--alpha", "2",
         "--encoding", "hybrid",
     ],
+    # words with one Y: the walk is not real, so its planes are complex128 rows
+    "spectrum-odd-y-binary.json": _ODD_Y + ["--encoding", "binary"],
+    "spectrum-odd-y-unary.json": _ODD_Y + ["--encoding", "unary"],
 }
 
 # Round-off diagnostics: allowed to move, but only at round-off level.

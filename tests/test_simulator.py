@@ -137,6 +137,8 @@ def test_measure_analyze_and_determinism():
     assert np.array_equal(zero_post.vec, zero.vec)
     with pytest.raises(ValueError):
         zero.measure({1: 0})
+    with pytest.raises(ValueError, match="cannot read"):
+        zero.measure({0: 2})
 
 
 def test_make_rng_needs_an_explicit_seed():
@@ -785,7 +787,7 @@ def test_segmented_passes_equal_gate_by_gate(suite_models, model, encoding, with
             _assert_same_bits(fused.vec, stepwise.vec)
 
 
-def test_one_nonzero_float_above_the_prefix_takes_the_wider_pass(suite_models):
+def test_reflect_carries_a_tiny_amplitude_with_the_pe_qubit_set(suite_models):
     """Reflect acts on the control register, but its pass runs on the whole
     register: one tiny amplitude with the pe qubit set is carried as the
     gate-by-gate pass carries it."""

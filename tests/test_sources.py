@@ -93,3 +93,34 @@ def test_each_subcommand_declares_exactly_the_options_its_code_reads(command):
     options = [a for a in sub.choices[command]._actions if a.dest != "help"]
     settable = {a.dest for a in options if a.choices is None or len(a.choices) > 1}
     assert reads == settable | {sub.dest}
+
+
+def _statement_reads(stmt: ast.stmt) -> set[str]:
+    """Names that `stmt` reads: as a name, as an attribute or by import."""
+    reads = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.alias):
+            reads.add(node.name)
+    return reads
+
+
+def test_no_unreferenced_private_code():
+    """Every private module-level function or class of the package is named
+    somewhere in the package outside its own definition."""
+    statements = [
+        (path, stmt, _statement_reads(stmt))
+        for path in SOURCES
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    unreferenced = [
+        f"{path.name}: {stmt.name}"
+        for path, stmt, _ in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not any(stmt.name in reads for _, other, reads in statements if other is not stmt)
+    ]
+    assert not unreferenced
