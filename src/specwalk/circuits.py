@@ -1,8 +1,11 @@
 """Gate records and circuits over a partitioned register.
 
 A gate record carries enough structure to be simulated exactly and to be
-costed by fault-tolerant tier.  Its census contribution is a pure function
-of the record:
+costed by fault-tolerant tier.  A Pauli, Toffoli or MCZ record is the word
+`pauli` on `qubits`, applied where all its `controls` read 1 (a Toffoli is X
+under two controls, an MCZ Z on its last qubit under the others); its kind
+picks only the cost.  Its census contribution is a pure function of the
+record:
 
     Clifford     H, Pauli words with <= 1 control, and
                  multi-controlled Z with <= 1 control
@@ -34,10 +37,10 @@ from .pauli import PauliString
 # gate kinds
 H = "h"
 PAULI = "pauli"  # signed Pauli word, 0..m controls
-TOFFOLI = "toffoli"
+TOFFOLI = "toffoli"  # X under two controls
 CSWAP = "cswap"
 FANOUT = "fanout"  # amplitude-splitting square-root-swap variant
-MCZ = "mcz"  # -1 on the all-ones state of its qubits
+MCZ = "mcz"  # Z under 0..m controls: -1 on the all-ones state
 ROT = "rot"  # Ry(angle) = exp(-i angle/2 Y), 0 or 1 control
 MROT = "mrot"  # Ry multiplexed over select bits
 
@@ -91,10 +94,8 @@ class Gate:
     angles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if set(self.qubits) & set(self.controls):
-            raise ValueError("target and control qubits overlap")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError("repeated target qubit")
+        if len({*self.qubits, *self.controls}) != len(self.qubits) + len(self.controls):
+            raise ValueError("a qubit repeats among the gate's targets and controls")
         if self.kind in (ROT, MROT, FANOUT):
             vals = self.angles if self.kind == MROT else (self.angle,)
             if any(math.isnan(a) or math.isinf(a) for a in vals):
@@ -119,7 +120,7 @@ class Gate:
 
     @classmethod
     def toffoli(cls, c1, c2, target):
-        return cls(TOFFOLI, (target,), (c1, c2))
+        return cls(TOFFOLI, (target,), (c1, c2), pauli=PauliString.single(1, 0, "X"))
 
     @classmethod
     def cswap(cls, control, a, b):
@@ -135,7 +136,8 @@ class Gate:
     def mcz(cls, qubits):
         if len(qubits) < 1:
             raise ValueError("mcz needs at least one qubit")
-        return cls(MCZ, tuple(qubits))
+        *controls, target = qubits
+        return cls(MCZ, (target,), tuple(controls), pauli=PauliString.single(1, 0, "Z"))
 
     @classmethod
     def ry(cls, angle, q, controls=()):
@@ -184,7 +186,7 @@ class Gate:
                 return GateCensus(clifford=1)
             return GateCensus(clifford=1, toffoli=2 * (m - 1))
         if self.kind == MCZ:
-            m = len(self.qubits) - 1
+            m = len(self.controls)
             if m <= 1:
                 return GateCensus(clifford=1)
             return GateCensus(toffoli=m - 1)
@@ -197,10 +199,8 @@ class Gate:
 
     def workspace(self) -> int:
         """Work qubits the costed decomposition needs beyond its own qubits."""
-        if self.kind == MCZ:
-            return max(0, len(self.qubits) - 2)
-        if self.kind == PAULI and len(self.controls) >= 2:
-            return len(self.controls) - 1
+        if self.kind in (PAULI, MCZ):
+            return max(0, len(self.controls) - 1)
         return 0
 
     def rotation_magnitudes(self) -> tuple[float, ...]:

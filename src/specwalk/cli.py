@@ -197,6 +197,7 @@ def build_model(cfg: argparse.Namespace) -> LcuHamiltonian:
 
 
 def run_spectrum(cfg: argparse.Namespace) -> tuple[dict, int]:
+    check_matrix_width(cfg.n)  # the oracle diagonalizes the encoded operator densely
     h = build_model(cfg)
     bundle = build_walk(normalize(h, "auto"), cfg.encoding, with_pe=False)
     report = walk_eigenphases(bundle)
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         # exit 1 is reserved for a failed threshold
-        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except ProjectionFailedError as exc:
         # the input was fine; the run missed its projection threshold

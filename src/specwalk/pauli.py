@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Dense export guard: a 13-qubit matrix, 2 GiB complex, is the largest we ever
-# materialise; at 14 qubits the matrix alone is 4 GiB.
+# Dense export guard: a 13-qubit complex matrix, 1 GiB (2**26 entries of 16 B),
+# is the largest we ever materialise; at 14 qubits the matrix alone is 4 GiB.
 MATRIX_QUBIT_CAP = 13
 
 _LETTER_NAMES = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}

@@ -24,12 +24,11 @@ qubits, counted from the low end: qubit ``q`` is axis ``-1 - q``, and any
 leading axes are rows the gate treats alike.  Each control value is fixed
 by basic indexing, so no gate copies or transposes the whole vector:
 
-- a Pauli word (X, Z, CNOT, Toffoli and MCZ included) negates the slice
-  where each Z axis reads 1, reverses its X axes with `np.flip` and applies
-  its scalar power of i by negation and a real/imaginary swap
-  (`pauli.view_action`, shared with `expectation` and `pauli.apply_pauli`).
-  MCZ is the Z word on its last qubit, controlled by the others, so every
-  sign, the walk's word -I included, comes from `pauli.apply_view_action`;
+- a gate's Pauli word (PAULI, TOFFOLI and MCZ records carry one) negates
+  the slice where each Z axis reads 1, reverses its X axes with `np.flip`
+  and applies its scalar power of i by negation and a real/imaginary swap
+  (`pauli.view_action`, shared with `expectation` and `pauli.apply_pauli`),
+  so every sign, the walk's word -I included, comes from one function;
 - CSWAP exchanges the |10> and |01> slices of its two qubits;
 - H, ROT, each non-zero MROT angle and FANOUT mix two slices by a real
   2x2 matrix.  `_mixes` writes each mix once, as a record (mask, lo, hi,
@@ -54,12 +53,12 @@ compiled passes.
 
 Fused runs.  PAULI, TOFFOLI, CSWAP and MCZ map each basis state to one
 basis state times a power of i.  `_run_labels` maps integer basis labels
-through a run of them by bit rules: where its controls read 1, a Pauli
-word flips its X qubits and takes the power of i of `pauli.view_action`,
-with -1 for each Z qubit that reads 1; Toffoli flips its target, CSWAP
-swaps its two bits and MCZ negates where all its qubits read 1.  Each of
-these gates is its own inverse, so `_signed_permutation` runs a run
-reversed on the labels of its destinations to compile it into one gather
+through a run of them by bit rules: where its controls read 1, a gate's
+Pauli word flips its X qubits and takes the power of i of
+`pauli.view_action`, with -1 for each Z qubit that reads 1, and CSWAP
+swaps its two bits.  Each of these gates is its own inverse, so
+`_signed_permutation` runs a run reversed on the labels of its
+destinations to compile it into one gather
 ``vec[j] <- i**k[j] * vec[src[j]]``, with one source index and one +-1
 factor per float of a (rows, floats) view: the (re, im) pairs of a complex
 state, the amplitudes of a real one, which refuses an imaginary Pauli
@@ -139,8 +138,6 @@ SIMULATION_QUBIT_CAP = 22
 UNITARY_QUBIT_CAP = 12
 
 _HADAMARD = (1 / math.sqrt(2),) * 3 + (-1 / math.sqrt(2),)
-_X = PauliString.single(1, 0, "X")
-_Z = PauliString.single(1, 0, "Z")
 _FUSED_KINDS = frozenset({PAULI, TOFFOLI, CSWAP, MCZ})
 
 
@@ -256,19 +253,13 @@ def _mixes(gate: Gate) -> tuple:
 def _plan(gate: Gate) -> tuple:
     """The gate as a tuple of kernel steps `(fn, *args)` on any tensor whose
     last axes are its qubits and every qubit below them, real or complex."""
-    kind = gate.kind
-    if kind in (PAULI, TOFFOLI, MCZ):
-        word, controls, targets = gate.pauli, gate.controls, gate.qubits
-        if kind == TOFFOLI:
-            word = _X
-        elif kind == MCZ:  # -1 on the all-ones slice of its qubits
-            word, controls, targets = _Z, targets[:-1], targets[-1:]
+    on = sum(1 << q for q in gate.controls)
+    if gate.pauli is not None:
         # fixing the controls drops their axes: target q keeps those below it
-        axes = tuple(sum(c < q for c in controls) - 1 - q for q in targets)
-        on = sum(1 << q for q in controls)
-        return ((_pauli, _index(on, on), view_action(word, axes)),)
-    if kind == CSWAP:
-        on, (a, b) = sum(1 << q for q in gate.controls), gate.qubits
+        axes = tuple(sum(c < q for c in gate.controls) - 1 - q for q in gate.qubits)
+        return ((_pauli, _index(on, on), view_action(gate.pauli, axes)),)
+    if gate.kind == CSWAP:
+        a, b = gate.qubits
         mask = on | 1 << a | 1 << b
         return ((_swap, _index(mask, on | 1 << a), _index(mask, on | 1 << b)),)
     return tuple((_mix, _index(m, lo), _index(m, hi), *e) for m, lo, hi, *e in _mixes(gate))
@@ -281,27 +272,20 @@ def _run_labels(gates, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     image = np.array(labels, dtype=np.int64)
     k = np.zeros(len(image), dtype=np.int64)
     for gate in gates:
-        kind, qubits = gate.kind, gate.qubits
-        if kind not in _FUSED_KINDS:
-            raise ValueError(f"a {kind} gate is not a signed permutation of the basis")
-        # a gate acts where its controls all read 1, MCZ's qubits taken as controls
-        mask = sum(1 << q for q in (qubits if kind == MCZ else gate.controls))
+        qubits, word = gate.qubits, gate.pauli
+        if gate.kind not in _FUSED_KINDS:
+            raise ValueError(f"a {gate.kind} gate is not a signed permutation of the basis")
+        mask = sum(1 << q for q in gate.controls)  # a gate acts where they all read 1
         on = (image & mask) == mask if mask else True
-        if kind == MCZ:
-            np.add(k, 2, out=k, where=on)
-        elif kind == CSWAP:
+        if word is None:  # CSWAP
             a, b = qubits
             flips = (((image >> a) ^ (image >> b)) & 1) * (1 << a | 1 << b)
-            np.bitwise_xor(image, flips, out=image, where=on)
-        elif kind == TOFFOLI:
-            np.bitwise_xor(image, 1 << qubits[0], out=image, where=on)
         else:  # i**(phase_exp + |x&z|) X^x Z^z, as in `pauli.view_action`
-            word = gate.pauli
             z = [q for i, q in enumerate(qubits) if (word.z_bits >> i) & 1]
             if (coef := word.phase_exp + (word.x_bits & word.z_bits).bit_count()) or z:
                 np.add(k, coef + 2 * sum((image >> q) & 1 for q in z), out=k, where=on)
             flips = sum(1 << q for i, q in enumerate(qubits) if (word.x_bits >> i) & 1)
-            np.bitwise_xor(image, flips, out=image, where=on)
+        np.bitwise_xor(image, flips, out=image, where=on)
     return image, k & 3
 
 
@@ -378,12 +362,12 @@ def _closure(circuit: Circuit, start: np.ndarray, bits: int) -> np.ndarray:
 
 def _check_passengers(circuit: Circuit, bits: int) -> None:
     """Refuse a gate that writes a qubit >= `bits` while it reads one below:
-    a gate reads its controls, CSWAP and FANOUT their pair too; a Pauli word
-    writes its X qubits, MCZ none."""
+    a gate reads its controls, CSWAP and FANOUT their pair too; a gate with a
+    Pauli word writes the word's X qubits, any other its qubits."""
     for g in circuit.gates:
         reads = g.controls + (g.qubits if g.kind in (CSWAP, FANOUT) else ())
-        writes = () if g.kind == MCZ else g.qubits
-        if g.kind == PAULI:
+        writes = g.qubits
+        if g.pauli is not None:
             writes = [q for i, q in enumerate(g.qubits) if g.pauli.x_bits >> i & 1]
         if min(reads, default=bits) < bits <= max(writes, default=-1):
             raise ValueError(f"a {g.kind} gate writes a key qubit by reading one below {bits}")

@@ -275,18 +275,22 @@ def test_default_spectrum_bytes_are_those_of_one_blas_thread():
     assert run_child(argv, None) == run_child(argv, "1")
 
 
-def test_out_of_memory_exits_2(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "error", [MemoryError("cannot allocate the invariant blocks"), MemoryError()]
+)
+def test_out_of_memory_exits_2(monkeypatch, capsys, error):
     import specwalk.cli as cli
 
     def exhausted(cfg):
-        raise MemoryError("cannot allocate the invariant blocks")
+        raise error
 
     monkeypatch.setattr(cli, "run_spectrum", exhausted)
     code, out = run_cli(["spectrum", "--model", "tfim", "--n", "2"])
     assert code == 2
     assert out == ""
     err = capsys.readouterr().err
-    assert err.startswith("error: out of memory")
+    assert err.startswith("error: out of memory: ")
+    assert err.removeprefix("error: out of memory: ").strip()  # a reason, even for a bare one
     assert "Traceback" not in err
 
 
@@ -346,6 +350,16 @@ def test_zeno_above_the_matrix_cap_is_refused_before_allocating(capsys):
     code, out, err, peak = _refused(["zeno", "--n", str(n)], capsys)
     assert code == 2 and out == ""
     assert f"{n} qubits exceeds the dense cap of {MATRIX_QUBIT_CAP}" in err
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("model, n", [("tfim", 8000), ("long-range", 3000)])
+def test_spectrum_above_the_matrix_cap_is_refused_before_building_its_walk(capsys, model, n):
+    # the dense oracle could never take these; refuse before the model and walk exist
+    code, out, err, peak = _refused(["spectrum", "--model", model, "--n", str(n)], capsys)
+    assert code == 2 and out == ""
+    assert f"{n} qubits exceeds the dense cap of {MATRIX_QUBIT_CAP}" in err
+    assert "Traceback" not in err
     assert peak < 16 * 2**20
 
 

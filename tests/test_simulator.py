@@ -226,6 +226,23 @@ def test_census_tiers():
     assert mrot.rotations == 2 and mrot.clifford == 4
 
 
+def test_toffoli_and_mcz_records_carry_their_controlled_word():
+    """A Toffoli is X on its target under two controls, an MCZ Z on its last
+    qubit under the others, and an MCZ on m + 1 qubits keeps the census and
+    work qubits of m controls: one Clifford for m <= 1, else m - 1 Toffolis,
+    and max(0, m - 1) work qubits."""
+    toffoli, mcz = Gate.toffoli(0, 1, 2), Gate.mcz((0, 1, 2))
+    assert (toffoli.qubits, toffoli.controls, toffoli.pauli.label()) == ((2,), (0, 1), "X")
+    assert (mcz.qubits, mcz.controls, mcz.pauli.label()) == ((2,), (0, 1), "Z")
+    for m in range(5):
+        gate = Gate.mcz(tuple(range(m + 1)))
+        assert gate.census() == (GateCensus(clifford=1) if m <= 1 else GateCensus(toffoli=m - 1))
+        assert gate.workspace() == max(0, m - 1)
+    for repeated in (lambda: Gate.mcz((1, 1, 2)), lambda: Gate.toffoli(0, 0, 1)):
+        with pytest.raises(ValueError, match="a qubit repeats"):
+            repeated()
+
+
 def test_distinct_rotation_count_identifies_adjoint_pairs():
     layout = plain_layout(2)
     circ = Circuit(
@@ -254,6 +271,22 @@ def test_gate_index_validation():
 def test_simulation_cap():
     with pytest.raises(ValueError):
         QuantumState.zero_state(plain_layout(23))
+
+
+def test_unitary_export_above_its_cap_is_refused_before_allocating():
+    import tracemalloc
+
+    from specwalk.simulator import UNITARY_QUBIT_CAP
+
+    circuit = Circuit(plain_layout(UNITARY_QUBIT_CAP + 1), [Gate.h(0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the unitary-export cap"):
+            circuit_unitary(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_expectation_against_eigenvector_oracle():
@@ -345,7 +378,7 @@ def _reference(gate, n):
         local[1:3, 1:3] = [[c, -s], [s, c]]  # |src=1,dst=0>, |src=0,dst=1>
         return _lift(n, qs, local, cs)
     if kind == "mcz":
-        return np.eye(1 << n) - 2 * _kron_on(n, {q: _E[1, 1] for q in qs})
+        return np.eye(1 << n) - 2 * _kron_on(n, {q: _E[1, 1] for q in qs + cs})
     if kind == "rot":
         return _lift(n, qs, _ry(gate.angle), cs)
     if kind == "mrot":
