@@ -275,10 +275,7 @@ def test_default_spectrum_bytes_are_those_of_one_blas_thread():
     assert run_child(argv, None) == run_child(argv, "1")
 
 
-@pytest.mark.parametrize(
-    "error", [MemoryError("cannot allocate the invariant blocks"), MemoryError()]
-)
-def test_out_of_memory_exits_2(monkeypatch, capsys, error):
+def _out_of_memory_reason(monkeypatch, capsys, error):
     import specwalk.cli as cli
 
     def exhausted(cfg):
@@ -290,8 +287,17 @@ def test_out_of_memory_exits_2(monkeypatch, capsys, error):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ")
-    assert err.removeprefix("error: out of memory: ").strip()  # a reason, even for a bare one
     assert "Traceback" not in err
+    return err.removeprefix("error: out of memory: ").strip()
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    error = MemoryError("cannot allocate the invariant blocks")
+    assert _out_of_memory_reason(monkeypatch, capsys, error) == str(error)
+
+
+def test_bare_out_of_memory_still_prints_a_reason(monkeypatch, capsys):
+    assert _out_of_memory_reason(monkeypatch, capsys, MemoryError())
 
 
 def test_failed_sampled_projection_exits_1(monkeypatch, capsys):
