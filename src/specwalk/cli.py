@@ -24,7 +24,6 @@ import numpy as np
 
 from .blocks import walk_eigenphases
 from .hamiltonian import (
-    HamiltonianFileError,
     InterpolatedModel,
     LcuHamiltonian,
     group,
@@ -199,7 +198,7 @@ def build_model(cfg: argparse.Namespace) -> LcuHamiltonian:
 def run_spectrum(cfg: argparse.Namespace) -> tuple[dict, int]:
     check_matrix_width(cfg.n)  # the oracle diagonalizes the encoded operator densely
     h = build_model(cfg)
-    bundle = build_walk(normalize(h, "auto"), cfg.encoding, with_pe=False)
+    bundle = build_walk(normalize(h, "auto"), cfg.encoding)
     report = walk_eigenphases(bundle)
     rows = [
         {
@@ -233,17 +232,14 @@ def run_zeno(cfg: argparse.Namespace) -> tuple[dict, int]:
     v = tfim(cfg.n, 0.0, cfg.J, cfg.boundary)
     model = InterpolatedModel(h0, v, h0_ground=product_state("+" * cfg.n))
     schedule = cfg.schedule or uniform_schedule(cfg.schedule_steps)
-    try:
-        trace = zeno_prepare(
-            model,
-            schedule,
-            encoding=cfg.encoding,
-            mode=cfg.mode,
-            seed=cfg.seed,
-            shots=cfg.shots,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    trace = zeno_prepare(
+        model,
+        schedule,
+        encoding=cfg.encoding,
+        mode=cfg.mode,
+        seed=cfg.seed,
+        shots=cfg.shots,
+    )
     payload = {"schema_version": SCHEMA_VERSION, "command": "zeno", "n": cfg.n}
     payload.update(dataclasses.asdict(trace))
     return payload, 0
@@ -337,7 +333,7 @@ def main(argv=None) -> int:
         run = {"spectrum": run_spectrum, "zeno": run_zeno, "resources": run_resources}
         payload, code = run[cfg.command](cfg)
         text = render(payload, cfg.format)
-    except (InputError, HamiltonianFileError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

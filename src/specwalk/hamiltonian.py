@@ -230,7 +230,11 @@ def long_range_ising(n: int, j: float, alpha: float) -> LcuHamiltonian:
     for i in range(n):
         for k in range(i + 1, n):
             zz = PauliString(n, 0, (1 << i) | (1 << k))
-            pairs.append((j / (k - i) ** alpha, zz))
+            try:
+                coupling = j / (k - i) ** alpha
+            except OverflowError:
+                raise ValueError(f"alpha {alpha} overflows a float at distance {k - i}") from None
+            pairs.append((coupling, zz))
     return LcuHamiltonian.from_terms(n, pairs)
 
 

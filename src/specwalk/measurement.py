@@ -500,7 +500,7 @@ def zeno_prepare(
     prev_ground = psi
     for g in schedule:
         h = interpolate(model, g)
-        bundle = build_walk(normalize(h, "auto"), encoding, with_pe=sampling)
+        bundle = build_walk(normalize(h, "auto"), encoding)
         rescaled = bundle.rescaled
         matrix = dense_matrix(rescaled)
         oracle_vals, oracle_vecs = np.linalg.eigh(matrix)

@@ -36,6 +36,11 @@ class CostModel:
     distill_fn: Callable[[float], float] | None = None
     synth_fn: Callable[[float], float] | None = None
 
+    def __post_init__(self):
+        for name in ("distill_a", "synth_c"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
     def c_d(self, delta: float) -> float:
         self._check(delta)
         if self.distill_fn is not None:
@@ -72,7 +77,8 @@ class CostQuery:
     time_constant: float = 1.0
 
     def __post_init__(self):
-        for name in ("n", "n_terms", "k_distinct", "normalization", "gap", "delta"):
+        names = ("n", "n_terms", "k_distinct", "normalization", "gap", "delta", "time_constant")
+        for name in names:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.normalization < self.gap:
@@ -204,13 +210,13 @@ def taylor_cost(
 
 
 def buildable_walks(rescaled) -> dict[str, WalkBundle]:
-    """Encoding name -> walk bundle (with its pe qubit), for every encoding
-    whose builder accepts the model.  Only the hybrid builder refuses any:
+    """Encoding name -> walk bundle, for every encoding whose builder
+    accepts the model.  Only the hybrid builder refuses any:
     it needs a power-of-two ZZ chain that is uniform per distance."""
     bundles = {}
     for encoding in ("binary", "unary", "hybrid"):
         try:
-            bundles[encoding] = build_walk(rescaled, encoding, with_pe=True)
+            bundles[encoding] = build_walk(rescaled, encoding)
         except ValueError:
             continue
     return bundles

@@ -85,16 +85,14 @@ def binary_branches(rescaled: RescaledLcu) -> tuple[Branch, ...]:
     )
 
 
-def binary_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkBundle:
+def binary_walk(rescaled: RescaledLcu) -> WalkBundle:
     """Build B, S, V, W and the controlled walk for a rescaled Hamiltonian."""
-    n = rescaled.n_qubits
     c = control_width(rescaled.n_select_terms)
-    n_inputs = c + (1 if with_pe else 0)
     layout = RegisterLayout(
-        system_qubits=n,
+        system_qubits=rescaled.n_qubits,
         control_qubits=c,
-        ancilla_qubits=max(0, n_inputs - 1),
-        has_pe_qubit=with_pe,
+        ancilla_qubits=c,  # the AND ladder over the c controls and the pe qubit
+        has_pe_qubit=True,
     )
     branches = binary_branches(rescaled)
     prepare = build_prepare_b([w for w, _ in rescaled.weights], layout)

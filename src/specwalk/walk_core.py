@@ -56,15 +56,16 @@ class WalkBundle:
     reflect: Circuit
     walk: Circuit
     controlled_walk: Circuit
-    rescaled: RescaledLcu | None = None
+    rescaled: RescaledLcu
 
     @property
     def n_system(self) -> int:
         return self.layout.system_qubits
 
 
-def build_walk(rescaled: RescaledLcu, encoding: str, with_pe: bool) -> WalkBundle:
-    """The walk of `rescaled` in the control encoding named `encoding`.
+def build_walk(rescaled: RescaledLcu, encoding: str) -> WalkBundle:
+    """The walk of `rescaled` in the control encoding named `encoding`,
+    with its pe qubit and its controlled walk.
 
     A builder raises ValueError for a model its encoding cannot carry; only
     the hybrid one refuses any normalized model.  The builders import this
@@ -74,11 +75,11 @@ def build_walk(rescaled: RescaledLcu, encoding: str, with_pe: bool) -> WalkBundl
     from . import walk_binary, walk_unary
 
     if encoding == "binary":
-        return walk_binary.binary_walk(rescaled, with_pe=with_pe)
+        return walk_binary.binary_walk(rescaled)
     if encoding == "unary":
-        return walk_unary.unary_walk(group(rescaled), rescaled, with_pe=with_pe)
+        return walk_unary.unary_walk(group(rescaled), rescaled)
     if encoding == "hybrid":
-        return walk_unary.hybrid_long_range_walk(rescaled, with_pe=with_pe)
+        return walk_unary.hybrid_long_range_walk(rescaled)
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
@@ -88,21 +89,20 @@ def assemble_bundle(
     branches,
     prepare: Circuit,
     build_select: Callable[[bool], Circuit],
-    rescaled: RescaledLcu | None,
+    rescaled: RescaledLcu,
 ) -> WalkBundle:
     """B', S, W and the controlled walk from the prepare circuit and the
     select builder; `build_select(pe_control)` conditions select on the pe
-    qubit when asked.  Without a pe qubit the controlled walk is empty."""
+    qubit when asked."""
     prepare_dagger = prepare.inverse()
     select = build_select(False)
-    reflect = build_reflection(prepare)
+    reflect = Circuit(layout, [*prepare_dagger, *vacuum_reflection(layout), *prepare])
     walk = Circuit(layout, [*select, _MINUS_ONE, *reflect])
-    controlled = Circuit(layout)
-    if layout.has_pe_qubit:
-        pe_select, pe_reflect = build_select(True), vacuum_reflection(layout, pe_control=True)
-        controlled = Circuit(
-            layout, [*pe_select, *prepare_dagger, *pe_reflect, *prepare, Gate.z(layout.pe_qubit)]
-        )
+    pe_reflect = vacuum_reflection(layout, pe_control=True)
+    controlled = Circuit(
+        layout,
+        [*build_select(True), *prepare_dagger, *pe_reflect, *prepare, Gate.z(layout.pe_qubit)],
+    )
     return WalkBundle(
         encoding=encoding,
         layout=layout,
@@ -150,10 +150,3 @@ def vacuum_reflection(layout: RegisterLayout, pe_control: bool = False) -> Circu
     flips = [Gate.x(q) for q in ctrl]
     qubits = ctrl + ((layout.pe_qubit,) if pe_control else ())
     return Circuit(layout, [*flips, Gate.mcz(qubits), *flips])
-
-
-def build_reflection(prepare: Circuit) -> Circuit:
-    """S = B (1 - 2|0><0|) B' as a circuit: unprepare, reflect about the
-    control vacuum, re-prepare."""
-    layout = prepare.layout
-    return Circuit(layout, [*prepare.inverse(), *vacuum_reflection(layout), *prepare])

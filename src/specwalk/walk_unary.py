@@ -127,13 +127,13 @@ def build_select_v_unary(grouped: GroupedLcu, layout: RegisterLayout, pe_control
     )
 
 
-def unary_walk(grouped: GroupedLcu, rescaled: RescaledLcu | None = None, with_pe: bool = True) -> WalkBundle:
+def unary_walk(grouped: GroupedLcu, rescaled: RescaledLcu) -> WalkBundle:
     """Build B, S, V, W and the controlled walk in the one-hot encoding."""
     layout = RegisterLayout(
         system_qubits=grouped.n_qubits,
         control_qubits=grouped.n_control,
         ancilla_qubits=0,
-        has_pe_qubit=with_pe,
+        has_pe_qubit=True,
     )
     return assemble_bundle(
         "unary",
@@ -194,7 +194,7 @@ def _cyclic_shift_gates(site_bits, n_sites):
     return gates
 
 
-def hybrid_long_range_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkBundle:
+def hybrid_long_range_walk(rescaled: RescaledLcu) -> WalkBundle:
     """Mixed-encoding walk for an open chain with distance-dependent ZZ
     couplings.
 
@@ -226,7 +226,7 @@ def hybrid_long_range_walk(rescaled: RescaledLcu, with_pe: bool = True) -> WalkB
         system_qubits=n,
         control_qubits=k_registers + site_width,
         ancilla_qubits=0,
-        has_pe_qubit=with_pe,
+        has_pe_qubit=True,
     )
     coupling = layout.control[:k_registers]
     site_bits = layout.control[k_registers:]

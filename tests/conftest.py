@@ -3,6 +3,8 @@
 The kron-based builders here deliberately do not use the package's matrix
 export, so matrix comparisons check two separate code paths.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from specwalk import (
     normalize,
     tfim,
 )
+from specwalk.circuits import Circuit
+from specwalk.walk_core import build_walk
 
 # --- independent dense oracle ------------------------------------------------
 
@@ -100,6 +104,20 @@ def odd_y_model():
     return LcuHamiltonian.from_terms(
         2, [(c, PauliString.from_label(label)) for label, c in labels]
     )
+
+
+def walk_on(rescaled, encoding, has_pe_qubit):
+    """`build_walk(rescaled, encoding)`, or, without the pe qubit, its
+    prepare, select, reflect and walk remade on a hand-made register that
+    lacks it; remaking checks that no gate of theirs touches it.  The
+    controlled walk acts on the pe qubit, so that bundle has none."""
+    bundle = build_walk(rescaled, encoding)
+    if has_pe_qubit:
+        return bundle
+    narrow = dataclasses.replace(bundle.layout, has_pe_qubit=False)
+    names = ("prepare", "prepare_dagger", "select", "reflect", "walk")
+    remade = {name: Circuit(narrow, getattr(bundle, name).gates) for name in names}
+    return dataclasses.replace(bundle, layout=narrow, controlled_walk=None, **remade)
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,8 @@ from specwalk.circuits import PAULI, Circuit
 from specwalk.simulator import QuantumState
 from specwalk.walk_core import build_walk, dressed_state
 
+from conftest import walk_on
+
 ROUNDOFF = 1e-9
 FAILED = 1e-6
 
@@ -33,7 +35,7 @@ FAILED = 1e-6
 @pytest.fixture(scope="module", params=["binary", "unary", "hybrid"])
 def bundle(request):
     # four sites: the hybrid encoding needs a power-of-two number of them
-    return build_walk(normalize(long_range_ising(4, 1.0, 2.0)), request.param, with_pe=False)
+    return build_walk(normalize(long_range_ising(4, 1.0, 2.0)), request.param)
 
 
 def with_walk(bundle, gates):
@@ -59,7 +61,7 @@ def test_a_walk_missing_a_select_gate_fails_the_closure(bundle):
 @pytest.mark.parametrize("encoding", ["binary", "unary"])
 @pytest.mark.parametrize("model", [tfim(4, 0.7, 1.3, "periodic"), long_range_ising(4, 1.0, 2.0)])
 def test_real_models_run_real_planes(model, encoding):
-    bundle = build_walk(normalize(model), encoding, with_pe=True)
+    bundle = build_walk(normalize(model), encoding)
     assert {block.plane.dtype for block in invariant_blocks(bundle)} == {np.dtype(np.float64)}
     report = walk_eigenphases(bundle)
     assert report.max_error < ROUNDOFF and report.closure_error < ROUNDOFF
@@ -67,7 +69,7 @@ def test_real_models_run_real_planes(model, encoding):
 
 @pytest.mark.parametrize("encoding", ["binary", "unary"])
 def test_an_odd_y_word_keeps_complex_planes(odd_y_model, encoding):
-    bundle = build_walk(normalize(odd_y_model), encoding, with_pe=True)
+    bundle = build_walk(normalize(odd_y_model), encoding)
     assert not bundle.select.is_real
     assert {block.plane.dtype for block in invariant_blocks(bundle)} == {np.dtype(complex)}
     report = walk_eigenphases(bundle)
@@ -94,20 +96,20 @@ def _dense_plane(bundle, block):
     return plane
 
 
-@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize("has_pe_qubit", [False, True])
 @pytest.mark.parametrize(
     "model, encoding",
     [("tfim3", "binary"), ("long_range3", "unary"), ("long_range4", "hybrid"),
      ("odd_y", "binary"), ("odd_y", "unary")],
 )
 def test_compact_planes_read_as_the_whole_register_planes(
-    suite_models, odd_y_model, model, encoding, with_pe
+    suite_models, odd_y_model, model, encoding, has_pe_qubit
 ):
     """`plane`, `phi0` and `phi1` expand the compact rows into vectors that
     equal the planes built on the whole register bit for bit, signed zeros
     at the reach states included."""
     h = odd_y_model if model == "odd_y" else suite_models[model]
-    bundle = build_walk(normalize(h, "auto"), encoding, with_pe=with_pe)
+    bundle = walk_on(normalize(h, "auto"), encoding, has_pe_qubit)
     reach = plane_subspace(bundle).reach
     for block in invariant_blocks(bundle):
         want = _dense_plane(bundle, block)
@@ -119,11 +121,25 @@ def test_compact_planes_read_as_the_whole_register_planes(
         assert block.is_boundary or np.array_equal(block.phi1, want[1])
 
 
+@pytest.mark.parametrize("encoding", ["binary", "unary", "hybrid"])
+def test_the_pe_qubit_changes_no_bit_of_the_phase_report(encoding):
+    """Prepare, select, reflect and walk touch neither the pe qubit nor
+    the binary ancilla that only the controlled walk's AND ladder uses:
+    without the pe qubit the planes reach the same labels, and the phase
+    report is the same bit for bit."""
+    rescaled = normalize(long_range_ising(4, 1.0, 2.0))
+    full, narrow = (walk_on(rescaled, encoding, has_pe_qubit) for has_pe_qubit in (True, False))
+    assert np.array_equal(plane_subspace(narrow).reach, plane_subspace(full).reach)
+    got, want = walk_eigenphases(narrow), walk_eigenphases(full)
+    assert np.array(got.pairs).tobytes() == np.array(want.pairs).tobytes()
+    assert np.float64(got.closure_error).tobytes() == np.float64(want.closure_error).tobytes()
+
+
 def test_planes_hold_only_the_states_the_walk_can_reach():
     """Binary TFIM n=6 with pe is 15 qubits: the dressed states live on 768
     basis states, and select, reflect and walk reach 1,024 of the 32,768.
     Each compact row holds those and one zero slot."""
-    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "binary", with_pe=True)
+    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "binary")
     space = plane_subspace(bundle)
     assert bundle.layout.total_qubits == 15
     assert (len(space.start) << space.bits, len(space.reach)) == (768, 1024)
@@ -135,7 +151,7 @@ def test_walk_eigenphases_stays_far_below_one_register_vector():
     """Unary TFIM n=5 with pe is 22 qubits, 32 MiB per real vector; its
     planes hold 4,385 floats a row.  Once the plans are compiled, matching
     every phase peaks far below one register vector."""
-    bundle = build_walk(normalize(tfim(5, 1.0, 1.0), "auto"), "unary", with_pe=True)
+    bundle = build_walk(normalize(tfim(5, 1.0, 1.0), "auto"), "unary")
     assert bundle.layout.total_qubits == 22
     walk_eigenphases(bundle)  # compiles and caches the subspace and its plans
     tracemalloc.start()
@@ -155,7 +171,7 @@ def test_a_subspace_and_its_plans_allocate_nothing_register_sized():
     on it each peak under 8 MiB, an eighth of one register vector."""
     from specwalk.simulator import _subspace_plan
 
-    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "unary", with_pe=True)
+    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "unary")
     assert bundle.layout.total_qubits == 23
     steps = [
         lambda: plane_subspace(bundle),
@@ -201,7 +217,7 @@ def test_batched_phases_equal_one_block_at_a_time(suite_models, odd_y_model, mod
     planes a batch), hybrid long-range n=4 (15) and unary TFIM n=4 (13)
     run 16 planes in two batches."""
     h = odd_y_model if model == "odd_y" else suite_models[model]
-    bundle = build_walk(normalize(h, "auto"), encoding, with_pe=True)
+    bundle = build_walk(normalize(h, "auto"), encoding)
     report = walk_eigenphases(bundle)
     pairs, closure = _phases_one_block_at_a_time(bundle)
     assert np.array(report.pairs).tobytes() == np.array(pairs).tobytes()
@@ -209,15 +225,16 @@ def test_batched_phases_equal_one_block_at_a_time(suite_models, odd_y_model, mod
 
 
 @pytest.mark.parametrize(
-    "n, encoding, with_pe, size",
+    "n, encoding, has_pe_qubit, size",
     [(6, "binary", False, 7), (9, "binary", False, 1), (5, "unary", True, 1)],
 )
-def test_a_batch_holds_at_most_2_14_amplitudes_of_rows(n, encoding, with_pe, size):
+def test_a_batch_holds_at_most_2_14_amplitudes_of_rows(n, encoding, has_pe_qubit, size):
     """k planes a batch, k = max(1, 2**14 // (2 * row length)): 7 at binary
-    TFIM n=6 (rows of 1,025), one at binary n=9 (16,385) and at unary TFIM
-    n=5 with pe (4,385), so the memory bounds of one plane at a time
-    still hold there."""
-    bundle = build_walk(normalize(tfim(n, 1.0, 1.0), "auto"), encoding, with_pe=with_pe)
+    TFIM n=6 (rows of 1,025), one at binary n=9 (16,385), both on a
+    register without the pe qubit, where planes reach the labels they reach
+    with it, and at unary TFIM n=5 (4,385), so the memory bounds of one
+    plane at a time still hold there."""
+    bundle = walk_on(normalize(tfim(n, 1.0, 1.0), "auto"), encoding, has_pe_qubit)
     width = len(plane_subspace(bundle).reach) + 1
     batch, rows = next(blocks._plane_batches(bundle))
     assert rows.shape == (size, 2, width) and rows.flags.c_contiguous and len(batch) == size
@@ -226,7 +243,7 @@ def test_a_batch_holds_at_most_2_14_amplitudes_of_rows(n, encoding, with_pe, siz
 def test_walk_eigenphases_runs_one_select_and_one_walk_pass_a_batch(monkeypatch):
     """Binary TFIM n=6: 64 planes in batches of 7, so 10 select and 10 walk
     passes where one plane a pass took 128."""
-    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "binary", with_pe=False)
+    bundle = build_walk(normalize(tfim(6, 1.0, 1.0), "auto"), "binary")
     passes = []
 
     def counted(circuit, rows, space):

@@ -337,17 +337,44 @@ def test_spectrum_above_the_simulation_cap_is_refused_before_allocating(capsys):
 
 
 @pytest.mark.parametrize(
-    "n, message", [(9, "exceed the cap of 2**"), (10, "69 qubits exceeds the 62")]
+    "n, message", [(9, "exceed the cap of 2**"), (10, "70 qubits exceeds the 62")]
 )
 def test_long_range_unary_spectrum_is_refused_before_allocating(capsys, n, message):
-    # n=9 is 52 qubits whose keys the closure stops at 2**22 >> 9; n=10 is
-    # 69 qubits, whose basis labels an int64 cannot hold
+    # n=9 is 53 qubits whose keys the closure stops at 2**22 >> 9; n=10 is
+    # 70 qubits, whose basis labels an int64 cannot hold
     code, out, err, peak = _refused(
         ["spectrum", "--model", "long-range", "--n", str(n), "--encoding", "unary"], capsys
     )
     assert code == 2 and out == ""
     assert message in err and "Traceback" not in err
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["resources", "--model", "long-range", "--n", "64", "--alpha", "200"],
+                     id="resources"),
+        pytest.param(["spectrum", "--model", "long-range", "--n", "4", "--alpha", "1100"],
+                     id="spectrum"),
+    ],
+)
+def test_a_long_range_coupling_whose_power_overflows_is_refused(capsys, argv):
+    # 63**200 and 2**1100 pass the largest float
+    code, out, err, _ = _refused(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: alpha") and "distance" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--time-constant", "0", "time_constant"), ("--time-constant", "-1", "time_constant"),
+     ("--cost-a", "-1", "distill_a"), ("--cost-c", "0", "synth_c")],
+)
+def test_a_time_or_cost_constant_of_zero_or_below_is_refused(capsys, flag, value, field):
+    code, out, err, _ = _refused(["resources", "--n", "3", "--gap", "0.5", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert f"error: {field} must be positive" in err and "Traceback" not in err
 
 
 def test_zeno_above_the_matrix_cap_is_refused_before_allocating(capsys):

@@ -15,6 +15,7 @@ from specwalk import (
     tfim,
 )
 from specwalk.blocks import invariant_blocks
+from specwalk.circuits import RegisterLayout
 from specwalk.hamiltonian import interpolate, product_state
 from specwalk.measurement import (
     GROUND_TOL,
@@ -84,10 +85,8 @@ def test_pe_step_extreme_energies(half_identity_x):
 
 
 def test_pe_step_requires_pe_qubit(half_identity_x):
-    from specwalk import unary_walk, group
-
-    bundle = __import__("specwalk").binary_walk(half_identity_x, with_pe=False)
-    state = QuantumState.zero_state(bundle.layout)
+    bundle = binary_walk(half_identity_x)
+    state = QuantumState.zero_state(RegisterLayout(system_qubits=1, control_qubits=1))
     with pytest.raises(ValueError):
         pe_step(state, bundle.walk)
 
@@ -265,7 +264,7 @@ def test_projection_of_a_real_state_equals_that_of_its_complex_copy(tfim3_bundle
 def test_projection_from_phi1_takes_no_success_branch_of_round_off_weight(encoding):
     # unprepare takes phi1 out of the control vacuum, so round 1 succeeds
     # with a weight of round-off size; its branch is noise, not the state
-    bundle = build_walk(normalize(tfim(3, 1.0, 1.0)), encoding, with_pe=False)
+    bundle = build_walk(normalize(tfim(3, 1.0, 1.0)), encoding)
     for block in invariant_blocks(bundle):
         if block.is_boundary:
             continue
@@ -281,7 +280,7 @@ def test_projection_from_phi1_takes_no_success_branch_of_round_off_weight(encodi
 def test_projection_of_every_dressed_eigenstate_ends_in_one_round(n, encoding):
     # the control register leaves vacuum with weight ~1e-16 here: a
     # failure branch of pure round-off, which must not be followed
-    bundle = build_walk(normalize(tfim(n, 1.0, 0.7)), encoding, with_pe=True)
+    bundle = build_walk(normalize(tfim(n, 1.0, 0.7)), encoding)
     for block in invariant_blocks(bundle):
         res = project_to_eigenstate(QuantumState(bundle.layout, block.phi0.copy()), bundle, 3)
         assert res.success and res.rounds == 1
@@ -526,7 +525,8 @@ def test_analysis_zeno_never_holds_the_invariant_subspace():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    total = build_walk(normalize(tfim(6, 1.0, 1.0)), "binary", with_pe=False).layout.total_qubits
-    # the whole subspace is 64 planes, 128 register vectors, here; the
-    # ground planes, the states and the compiled circuits are a few
-    assert peak < 32 * (1 << total) * 16
+    # 32 complex vectors of 13 qubits, the walk's register less the pe qubit
+    # and the ancilla only the controlled walk uses.  The whole subspace is
+    # 64 planes, 128 such vectors; the ground planes, the states and the
+    # compiled circuits are a few
+    assert peak < 32 * (1 << 13) * 16

@@ -157,7 +157,7 @@ def test_dense_sums_equal_a_per_term_sum_bit_for_bit(suite_models, odd_y_model):
             assert _same_bits(dense_matrix(source), _per_term(h.n_qubits, pairs))
         encodings = ("binary", "unary") + (("hybrid",) if name == "long_range4" else ())
         for encoding in encodings:
-            bundle = build_walk(r, encoding, with_pe=False)
+            bundle = build_walk(r, encoding)
             pairs = [(b.amplitude**2, b.word) for b in bundle.branches]
             got = encoded_dense(bundle.branches, bundle.n_system)
             assert _same_bits(got, _per_term(bundle.n_system, pairs)), (name, encoding)
@@ -171,7 +171,7 @@ def test_dense_sum_refuses_a_word_of_another_width():
 def test_encoded_dense_builds_no_per_term_matrix():
     # binary TFIM n=10: the output is 16 MiB and 20 words are added into it;
     # a whole matrix per term would take the peak to twice the output
-    bundle = build_walk(normalize(tfim(10, 1.0, 1.0), "auto"), "binary", with_pe=False)
+    bundle = build_walk(normalize(tfim(10, 1.0, 1.0), "auto"), "binary")
     tracemalloc.start()
     try:
         out = encoded_dense(bundle.branches, bundle.n_system)

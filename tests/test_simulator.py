@@ -10,6 +10,8 @@ from specwalk.circuits import Circuit, Gate, RegisterLayout, distinct_rotation_c
 from specwalk.pauli import PauliString
 from specwalk.simulator import QuantumState, circuit_unitary, make_rng
 
+from conftest import walk_on
+
 
 def plain_layout(n):
     return RegisterLayout(system_qubits=n)
@@ -309,12 +311,12 @@ def test_empty_circuit_census_is_zero():
 
 def test_build_reflection_named_op():
     import specwalk as sw
-    from specwalk.walk_core import build_reflection
+    from specwalk.walk_core import vacuum_reflection
 
     r = sw.normalize(sw.tfim(2, 1, 1))
     bundle = sw.binary_walk(r)
-    refl = build_reflection(bundle.prepare)
-    assert [g.kind for g in refl.gates] == [g.kind for g in bundle.reflect.gates]
+    want = (*bundle.prepare_dagger, *vacuum_reflection(bundle.layout), *bundle.prepare)
+    assert bundle.reflect.gates == want
 
 
 # --- differential kernel test against dense matrices ------------------------------
@@ -445,10 +447,9 @@ def test_dense_reference_covers_the_emitted_gate_set(suite_models, monkeypatch):
         for encoding in ("binary", "unary", "hybrid"):
             if encoding == "hybrid" and model == "tfim3":
                 continue  # the hybrid walk needs a power-of-two chain
-            for with_pe in (False, True):
-                bundle = build_walk(rescaled, encoding, with_pe=with_pe)
-                for circuit in (bundle.prepare, bundle.walk, bundle.controlled_walk):
-                    kinds |= {gate.kind for gate in circuit}
+            bundle = build_walk(rescaled, encoding)
+            for circuit in (bundle.prepare, bundle.walk, bundle.controlled_walk):
+                kinds |= {gate.kind for gate in circuit}
     # a state with p_minus > 0, so pe_step also applies its X
     state = QuantumState.zero_state(bundle.layout).apply(Gate.h(0))
     apply = QuantumState.apply
@@ -626,7 +627,7 @@ def test_walk_passes_match_the_gate_by_gate_unitary(suite_models, model, encodin
     from specwalk import normalize
     from specwalk.walk_core import build_walk
 
-    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=True)
+    bundle = build_walk(normalize(suite_models[model], "auto"), encoding)
     rng = np.random.default_rng(5)
     for circuit in (bundle.walk, bundle.controlled_walk):
         assert circuit.layout.total_qubits <= 12
@@ -644,7 +645,7 @@ def test_unitary_columns_equal_gate_by_gate_basis_runs(suite_models):
     from specwalk import normalize
     from specwalk.walk_core import build_walk
 
-    circuit = build_walk(normalize(suite_models["long_range4"], "auto"), "hybrid", False).walk
+    circuit = build_walk(normalize(suite_models["long_range4"], "auto"), "hybrid").walk
     u = circuit_unitary(circuit)
     for b in range(0, len(u), 37):
         state = QuantumState(circuit.layout, np.eye(len(u), dtype=complex)[b])
@@ -653,19 +654,24 @@ def test_unitary_columns_equal_gate_by_gate_basis_runs(suite_models):
         _assert_same_bits(state.vec, u[:, b])
 
 
-@pytest.mark.parametrize("with_pe", [False, True])
+def _circuits(bundle, *names):
+    """The named circuits that `bundle` has; without the pe qubit it has no
+    controlled walk."""
+    return [getattr(bundle, name) for name in names if getattr(bundle, name) is not None]
+
+
+@pytest.mark.parametrize("has_pe_qubit", [False, True])
 @pytest.mark.parametrize(
     "model, encoding",
     [("tfim3", "binary"), ("tfim3", "unary"), ("long_range3", "binary"),
      ("long_range3", "unary"), ("long_range4", "hybrid")],
 )
-def test_walk_circuits_are_real(suite_models, model, encoding, with_pe):
+def test_walk_circuits_are_real(suite_models, model, encoding, has_pe_qubit):
     """The walk's sign is the word -I, not exp(i pi), so every gate is real."""
     from specwalk import normalize
-    from specwalk.walk_core import build_walk
 
-    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=with_pe)
-    for circuit in (bundle.prepare, bundle.walk, bundle.controlled_walk):
+    bundle = walk_on(normalize(suite_models[model], "auto"), encoding, has_pe_qubit)
+    for circuit in _circuits(bundle, "prepare", "walk", "controlled_walk"):
         assert np.all(circuit_unitary(circuit).imag == 0.0)
 
 
@@ -703,23 +709,24 @@ def _assert_same_real_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize("has_pe_qubit", [False, True])
 @pytest.mark.parametrize(
     "model, encoding",
     [("tfim3", "binary"), ("long_range3", "unary"), ("long_range4", "hybrid")],
 )
-def test_a_real_pass_is_the_real_part_of_the_complex_pass(suite_models, model, encoding, with_pe):
+def test_a_real_pass_is_the_real_part_of_the_complex_pass(
+    suite_models, model, encoding, has_pe_qubit
+):
     """A float64 state through each circuit of a real walk, fused and gate by
     gate, equals the real part of the complex128 pass of the same data in
     every value; the complex pass leaves no imaginary part.  Zeros may
     differ in sign, since the complex pass also moves signed zeros of the
     imaginary parts into the real ones."""
     from specwalk import normalize
-    from specwalk.walk_core import build_walk
 
-    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=with_pe)
+    bundle = walk_on(normalize(suite_models[model], "auto"), encoding, has_pe_qubit)
     layout, rng = bundle.layout, np.random.default_rng(11)
-    for circuit in (bundle.prepare, bundle.select, bundle.walk, bundle.controlled_walk):
+    for circuit in _circuits(bundle, "prepare", "select", "walk", "controlled_walk"):
         vec = rng.normal(size=1 << layout.total_qubits)
         vec /= np.linalg.norm(vec)
         fused = QuantumState(layout, vec.copy()).apply_circuit(circuit)
@@ -794,24 +801,23 @@ def _slice_states(layout, dtype, rng):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize("has_pe_qubit", [False, True])
 @pytest.mark.parametrize(
     "model, encoding",
     [("tfim3", "binary"), ("long_range3", "binary"), ("long_range3", "unary"),
      ("long_range4", "hybrid")],
 )
-def test_segmented_passes_equal_gate_by_gate(suite_models, model, encoding, with_pe, dtype):
+def test_segmented_passes_equal_gate_by_gate(suite_models, model, encoding, has_pe_qubit, dtype):
     """A compiled pass runs on the whole register, whichever part of it is
     zero, and repeats every float of the gate-by-gate pass, signed zeros
     included."""
     from specwalk import normalize
-    from specwalk.walk_core import build_walk
 
-    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=with_pe)
+    bundle = walk_on(normalize(suite_models[model], "auto"), encoding, has_pe_qubit)
     layout, rng = bundle.layout, np.random.default_rng(17)
-    circuits = ("prepare", "select", "reflect", "walk", "controlled_walk")
+    circuits = _circuits(bundle, "prepare", "select", "reflect", "walk", "controlled_walk")
     for name, vec in _slice_states(layout, dtype, rng):
-        for circuit in (getattr(bundle, c) for c in circuits):
+        for circuit in circuits:
             fused = QuantumState(layout, vec.copy()).apply_circuit(circuit)
             stepwise = QuantumState(layout, vec.copy())
             for gate in circuit:
@@ -827,7 +833,7 @@ def test_reflect_carries_a_tiny_amplitude_with_the_pe_qubit_set(suite_models):
     from specwalk import normalize
     from specwalk.walk_core import build_walk
 
-    bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary", with_pe=True)
+    bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary")
     layout, rng = bundle.layout, np.random.default_rng(3)
     k = layout.system_qubits + layout.control_qubits
     vec = np.zeros(1 << layout.total_qubits)
@@ -843,20 +849,20 @@ def test_reflect_carries_a_tiny_amplitude_with_the_pe_qubit_set(suite_models):
     _assert_same_real_bits(fused.vec, stepwise.vec)
 
 
-@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize("has_pe_qubit", [False, True])
 @pytest.mark.parametrize(
     "model, encoding",
     [("tfim3", "binary"), ("tfim3", "unary"), ("long_range3", "unary"),
      ("long_range4", "hybrid")],
 )
-def test_prepare_from_the_vacuum_is_the_dressed_state(suite_models, model, encoding, with_pe):
+def test_prepare_from_the_vacuum_is_the_dressed_state(suite_models, model, encoding, has_pe_qubit):
     """Zeno starts each point from `dressed_state`, written from the branch
     table: the prepare circuit on |0>|psi> gives the same vector over the
     whole register, sum_b amp_b |ctrl_b>|psi>."""
     from specwalk import normalize
-    from specwalk.walk_core import build_walk, dressed_state
+    from specwalk.walk_core import dressed_state
 
-    bundle = build_walk(normalize(suite_models[model], "auto"), encoding, with_pe=with_pe)
+    bundle = walk_on(normalize(suite_models[model], "auto"), encoding, has_pe_qubit)
     layout, rng = bundle.layout, np.random.default_rng(41)
     dim = 1 << layout.system_qubits
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -884,7 +890,7 @@ def _subspace_rows(space, dtype, rng, rows=2):
     return dense, compact
 
 
-@pytest.mark.parametrize("with_pe", [False, True])
+@pytest.mark.parametrize("has_pe_qubit", [False, True])
 @pytest.mark.parametrize(
     "model, encoding, dtype",
     [("tfim3", "binary", float), ("long_range3", "unary", float),
@@ -893,7 +899,7 @@ def _subspace_rows(space, dtype, rng, rows=2):
      ("odd_y", "unary", complex)],
 )
 def test_subspace_passes_equal_dense_passes(
-    suite_models, odd_y_model, model, encoding, dtype, with_pe
+    suite_models, odd_y_model, model, encoding, dtype, has_pe_qubit
 ):
     """A pass on compact rows equals the gate-by-gate `QuantumState.apply`
     pass bit for bit at every reach state, signed zeros included; the
@@ -901,10 +907,9 @@ def test_subspace_passes_equal_dense_passes(
     from specwalk import normalize
     from specwalk.blocks import plane_subspace
     from specwalk.simulator import apply_in_subspace
-    from specwalk.walk_core import build_walk
 
     h = odd_y_model if model == "odd_y" else suite_models[model]
-    bundle = build_walk(normalize(h, "auto"), encoding, with_pe=with_pe)
+    bundle = walk_on(normalize(h, "auto"), encoding, has_pe_qubit)
     space, rng = plane_subspace(bundle), np.random.default_rng(29)
     outside = np.ones(1 << space.total, dtype=bool)
     outside[space.reach] = False
@@ -938,7 +943,7 @@ def test_a_pass_on_stacked_rows_equals_one_pass_per_row(
     from specwalk.walk_core import build_walk
 
     h = odd_y_model if model == "odd_y" else suite_models[model]
-    bundle = build_walk(normalize(h, "auto"), encoding, with_pe=True)
+    bundle = build_walk(normalize(h, "auto"), encoding)
     space, rng = plane_subspace(bundle), np.random.default_rng(43)
     for circuit in (bundle.select, bundle.walk):
         _, stacked = _subspace_rows(space, dtype, rng, rows=6)
@@ -960,7 +965,7 @@ def test_a_row_nonzero_outside_its_plan_support_is_refused(suite_models):
     from specwalk.simulator import apply_in_subspace
     from specwalk.walk_core import build_walk
 
-    bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary", with_pe=True)
+    bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary")
     space = plane_subspace(bundle)
     _, compact = _subspace_rows(space, float, np.random.default_rng(31))
     outside = np.flatnonzero(space.outside)
@@ -989,7 +994,7 @@ def test_a_pass_that_changes_the_norm_is_refused(suite_models, monkeypatch):
         flat = ten.reshape(-1)
         flat[np.argmax(np.abs(flat))] *= 2
 
-    bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary", with_pe=False)
+    bundle = build_walk(normalize(suite_models["tfim3"], "auto"), "binary")
     space = plane_subspace(bundle)
     dense, compact = _subspace_rows(space, float, np.random.default_rng(37))
     monkeypatch.setattr(simulator, "_subspace_plan", lambda *_: ((double_one,),))
@@ -1022,8 +1027,7 @@ def test_a_whole_register_subspace_runs_no_closure(monkeypatch):
 
 
 def _suite_bundles(suite_models):
-    """(name, bundle) of every suite walk, binary, unary and hybrid, with
-    and without pe."""
+    """(name, bundle) of every suite walk, binary, unary and hybrid."""
     from specwalk import normalize
     from specwalk.walk_core import build_walk
 
@@ -1032,9 +1036,7 @@ def _suite_bundles(suite_models):
         for encoding in ("binary", "unary", "hybrid"):
             if encoding == "hybrid" and model == "tfim3":
                 continue  # the hybrid walk needs a power-of-two chain
-            for with_pe in (False, True):
-                bundle = build_walk(rescaled, encoding, with_pe=with_pe)
-                yield f"{model}-{encoding}-{with_pe}", bundle
+            yield f"{model}-{encoding}", build_walk(rescaled, encoding)
 
 
 def test_a_plane_subspace_is_one_closure_per_circuit_from_its_start(suite_models, monkeypatch):

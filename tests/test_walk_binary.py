@@ -223,7 +223,7 @@ def test_basis_orthonormal_and_walk_confined(suite_models):
 
 
 def test_walk_eigenphases_holds_one_plane_at_a_time():
-    b = binary_walk(normalize(tfim(5, 0.7, 1.3)), with_pe=True)
+    b = binary_walk(normalize(tfim(5, 0.7, 1.3)))
     walk_eigenphases(b)  # compiles and caches the circuit plans
     tracemalloc.start()
     try:

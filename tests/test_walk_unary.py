@@ -283,13 +283,13 @@ def test_build_walk_dispatches_by_name():
         "hybrid": hybrid_long_range_walk(r),
     }
     for encoding, expected in built.items():
-        bundle = build_walk(r, encoding, with_pe=True)
+        bundle = build_walk(r, encoding)
         assert bundle.encoding == encoding
         assert bundle.walk.gates == expected.walk.gates
         assert bundle.controlled_walk.gates == expected.controlled_walk.gates
-    assert len(build_walk(r, "unary", with_pe=False).controlled_walk) == 0
+        assert bundle.layout.has_pe_qubit and len(bundle.controlled_walk) > 0
     with pytest.raises(ValueError, match="unknown encoding"):
-        build_walk(r, "ternary", with_pe=True)
+        build_walk(r, "ternary")
 
 
 def test_identity_only_model_has_an_empty_control_register():
