@@ -21,11 +21,9 @@ prepare_dagger can reach from the branches' keys, each with its block of
 2**n_system system states, and one zero slot.  That is 16,384 of 2**18
 amplitudes for binary TFIM n=9 and 4,384 of 2**21 for unary TFIM n=5.
 Only these rows are capped, never the register: the subspace, built once
-per bundle and before the dense `eigh`, refuses rows above 2**22.
-`plane`, `phi0`, `phi1`, `phi_plus` and `phi_minus` expand the rows into
-full-register vectors on each access, for the eigenspace projection and
-observable recovery; they equal the planes built on the whole register
-bit for bit.
+per bundle and before the dense `eigh`, refuses rows above 2**22.  A
+block is only its rows, which no code expands over the register; they
+equal the planes built on the whole register at reach, bit for bit.
 The plane is float64 when the encoded operator and the walk are real: the
 eigenvectors of the one complex `eigh` (which also gives the energies, so
 they do not depend on the dtype) have no imaginary part, and every gate of
@@ -76,32 +74,8 @@ class InvariantBlock:
     space: Subspace
 
     @property
-    def plane(self) -> np.ndarray:
-        return self.space.expand(self.rows)
-
-    @property
-    def phi0(self) -> np.ndarray:
-        return self.space.expand(self.rows[0])
-
-    @property
-    def phi1(self) -> np.ndarray | None:
-        return None if self.is_boundary else self.space.expand(self.rows[1])
-
-    @property
     def is_boundary(self) -> bool:
         return len(self.rows) == 1
-
-    @property
-    def phi_plus(self) -> np.ndarray:
-        if self.is_boundary:
-            return self.phi0
-        return self.space.expand((self.rows[0] + 1j * self.rows[1]) / math.sqrt(2))
-
-    @property
-    def phi_minus(self) -> np.ndarray:
-        if self.is_boundary:
-            return self.phi0
-        return self.space.expand((self.rows[0] - 1j * self.rows[1]) / math.sqrt(2))
 
     def eigenphases(self) -> tuple[float, ...]:
         """Walk eigenphases contributed by this block."""

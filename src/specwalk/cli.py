@@ -18,6 +18,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -74,6 +75,9 @@ def finite_floats(text: str) -> list[float]:
 def add_options(parser: argparse.ArgumentParser, command: str) -> None:
     """The options `command` reads, with their defaults; its config files are
     checked by them too.  `zeno` drives only the tfim interpolation path."""
+    # argparse reads only -1 and -0.1 forms as numbers, and -1e-1 as a flag:
+    # no flag of ours starts with "-" and a digit, so every such word is one
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     add = parser.add_argument
     zeno = command == "zeno"
     add("--model", choices=["tfim"] if zeno else ["tfim", "long-range", "file"], default="tfim")

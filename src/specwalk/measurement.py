@@ -4,15 +4,17 @@ ground-state preparation, and observable recovery from walk eigenstates.
 One ancilla drives the estimation: prepared |+>, a controlled walk, then an
 X-basis measurement whose outcome probabilities are (1 +- E_k)/2 on a walk
 eigenstate.  Projection back to a bare eigenstate measures whether the
-unprepared control register is in vacuum.  Both are `QuantumState.measure`
-on a qubit pattern.  Analysis-mode routines compute exact probabilities and
-posteriors and follow a branch by projecting onto walk-eigenbasis vectors
-(`_project`); sample-mode routines re-measure instead and consume an
-explicit seeded generator.  Every analysis routine streams the blocks of
-`invariant_blocks` and none holds the whole invariant subspace: Zeno
-builds only the ground planes and the first plane above them, the
-eigenspace projection streams twice (it weighs every eigenspace, then
-rebuilds the one taken), and observable recovery reads each block once.
+unprepared control register is in vacuum.  Analysis-mode routines compute
+exact probabilities and posteriors and follow a branch by projecting onto
+walk-eigenbasis rows (`_project`); projection, Zeno and observable
+recovery do so on compact rows of the planes' subspace, never on a vector
+of the whole register.  Sample-mode routines re-measure instead, with
+`QuantumState.measure`, and consume an explicit seeded generator.  Every
+analysis routine streams the blocks of `invariant_blocks` and none holds
+the whole invariant subspace: Zeno builds only the ground planes and the
+first plane above them, the eigenspace projection streams twice (it weighs
+every eigenspace, then rebuilds the one taken), and observable recovery
+reads each block once.
 `estimate_energy` runs blocks of exact rounds, each round with one draw; a
 block's first round is its eigenstate probe, and the eigenstate batch is a
 branch of the block's round loop.  Sampled Zeno keeps only the state the
@@ -40,7 +42,7 @@ from .hamiltonian import (
     normalize,
 )
 from .pauli import PauliString, apply_pauli, star
-from .simulator import QuantumState, apply_in_subspace, make_rng
+from .simulator import QuantumState, _norm, apply_in_subspace, make_rng
 from .walk_core import WalkBundle, build_walk, dressed_state
 
 
@@ -217,32 +219,54 @@ class ProjectionResult:
     cumulative_success: tuple[float, ...]
 
 
-def _project(state_vec, vecs) -> tuple[float, np.ndarray]:
-    """Weight and unnormalized projection of `state_vec` on the span of the
-    orthonormal `vecs`.  The projection is complex, whatever the dtypes of
-    the state and of `vecs`: a walk eigenvector phi0 +- i phi1 is complex
-    even when its plane is real."""
+def _projection_result(system_state, round_probs) -> ProjectionResult:
+    """After L rounds of success weights p_l, success has weight 1 - prod (1 - p_l)."""
+    cumulative = 1.0 - np.cumprod([1.0 - p for p in round_probs])
+    return ProjectionResult(system_state, len(round_probs), system_state is not None,
+                            tuple(round_probs), tuple(cumulative.tolist()))
+
+
+def _project(state_vec, pairs) -> tuple[float, np.ndarray]:
+    """Weight and unnormalized sum_k v_k <u_k|state_vec> over pairs (v_k,
+    u_k) of compact rows: with u_k = v_k the projection of `state_vec` on
+    the span of the orthonormal v_k, with u_k = U^-1 v_k, by unitarity,
+    that of U `state_vec`.  It is complex, whatever the dtypes: a walk
+    eigenvector phi0 +- i phi1 is complex even when its plane is real."""
     proj = np.zeros(state_vec.shape, dtype=np.result_type(state_vec, complex))
-    for v in vecs:
-        proj += v * np.vdot(v, state_vec)
+    for v, u in pairs:
+        proj += v * np.vdot(u, state_vec)
     return float(np.vdot(proj, proj).real), proj
 
 
+def _walk_eigenvectors(block) -> np.ndarray:
+    """The block's walk eigenvectors as compact rows, paired with its
+    `eigenphases`: (phi0 +- i phi1)/sqrt(2), or phi0 on the boundary."""
+    if block.is_boundary:
+        return block.rows
+    phi0, phi1 = block.rows
+    return np.stack((phi0 + 1j * phi1, phi0 - 1j * phi1)) / math.sqrt(2)
+
+
 def _eigenvectors(bundle: WalkBundle):
-    """(phase, vector) for each walk eigenvector, streamed block by block."""
+    """(phase, (v, prepare_dagger v)) for each walk eigenvector v, as
+    compact rows, streamed block by block."""
     for b in invariant_blocks(bundle):
-        yield from zip(b.eigenphases(), (b.phi_plus, b.phi_minus))
+        vecs = _walk_eigenvectors(b)
+        unprepared = apply_in_subspace(bundle.prepare_dagger, vecs.astype(complex), b.space)
+        yield from zip(b.eigenphases(), zip(vecs, unprepared))
 
 
-def _eigenspace_projection(state_vec, bundle: WalkBundle) -> np.ndarray:
-    """Projective measurement onto the walk eigenspaces (phases grouped
-    within BOUNDARY_EPS); the most probable branch is taken.  The eigenbasis
-    is streamed twice: once to weigh every eigenspace, once to rebuild the
-    one taken."""
+def _eigenspace_projection(failure, bundle: WalkBundle) -> np.ndarray:
+    """Re-prepare the compact row `failure` and measure it projectively in
+    the walk eigenspaces (phases grouped within BOUNDARY_EPS); the most
+    probable branch is taken.  The branch is sum_k v_k <prepare_dagger
+    v_k|failure> over its eigenvectors v_k, prepare `failure` projected by
+    unitarity, so no prepare pass runs.  The eigenbasis is streamed twice:
+    once to weigh every eigenspace, once to rebuild the one taken."""
     phases: list[float] = []  # first phase of each eigenspace
     weights: list[float] = []  # weight of each eigenspace
     spaces: list[int] = []  # eigenspace of each eigenvector
-    for phase, vec in _eigenvectors(bundle):
+    for phase, pair in _eigenvectors(bundle):
         for i, p0 in enumerate(phases):
             if abs(math.remainder(phase - p0, 2 * math.pi)) < BOUNDARY_EPS:
                 break
@@ -253,23 +277,19 @@ def _eigenspace_projection(state_vec, bundle: WalkBundle) -> np.ndarray:
         # _project's weight, so that a one-vector space weighs exactly what
         # its rebuilt branch does: after a failure the spaces of +theta and
         # -theta tie at 1/2, and round-off decides the tie
-        weights[i] += _project(state_vec, (vec,))[0]
+        weights[i] += _project(failure, (pair,))[0]
         spaces.append(i)
     total = sum(weights)
     if abs(total - 1.0) > 1e-8:
         raise AssertionError(f"state leaks out of the invariant subspace: {total}")
     i = int(np.argmax(weights))
-    taken = (vec for space, (_, vec) in zip(spaces, _eigenvectors(bundle)) if space == i)
-    p, proj = _project(state_vec, taken)
+    taken = (pair for space, (_, pair) in zip(spaces, _eigenvectors(bundle)) if space == i)
+    p, proj = _project(failure, taken)
     return proj / math.sqrt(p)
 
 
 def project_to_eigenstate(
-    state: QuantumState,
-    bundle: WalkBundle,
-    max_rounds: int,
-    mode: str = "analyze",
-    rng=None,
+    state: QuantumState, bundle: WalkBundle, max_rounds: int, mode: str = "analyze", rng=None
 ) -> ProjectionResult:
     """Strip the control register off a walk eigenstate.
 
@@ -282,61 +302,63 @@ def project_to_eigenstate(
 
     Analysis mode follows the tree deterministically, re-measuring by
     projection onto the walk eigenbasis streamed from `invariant_blocks`,
-    and reports exact round probabilities.  A branch that weighs less than
-    ROUND_OFF is floating-point noise: a success branch that light is not
-    taken, and a failure branch that light, as on a dressed eigenstate,
-    ends the rounds.  Sample mode re-measures with an estimation round,
-    draws every branch from `rng` and never diagonalizes the walk.
+    and reports exact round probabilities.  It reads the state once, at the
+    reach of the bundle's planes, refuses one with weight elsewhere with
+    ValueError, and runs every round on that compact row (`_project_row`).
+    A branch that weighs less than ROUND_OFF is floating-point noise: a
+    success branch that light is not taken, and a failure branch that
+    light, as on a dressed eigenstate, ends the rounds.  Sample mode runs
+    on the whole register: it re-measures with an estimation round, draws
+    every branch from `rng` and never diagonalizes the walk.
     """
     _check_mode(mode)
-    sampling = mode == "sample"
-    if sampling:
-        rng = make_rng(rng)
-    current = state.copy()
-    round_probs: list[float] = []
-    cumulative: list[float] = []
-    remaining = 1.0  # probability mass still on the all-failures path
-    system_state = None
-    for rounds_used in range(1, max_rounds + 1):
+    if mode == "analyze":
+        return _project_row(state, bundle, max_rounds)
+    rng = make_rng(rng)
+    current, round_probs, system_state = state, [], None
+    for _ in range(max_rounds):
         work = current.copy()
         work.apply_circuit(bundle.prepare_dagger)
-        p, success_state, failure_state = work.measure(
-            dict.fromkeys(bundle.layout.control, 0)
-        )
+        p, success_state, failure_state = work.measure(dict.fromkeys(bundle.layout.control, 0))
         round_probs.append(p)
-        cumulative.append(1.0 - remaining * (1.0 - p))
-        remaining *= 1.0 - p
-        if sampling:
-            if rng.random() < p:
-                system_state = success_state.extract_system()
-                break
-        else:
-            # a branch of round-off weight is noise: a success branch is
-            # not taken, a failure branch ends the rounds, and no round
-            # reads the last round's re-measurement
-            if p >= ROUND_OFF and system_state is None:
-                system_state = success_state.extract_system()
-            if 1.0 - p < ROUND_OFF or rounds_used == max_rounds:
-                break
+        if rng.random() < p:
+            system_state = success_state.extract_system()
+            break
         if failure_state is None:
             break
-        # re-prepare, re-measure in the walk eigenbasis, and retry
+        # re-prepare, re-measure with an estimation round, and retry
         failure_state.apply_circuit(bundle.prepare)
-        if sampling:
-            _, _, posterior = pe_step(
-                failure_state, bundle.controlled_walk, mode="sample", rng=rng
-            )
-            current = posterior
-        else:
-            projected = _eigenspace_projection(failure_state.vec, bundle)
-            current = QuantumState(bundle.layout, projected)
-    return ProjectionResult(
-        system_state,
-        len(round_probs),
-        system_state is not None,
-        tuple(round_probs),
-        tuple(cumulative),
-    )
+        current = pe_step(failure_state, bundle.controlled_walk, mode="sample", rng=rng)[2]
+    return _projection_result(system_state, round_probs)
+
+
+def _project_row(state: QuantumState, bundle: WalkBundle, max_rounds: int) -> ProjectionResult:
+    """Analysis-mode `project_to_eigenstate` on a compact row of the plane
+    subspace.  A round unprepares a copy of the row: the vacuum key's block
+    weighs the success and, normalized, is the system state it returns;
+    the rest, normalized, is the failure branch."""
+    space = plane_subspace(bundle)
+    row = np.zeros((1, len(space.reach) + 1), dtype=state.vec.dtype)
+    np.take(state.vec, space.reach, out=row[0, :-1])
+    if state.norm**2 - _norm(row) ** 2 > ROUND_OFF:
+        raise ValueError("the state has weight off the basis states its planes reach")
+    vacuum = space.positions(np.arange(1 << bundle.n_system))
+    round_probs, system_state = [], None
+    for rounds in range(1, max_rounds + 1):
+        work = apply_in_subspace(bundle.prepare_dagger, row.copy(), space)[0]
+        block = work[vacuum]
+        p = _norm(block) ** 2
+        round_probs.append(p)
+        # a branch of round-off weight is noise: a success branch is not
+        # taken, a failure branch ends the rounds, and no round reads the
+        # last round's re-measurement
+        if p >= ROUND_OFF and system_state is None:
+            system_state = block / _norm(block)
+        if 1.0 - p < ROUND_OFF or rounds == max_rounds:
+            break
+        work[vacuum] = 0.0
+        row = _eigenspace_projection(work / math.sqrt(1.0 - p), bundle)[None]
+    return _projection_result(system_state, round_probs)
 
 
 # --- observable recovery ------------------------------------------------------
@@ -368,23 +390,33 @@ def recover_expectation(measured: float, e_k: float, gamma_sigma: float) -> floa
     return measured / scale
 
 
+def _expectation(blocks: np.ndarray, sigma: PauliString) -> float:
+    """<v|sigma|v> for the vector v of `blocks`, with sigma on its last
+    axis: a system vector, or the (keys, 2**n_system) system blocks of a
+    compact row, on each of which sigma acts alike."""
+    if sigma.phase_exp % 2:
+        raise ValueError(f"expectation of a non-Hermitian word: {sigma.label()}")
+    return float(np.vdot(blocks, apply_pauli(blocks, sigma)).real)
+
+
 def verify_observable_recovery(bundle: WalkBundle, sigmas) -> list[dict]:
     """For every (sigma, eigenstate, sign): compare the recovered expectation
     against the direct eigenvector expectation.
 
     Returns one record per case with status 'pass', 'fail', or
     'invalid-precondition' (boundary energy or vanishing scale), so coverage
-    is total even where the formula does not apply.
+    is total even where the formula does not apply.  Each walk eigenstate
+    is a compact row of its block, and sigma acts on every key's system
+    block of it (`_expectation`).
     """
     # one bucket of records per sigma, so the blocks stream once and the
     # records still come sigma-major
     cases = [(sigma, gamma(sigma, bundle.rescaled), []) for sigma in sigmas]
     for k, block in enumerate(invariant_blocks(bundle)):
+        vecs = _walk_eigenvectors(block)
         for sigma, g, records in cases:
-            direct = float(
-                np.vdot(block.system_vector, apply_pauli(block.system_vector, sigma)).real
-            )
-            for sign, vec in (("+", block.phi_plus), ("-", block.phi_minus)):
+            direct = _expectation(block.system_vector, sigma)
+            for sign, vec in zip("+-", vecs):
                 rec = {
                     "sigma": sigma.label(),
                     "k": k,
@@ -397,8 +429,7 @@ def verify_observable_recovery(bundle: WalkBundle, sigmas) -> list[dict]:
                     rec.update(status="invalid-precondition", reason="boundary energy")
                     records.append(rec)
                     break  # one record per one-dimensional block
-                walk_state = QuantumState(bundle.layout, vec.copy())
-                measured = walk_state.expectation(sigma)
+                measured = _expectation(vec[:-1].reshape(-1, 1 << bundle.n_system), sigma)
                 rec["measured"] = measured
                 try:
                     recovered = recover_expectation(measured, block.energy, g)
@@ -588,7 +619,7 @@ def _ground_branch(state_vec, bundle: WalkBundle):
     ground = itertools.takewhile(
         lambda b: b.energy <= first.energy + GROUND_TOL, itertools.chain((first,), blocks)
     )
-    p, proj = _project(state_vec, (vec for b in ground for vec in b.rows))
+    p, proj = _project(state_vec, ((vec, vec) for b in ground for vec in b.rows))
     if p <= 0.0:
         raise ValueError("the state has no weight on the ground branch")
     return p, proj / math.sqrt(p), first.energy

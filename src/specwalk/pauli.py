@@ -222,41 +222,55 @@ def view_action(
     return tuple(signs), tuple(flips), coef
 
 
+def _negate(src: np.ndarray, out: np.ndarray) -> None:
+    """out = -src exactly.  numpy 2.4's float64 `negative` misreads an
+    input of stride 64 bytes, so real floats are multiplied by -1.0; a
+    complex multiply could flip a zero's sign, so complex ones negate."""
+    if np.iscomplexobj(out):
+        np.negative(src, out=out)
+    else:
+        np.multiply(src, -1.0, out=out)
+
+
 def apply_view_action(view: np.ndarray, action) -> None:
     """Apply a `view_action` result to `view` in place.
 
-    Only copies and sign flips touch the floats, never a complex multiply,
-    so every float of the result is exactly + or - an input float, signed
-    zeros included, and runs of these actions compose exactly.  A real view
-    refuses an odd power of i with ValueError before it changes any float.
+    Only copies and sign flips (`_negate`) touch the floats, never a
+    complex multiply, so every float of the result is exactly + or - an
+    input float, signed zeros included, and runs of these actions compose
+    exactly.  A real view refuses an odd power of i with ValueError before
+    it changes any float.
     """
     signs, flips, coef = action
     if coef.imag and not np.iscomplexobj(view):
         raise ValueError("a real state cannot take an imaginary Pauli word")
     for idx in signs:
         part = view[idx]
-        np.negative(part, out=part)
+        _negate(part, part)
     # numpy buffers the overlapping reversed view before writing back
     src = np.flip(view, flips) if flips else view
     if coef == -1:
-        np.negative(src, out=view)
+        _negate(src, view)
     elif coef == 1j:  # i (a + bi) = -b + ai
         src = src.copy()
-        np.negative(src.imag, out=view.real)
+        _negate(src.imag, view.real)
         view.imag[...] = src.real
     elif coef == -1j:  # -i (a + bi) = b - ai
         src = src.copy()
         view.real[...] = src.imag
-        np.negative(src.real, out=view.imag)
+        _negate(src.real, view.imag)
     elif flips:
         view[...] = src
 
 
 def apply_pauli(vec: np.ndarray, p: PauliString) -> np.ndarray:
-    """Return p @ vec for a state vector of length 2**n, without the matrix."""
+    """Return p @ v, as complex, for each vector v of length 2**n on the
+    last axis of `vec`: one state, or a stack of system blocks such as the
+    (keys, 2**n) view of a compact row.  No matrix is built."""
     n = p.n_qubits
-    if vec.shape != (1 << n,):
+    if vec.shape[-1:] != (1 << n,):
         raise PauliWidthError(f"vector length {vec.shape} does not match 2**{n}")
     out = np.array(vec, dtype=complex)
-    apply_view_action(out.reshape((2,) * n), view_action(p, tuple(-1 - q for q in range(n))))
+    view = out.reshape(vec.shape[:-1] + (2,) * n)
+    apply_view_action(view, view_action(p, tuple(-1 - q for q in range(n))))
     return out

@@ -27,7 +27,7 @@ by basic indexing, so no gate copies or transposes the whole vector:
 - a gate's Pauli word (PAULI, TOFFOLI and MCZ records carry one) negates
   the slice where each Z axis reads 1, reverses its X axes with `np.flip`
   and applies its scalar power of i by negation and a real/imaginary swap
-  (`pauli.view_action`, shared with `expectation` and `pauli.apply_pauli`),
+  (`pauli.view_action`, shared with `pauli.apply_pauli`),
   so every sign, the walk's word -I included, comes from one function;
 - CSWAP exchanges the |10> and |01> slices of its two qubits;
 - H, ROT, each non-zero MROT angle and FANOUT mix two slices by a real
@@ -132,7 +132,7 @@ from .circuits import (
     Gate,
     RegisterLayout,
 )
-from .pauli import PauliString, apply_view_action, view_action
+from .pauli import apply_view_action, view_action
 
 SIMULATION_QUBIT_CAP = 22
 UNITARY_QUBIT_CAP = 12
@@ -414,13 +414,6 @@ class Subspace:
         low = states & ((1 << self.bits) - 1)
         return np.where(at < len(self.keys), at << self.bits | low, len(self.reach))
 
-    def expand(self, rows: np.ndarray) -> np.ndarray:
-        """Compact rows as full-register vectors."""
-        check_rows(1 << self.total)
-        out = np.zeros(rows.shape[:-1] + (1 << self.total,), dtype=rows.dtype)
-        out[..., self.reach] = rows[..., : len(self.reach)]
-        return out
-
 
 @lru_cache(maxsize=1)
 def _register(total: int) -> Subspace:
@@ -520,24 +513,6 @@ class QuantumState:
         whole register."""
         apply_in_subspace(circuit, self.vec.reshape(1, -1), _register(self.layout.total_qubits))
         return self
-
-    # --- observables ----------------------------------------------------------
-    def expectation(self, sigma: PauliString) -> float:
-        """<state| sigma |state> with sigma acting on the system register.
-        Real for +-1 signs; the imaginary residue is checked."""
-        targets = self.layout.system
-        if sigma.n_qubits != len(targets):
-            raise ValueError("operator width does not match the target register")
-        if sigma.phase_exp % 2:
-            raise ValueError(f"expectation of a non-Hermitian word: {sigma.label()}")
-        total = self.layout.total_qubits
-        shifted = self.vec.astype(complex)  # a real state's sigma may be imaginary
-        axes = tuple(-1 - q for q in targets)
-        apply_view_action(shifted.reshape((2,) * total), view_action(sigma, axes))
-        val = np.vdot(self.vec, shifted)
-        if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-            raise ValueError(f"expectation of a non-Hermitian word: {val}")
-        return float(val.real)
 
     # --- measurement --------------------------------------------------------
     def measure(self, bits: dict[int, int]):

@@ -1,9 +1,12 @@
 """Shared fixtures and independent oracles.
 
 The kron-based builders here deliberately do not use the package's matrix
-export, so matrix comparisons check two separate code paths.
+export, so matrix comparisons check two separate code paths.  `expand`
+turns a block's compact rows into vectors of the whole register, which the
+package itself never builds, so tests can run them gate by gate.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -118,6 +121,26 @@ def walk_on(rescaled, encoding, has_pe_qubit):
     names = ("prepare", "prepare_dagger", "select", "reflect", "walk")
     remade = {name: Circuit(narrow, getattr(bundle, name).gates) for name in names}
     return dataclasses.replace(bundle, layout=narrow, controlled_walk=None, **remade)
+
+
+def expand(block, rows=None) -> np.ndarray:
+    """Compact rows of the block's subspace, by default the block's own
+    phi0 and phi1, as vectors of the whole register."""
+    space = block.space
+    rows = block.rows if rows is None else rows
+    out = np.zeros(rows.shape[:-1] + (1 << space.total,), dtype=rows.dtype)
+    out[..., space.reach] = rows[..., : len(space.reach)]
+    return out
+
+
+def walk_eigenvector(block, sign="+") -> np.ndarray:
+    """(phi0 + i phi1)/sqrt(2) or, with `sign` "-", (phi0 - i phi1)/sqrt(2)
+    of the block as a vector of the whole register; phi0 on the boundary."""
+    if block.is_boundary:
+        return expand(block, block.rows[0])
+    phi0, phi1 = block.rows
+    row = phi0 + 1j * phi1 if sign == "+" else phi0 - 1j * phi1
+    return expand(block, row / math.sqrt(2))
 
 
 @pytest.fixture(scope="session")

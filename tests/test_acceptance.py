@@ -43,7 +43,7 @@ from specwalk.measurement import (
 from specwalk.simulator import QuantumState
 from specwalk.cli import main as cli_main
 
-from conftest import random_lcu
+from conftest import random_lcu, walk_eigenvector
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -114,8 +114,8 @@ def test_criterion_03_pe_statistics(lattice_bundles, half_identity_x):
     worst = 0.0
     for bundle in lattice_bundles.values():
         for block in invariant_blocks(bundle):
-            for vec in (block.phi_plus, block.phi_minus):
-                state = QuantumState(bundle.layout, vec.copy())
+            for sign in "+-":
+                state = QuantumState(bundle.layout, walk_eigenvector(block, sign))
                 p_plus, _, _ = pe_step(state, bundle.controlled_walk)
                 worst = max(worst, abs(p_plus - 0.5 * (1 + block.energy)))
     analysis_ok = worst < 1e-10
@@ -127,7 +127,7 @@ def test_criterion_03_pe_statistics(lattice_bundles, half_identity_x):
     bound = 5 * math.sqrt(p * (1 - p) / shots)
     covered = 0
     for seed in range(100):
-        state = QuantumState(bundle.layout, block.phi_plus.copy())
+        state = QuantumState(bundle.layout, walk_eigenvector(block, "+"))
         record = estimate_energy(state, bundle.controlled_walk, shots, seed)
         p_hat = (1 + record.estimate) / 2
         covered += abs(p_hat - p) <= bound
@@ -149,7 +149,7 @@ def test_criterion_04_projection(lattice_bundles):
         for block in blocks:
             if block.is_boundary:
                 continue
-            state = QuantumState(bundle.layout, block.phi_minus.copy())
+            state = QuantumState(bundle.layout, walk_eigenvector(block, "-"))
             res = project_to_eigenstate(state, bundle, max_rounds=3)
             worst_prob = max(worst_prob, abs(res.round_probs[0] - 0.5))
             for ell, cum in enumerate(res.cumulative_success, start=1):

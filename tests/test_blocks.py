@@ -8,8 +8,8 @@ must fail.
 
 The planes are float64 exactly when the encoded operator and the walk are
 real; a word with an odd number of Ys keeps them complex.  They are stored
-on the basis states the walk can reach, and read as full-register vectors
-that equal the planes built on the whole register bit for bit.  They are
+on the basis states the walk can reach, and expanded over the register
+they equal the planes built on the whole register bit for bit.  They are
 built and walked in batches, which change no bit of the phase report.
 """
 import cmath
@@ -26,7 +26,7 @@ from specwalk.circuits import PAULI, Circuit
 from specwalk.simulator import QuantumState
 from specwalk.walk_core import build_walk, dressed_state
 
-from conftest import walk_on
+from conftest import expand, walk_on
 
 ROUNDOFF = 1e-9
 FAILED = 1e-6
@@ -62,7 +62,7 @@ def test_a_walk_missing_a_select_gate_fails_the_closure(bundle):
 @pytest.mark.parametrize("model", [tfim(4, 0.7, 1.3, "periodic"), long_range_ising(4, 1.0, 2.0)])
 def test_real_models_run_real_planes(model, encoding):
     bundle = build_walk(normalize(model), encoding)
-    assert {block.plane.dtype for block in invariant_blocks(bundle)} == {np.dtype(np.float64)}
+    assert {block.rows.dtype for block in invariant_blocks(bundle)} == {np.dtype(np.float64)}
     report = walk_eigenphases(bundle)
     assert report.max_error < ROUNDOFF and report.closure_error < ROUNDOFF
 
@@ -71,7 +71,7 @@ def test_real_models_run_real_planes(model, encoding):
 def test_an_odd_y_word_keeps_complex_planes(odd_y_model, encoding):
     bundle = build_walk(normalize(odd_y_model), encoding)
     assert not bundle.select.is_real
-    assert {block.plane.dtype for block in invariant_blocks(bundle)} == {np.dtype(complex)}
+    assert {block.rows.dtype for block in invariant_blocks(bundle)} == {np.dtype(complex)}
     report = walk_eigenphases(bundle)
     assert report.max_error < ROUNDOFF and report.closure_error < ROUNDOFF
 
@@ -105,20 +105,18 @@ def _dense_plane(bundle, block):
 def test_compact_planes_read_as_the_whole_register_planes(
     suite_models, odd_y_model, model, encoding, has_pe_qubit
 ):
-    """`plane`, `phi0` and `phi1` expand the compact rows into vectors that
-    equal the planes built on the whole register bit for bit, signed zeros
-    at the reach states included."""
+    """The compact rows, expanded over the register, equal the planes built
+    on the whole register bit for bit, signed zeros at the reach states
+    included."""
     h = odd_y_model if model == "odd_y" else suite_models[model]
     bundle = walk_on(normalize(h, "auto"), encoding, has_pe_qubit)
     reach = plane_subspace(bundle).reach
     for block in invariant_blocks(bundle):
         want = _dense_plane(bundle, block)
-        got = block.plane
+        got = expand(block)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         for part in (np.real, np.imag):
             assert np.array_equal(np.signbit(part(got[:, reach])), np.signbit(part(want[:, reach])))
-        assert np.array_equal(block.phi0, want[0])
-        assert block.is_boundary or np.array_equal(block.phi1, want[1])
 
 
 @pytest.mark.parametrize("encoding", ["binary", "unary", "hybrid"])

@@ -645,6 +645,22 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, make_args, named):
     assert named in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["resources", "--n", "3", "--cost-b", "-1e308"],
+     ["zeno", "--mode", "analyze", "--n", "3", "--g", "-1e-1"],
+     ["spectrum", "--model", "tfim", "--n", "3", "--J", "-2E0"]],
+    ids=["cost-b", "g", "J"],
+)
+def test_a_negative_float_in_exponent_form_is_an_option_value(argv):
+    """argparse reads only forms such as -1 and -0.1 as negative numbers
+    unless told otherwise; a negative number in exponent form after an
+    option is its value, as it is in the `--option=value` form."""
+    code, out = run_cli(argv)
+    assert code == 0
+    assert (code, out) == run_cli([*argv[:-2], f"{argv[-2]}={argv[-1]}"])
+
+
 def test_render_refuses_non_finite_json():
     from specwalk.cli import render
 

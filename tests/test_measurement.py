@@ -14,7 +14,7 @@ from specwalk import (
     normalize,
     tfim,
 )
-from specwalk.blocks import invariant_blocks
+from specwalk.blocks import invariant_blocks, plane_subspace
 from specwalk.circuits import RegisterLayout
 from specwalk.hamiltonian import interpolate, product_state
 from specwalk.measurement import (
@@ -33,10 +33,10 @@ from specwalk.measurement import (
     verify_observable_recovery,
     zeno_prepare,
 )
-from specwalk.simulator import QuantumState, make_rng
+from specwalk.simulator import QuantumState, apply_in_subspace, make_rng
 from specwalk.walk_core import build_walk
 
-from conftest import dense_oracle
+from conftest import dense_oracle, expand, walk_eigenvector
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,7 @@ def tfim3_bundle():
 
 
 def eigenstate(bundle, block, sign="+"):
-    vec = block.phi_plus if sign == "+" else block.phi_minus
-    return QuantumState(bundle.layout, vec.copy())
+    return QuantumState(bundle.layout, walk_eigenvector(block, sign))
 
 
 # --- estimation statistics -----------------------------------------------------
@@ -64,7 +63,7 @@ def test_pe_step_probabilities_on_eigenstates(tfim3_bundle):
             p_plus, post_plus, post_minus = pe_step(state, bundle.controlled_walk)
             assert abs(p_plus - 0.5 * (1 + block.energy)) < 1e-10
             # eigenstates are fixed points of the step
-            ref = block.phi_plus if sign == "+" else block.phi_minus
+            ref = walk_eigenvector(block, sign)
             for post in (post_plus, post_minus):
                 if post is not None:
                     overlap = abs(np.vdot(ref, post.vec))
@@ -79,7 +78,7 @@ def test_pe_step_extreme_energies(half_identity_x):
     p_plus, _, _ = pe_step(state, bundle.controlled_walk)
     assert abs(p_plus - 0.5) < 1e-12
     top = [b for b in blocks if b.energy > 1 - 1e-9][0]
-    state = QuantumState(bundle.layout, top.phi0.copy())
+    state = QuantumState(bundle.layout, expand(top, top.rows[0]))
     p_plus, _, _ = pe_step(state, bundle.controlled_walk)
     assert abs(p_plus - 1.0) < 1e-10
 
@@ -95,7 +94,7 @@ def test_estimate_energy_exact_eigenvalue(half_identity_x):
     bundle = binary_walk(half_identity_x)
     blocks = invariant_blocks(bundle)
     top = [b for b in blocks if b.energy > 1 - 1e-9][0]
-    state = QuantumState(bundle.layout, top.phi0.copy())
+    state = QuantumState(bundle.layout, expand(top, top.rows[0]))
     record = estimate_energy(state, bundle.controlled_walk, shots=64, seed=5)
     assert record.estimate == 1.0
     assert record.half_width == 0.0
@@ -135,8 +134,8 @@ def test_estimate_energy_flags_mixtures(tfim3_bundle):
     flagged = 0
     eigen_flagged = 0
     for seed in range(8):
-        mix = (lo.phi_plus + hi.phi_plus) / math.sqrt(2)
-        state = QuantumState(bundle.layout, mix.copy())
+        mix = (walk_eigenvector(lo) + walk_eigenvector(hi)) / math.sqrt(2)
+        state = QuantumState(bundle.layout, mix)
         rec = estimate_energy(state, bundle.controlled_walk, 300, seed=seed)
         flagged += rec.non_eigenstate
         state2 = eigenstate(bundle, lo)
@@ -236,7 +235,7 @@ def test_projection_recovers_eigenvector(tfim3_bundle):
 def test_projection_identity_on_dressed_state(tfim3_bundle):
     # the unprepared phi0 has its control register exactly in vacuum
     bundle, blocks = tfim3_bundle
-    state = QuantumState(bundle.layout, blocks[0].phi0.copy())
+    state = QuantumState(bundle.layout, expand(blocks[0], blocks[0].rows[0]))
     state.apply_circuit(bundle.prepare_dagger)
     p, succ, _ = state.measure(dict.fromkeys(bundle.layout.control, 0))
     assert abs(p - 1.0) < 1e-10
@@ -246,18 +245,22 @@ def test_projection_of_a_real_state_equals_that_of_its_complex_copy(tfim3_bundle
     # phi1 leaves the control vacuum under unprepare, so round 1 fails and
     # the real failure branch is re-measured in the complex walk eigenbasis
     bundle, blocks = tfim3_bundle
+    space = plane_subspace(bundle)
     for block in blocks:
         if block.is_boundary:
             continue
-        assert block.phi1.dtype == np.float64
+        phi1 = expand(block, block.rows[1])
+        assert phi1.dtype == np.float64
         real, copy = (
             project_to_eigenstate(QuantumState(bundle.layout, vec), bundle, max_rounds=3)
-            for vec in (block.phi1.copy(), block.phi1.astype(complex))
+            for vec in (phi1, phi1.astype(complex))
         )
         assert real.round_probs[0] < 1e-12 and real.rounds == copy.rounds == 3
         assert real.round_probs == copy.round_probs
-        projected = _eigenspace_projection(block.phi1.copy(), bundle)
-        assert np.array_equal(projected, _eigenspace_projection(block.phi1.astype(complex), bundle))
+        # the failure row whose re-preparation is phi1
+        failure = apply_in_subspace(bundle.prepare_dagger, block.rows[1:].copy(), space)[0]
+        projected = _eigenspace_projection(failure, bundle)
+        assert np.array_equal(projected, _eigenspace_projection(failure.astype(complex), bundle))
 
 
 @pytest.mark.parametrize("encoding", ["binary", "unary"])
@@ -268,7 +271,8 @@ def test_projection_from_phi1_takes_no_success_branch_of_round_off_weight(encodi
     for block in invariant_blocks(bundle):
         if block.is_boundary:
             continue
-        for vec in (block.phi1.copy(), block.phi1.astype(complex)):
+        phi1 = expand(block, block.rows[1])
+        for vec in (phi1, phi1.astype(complex)):
             res = project_to_eigenstate(QuantumState(bundle.layout, vec), bundle, max_rounds=3)
             assert res.success
             fidelity = abs(np.vdot(res.system_state, block.system_vector)) ** 2
@@ -282,10 +286,47 @@ def test_projection_of_every_dressed_eigenstate_ends_in_one_round(n, encoding):
     # failure branch of pure round-off, which must not be followed
     bundle = build_walk(normalize(tfim(n, 1.0, 0.7)), encoding)
     for block in invariant_blocks(bundle):
-        res = project_to_eigenstate(QuantumState(bundle.layout, block.phi0.copy()), bundle, 3)
+        state = QuantumState(bundle.layout, expand(block, block.rows[0]))
+        res = project_to_eigenstate(state, bundle, 3)
         assert res.success and res.rounds == 1
         assert res.round_probs[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(res.system_state, block.system_vector)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_analysis_projection_runs_on_plane_rows():
+    """Unary TFIM n=5 with g != J is 18 qubits, a complex register vector of
+    4 MiB, and its planes reach 2,848 states: projecting a walk eigenstate
+    takes its exact 1/2 rounds and returns the system eigenvector without a
+    vector of the register beyond the input."""
+    bundle = build_walk(normalize(tfim(5, 1.0, 0.7)), "unary")
+    assert bundle.layout.total_qubits == 18
+    block = [b for b in invariant_blocks(bundle) if not b.is_boundary][3]
+    state = QuantumState(bundle.layout, walk_eigenvector(block, "-"))
+    tracemalloc.start()
+    try:
+        res = project_to_eigenstate(state, bundle, max_rounds=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.success and res.rounds == 3
+    assert all(abs(p - 0.5) < 1e-10 for p in res.round_probs)
+    assert abs(np.vdot(res.system_state, block.system_vector)) ** 2 >= 1 - 1e-9
+    assert peak < state.vec.nbytes
+
+
+def test_analysis_projection_refuses_weight_off_the_planes(tfim3_bundle):
+    """Weight at a state the planes never reach, or at a reached state off
+    the planes' own keys, is refused before any round."""
+    bundle, blocks = tfim3_bundle
+    space = plane_subspace(bundle)
+    block = [b for b in blocks if not b.is_boundary][0]
+    off_reach = int(np.setdiff1d(np.arange(1 << bundle.layout.total_qubits), space.reach)[0])
+    off_support = int(space.reach[np.flatnonzero(space.outside[:-1])[0]])
+    for label, message in ((off_reach, "weight off"), (off_support, "outside the support")):
+        vec = walk_eigenvector(block)
+        vec[label] = 1e-3
+        with pytest.raises(ValueError, match=message):
+            project_to_eigenstate(QuantumState(bundle.layout, vec), bundle, max_rounds=3)
 
 
 def test_projection_sampled(tfim3_bundle):
@@ -389,6 +430,25 @@ def test_recovery_with_a_vanishing_scale_is_an_invalid_precondition():
     records = verify_observable_recovery(bundle, [PauliString.from_label("Y")])
     assert len(records) == 4
     assert all(rec["status"] == "pass" for rec in records)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_observable_recovery_runs_on_plane_rows_past_the_register_cap(n):
+    """Unary TFIM n=6 and n=7 are 23 and 24 qubits, past rows of 2**22
+    amplitudes, but their planes reach 9,664 and 19,328 states: every
+    record passes, and the run holds no vector of the register."""
+    bundle = build_walk(normalize(tfim(n, 1.0, 0.7)), "unary")
+    sigmas = [PauliString.single(n, 0, "Z"), PauliString.single(n, n // 2, "X"),
+              PauliString.from_label("ZZ" + "I" * (n - 2))]
+    tracemalloc.start()
+    try:
+        records = verify_observable_recovery(bundle, sigmas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 3 * 2 * (1 << n)
+    assert all(rec["status"] == "pass" for rec in records)
+    assert peak < 16 * 2**20
 
 
 def test_recovery_full_coverage_tfim2():

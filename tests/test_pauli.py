@@ -129,6 +129,22 @@ def test_apply_pauli_matches_matrix():
         apply_pauli(np.ones(4, dtype=complex), P("XYZ"))
 
 
+def test_apply_pauli_acts_on_each_block_of_a_stack():
+    """A stack of system blocks, such as the (keys, 2**n) view of a compact
+    row, takes the word on every block, as a register whose system is the
+    low qubits does."""
+    rng = np.random.default_rng(6)
+    blocks = rng.normal(size=(5, 2, 8)) + 1j * rng.normal(size=(5, 2, 8))
+    for p in map(P, ("XYZ", "-iZIY", "IIX")):
+        got = apply_pauli(blocks, p)
+        assert got.shape == blocks.shape
+        for key in np.ndindex(blocks.shape[:-1]):
+            assert np.array_equal(got[key], apply_pauli(blocks[key], p))
+        assert np.allclose(got, blocks @ to_matrix(p).T, atol=1e-12)
+    with pytest.raises(PauliWidthError):
+        apply_pauli(np.ones((3, 4), dtype=complex), P("XYZ"))
+
+
 def test_phase_validation():
     s = PauliString(2, 1, 2, 7)  # phase exponent normalizes mod 4
     assert s.phase_exp == 3

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specwalk.census import GateCensus
 from specwalk.circuits import Circuit, Gate, RegisterLayout, distinct_rotation_count
+from specwalk.measurement import _expectation
 from specwalk.pauli import PauliString
 from specwalk.simulator import QuantumState, circuit_unitary, make_rng
 
@@ -115,11 +116,13 @@ def test_controlled_pauli_sign():
 def test_expectation_values():
     layout = plain_layout(1)
     zero = QuantumState.zero_state(layout)
-    assert zero.expectation(PauliString.from_label("Z")) == pytest.approx(1.0, abs=1e-14)
+    assert _expectation(zero.vec, PauliString.from_label("Z")) == pytest.approx(1.0, abs=1e-14)
     plus = QuantumState.zero_state(layout)
     plus.apply(Gate.h(0))
-    assert plus.expectation(PauliString.from_label("Z")) == pytest.approx(0.0, abs=1e-14)
-    assert plus.expectation(PauliString.from_label("X")) == pytest.approx(1.0, abs=1e-14)
+    assert _expectation(plus.vec, PauliString.from_label("Z")) == pytest.approx(0.0, abs=1e-14)
+    assert _expectation(plus.vec, PauliString.from_label("X")) == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        _expectation(plus.vec, PauliString.from_label("iX"))
 
 
 def test_measure_analyze_and_determinism():
@@ -300,7 +303,7 @@ def test_expectation_against_eigenvector_oracle():
     state = QuantumState(plain_layout(3), ground)
     zz = PauliString.from_label("ZZI")
     direct = float(np.vdot(ground, sw.to_matrix(zz) @ ground).real)
-    assert state.expectation(zz) == pytest.approx(direct, abs=1e-12)
+    assert _expectation(state.vec, zz) == pytest.approx(direct, abs=1e-12)
 
 
 def test_empty_circuit_census_is_zero():
@@ -504,6 +507,18 @@ def test_gates_fixing_every_axis_still_write(n, gate):
     """Slices that fix every axis of the register must still be written."""
     vec = np.arange(1, (1 << n) + 1) * np.exp(0.3j * np.arange(1 << n))
     _check_against_reference(gate, n, vec / np.linalg.norm(vec))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_a_real_sign_flip_is_exact_at_a_stride_of_64_bytes(n):
+    """An MCZ on qubits 0, 1 and 2 negates a slice of stride 8 amplitudes,
+    64 bytes on a real state, which numpy 2.4's float64 `negative` misreads;
+    the real pass negates exactly the amplitudes whose three low bits are
+    set."""
+    vec = np.arange(1.0, (1 << n) + 1)
+    want = np.where(np.arange(1 << n) & 7 == 7, -vec, vec)
+    state = QuantumState(plain_layout(n), vec.copy()).apply(Gate.mcz((0, 1, 2)))
+    assert np.array_equal(state.vec, want)
 
 
 @given(st.data())
@@ -757,7 +772,8 @@ def test_a_real_state_refuses_an_imaginary_pauli_word():
     assert np.array_equal(state.apply(yy).vec, complex_state.vec.real)
     for label in ("YZI", "XYZ", "ZZX"):
         word = PauliString.from_label(label)
-        assert state.expectation(word) == pytest.approx(complex_state.expectation(word), abs=1e-15)
+        want = _expectation(complex_state.vec, word)
+        assert _expectation(state.vec, word) == pytest.approx(want, abs=1e-15)
 
 
 def test_a_circuit_runs_on_either_dtype_in_turn():
@@ -953,6 +969,62 @@ def test_a_pass_on_stacked_rows_equals_one_pass_per_row(
         for got, want in zip(stacked, single):
             apply_in_subspace(circuit, want, space)
             _assert_same_bits(got, want[0])
+
+
+def _keeps_passengers(gate, bits):
+    """The gate writes no qubit from `bits` up while it reads one below: its
+    reads are its controls, and CSWAP's and FANOUT's pair too; a gate with
+    a Pauli word writes the word's X qubits, any other gate its qubits."""
+    reads = gate.controls + (gate.qubits if gate.kind in ("cswap", "fanout") else ())
+    writes = gate.qubits
+    if gate.pauli is not None:
+        writes = [q for i, q in enumerate(gate.qubits) if gate.pauli.x_bits >> i & 1]
+    return all(q < bits for q in writes) or all(q >= bits for q in reads)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_compact_passes_on_random_keys_equal_gate_by_gate(data):
+    """Random circuits of every gate kind, zero and nonzero angles included,
+    that keep the qubits below `bits` passengers, run on a compact row of a
+    subspace of random start keys: every value at a reach state equals the
+    gate-by-gate pass over the register (only a zero may differ in sign),
+    and that pass is zero outside reach, in float64 and complex128."""
+    from specwalk.simulator import Subspace, apply_in_subspace
+
+    draw = data.draw
+    total = draw(st.integers(3, 7))
+    bits = draw(st.integers(1, total - 1))
+    dtype = draw(st.sampled_from((float, complex)))
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        gate = _draw_gate(tuple(_BUILDERS), total, draw)
+        real = gate.pauli is None or gate.pauli.is_real
+        if _keeps_passengers(gate, bits) and (real or dtype is complex):
+            gates.append(gate)
+    layout = plain_layout(total)
+    circuit = Circuit(layout, gates)
+    keys = draw(st.lists(st.integers(0, (1 << (total - bits)) - 1), min_size=1, max_size=4,
+                         unique=True))
+    space = Subspace(total, bits, keys, [circuit])
+    vec = _draw_state(total, draw)
+    vec = vec.real.copy() if dtype is float else vec
+    dense = np.zeros_like(vec)
+    support = space.reach[~space.outside[:-1]]
+    dense[support] = vec[support]
+    assume(np.linalg.norm(dense) > 0)
+    dense /= np.linalg.norm(dense)
+    row = np.zeros((1, len(space.reach) + 1), dtype=dtype)
+    row[0, :-1] = dense[space.reach]
+    apply_in_subspace(circuit, row, space)
+    stepwise = QuantumState(layout, dense)
+    for gate in gates:
+        stepwise.apply(gate)
+    want = stepwise.vec
+    assert np.array_equal(row[0, :-1], want[space.reach]) and row[0, -1] == 0
+    outside = np.ones(1 << total, dtype=bool)
+    outside[space.reach] = False
+    assert not want[outside].any()
 
 
 def test_a_row_nonzero_outside_its_plan_support_is_refused(suite_models):

@@ -12,7 +12,7 @@ from specwalk.pauli import PauliString, to_matrix
 from specwalk.simulator import QuantumState, circuit_unitary
 from specwalk.walk_core import dressed_state, encoded_dense
 
-from conftest import random_lcu
+from conftest import expand, random_lcu, walk_eigenvector
 
 
 def small_walk(h):
@@ -206,7 +206,7 @@ def blk_boundary(block):
 def test_basis_orthonormal_and_walk_confined(suite_models):
     r = normalize(suite_models["tfim3"])
     b = binary_walk(r)
-    basis = np.vstack([block.plane for block in invariant_blocks(b)])
+    basis = np.vstack([expand(block) for block in invariant_blocks(b)])
     gram = basis.conj() @ basis.T
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
     # W^m stays inside the subspace
@@ -251,7 +251,7 @@ def test_eigenstate_relation(suite_models):
     for block in invariant_blocks(b):
         if block.is_boundary:
             continue
-        for sign, vec in ((1, block.phi_plus), (-1, block.phi_minus)):
+        for sign, vec in ((1, walk_eigenvector(block, "+")), (-1, walk_eigenvector(block, "-"))):
             state = QuantumState(b.layout, vec.copy())
             state.apply_circuit(b.walk)
             expect = np.exp(1j * sign * block.theta) * vec
