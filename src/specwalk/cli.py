@@ -200,8 +200,11 @@ def build_model(cfg: argparse.Namespace) -> LcuHamiltonian:
 
 
 def run_spectrum(cfg: argparse.Namespace) -> tuple[dict, int]:
-    check_matrix_width(cfg.n)  # the oracle diagonalizes the encoded operator densely
+    # the oracle diagonalizes the encoded operator densely: a lattice model
+    # is refused before it is built, a file model as soon as it is read
+    check_matrix_width(cfg.n)
     h = build_model(cfg)
+    check_matrix_width(h.n_qubits)
     bundle = build_walk(normalize(h, "auto"), cfg.encoding)
     report = walk_eigenphases(bundle)
     rows = [

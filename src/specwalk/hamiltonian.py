@@ -1,6 +1,9 @@
 """Pauli-sum Hamiltonians: containers, rescaling, strength grouping, lattice
 model builders, interpolation, and dense diagonalization oracles.
 
+Two strengths are the same parameter exactly when they are equal floats;
+no tolerance merges nearby values.
+
 All containers are immutable.  Term index 0 is always the identity word with
 a non-negative coefficient; duplicate Pauli words are merged at construction.
 """
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString, PauliWidthError, dense_sum
-
-GROUP_TOL = 1e-12
 
 
 class HamiltonianFileError(ValueError):
@@ -161,27 +162,23 @@ def normalize(h: LcuHamiltonian, shift_policy: str = "auto") -> RescaledLcu:
 
 
 def group(rescaled: RescaledLcu) -> GroupedLcu:
-    """Group equal weights (relative tolerance GROUP_TOL) and pad each group
-    with identity members to the next power of two.
+    """Group the words of equal weight and pad each group with identity
+    members to the next power of two.
 
-    Padding draws its weight from the identity budget; raises if beta0_sq is
-    too small to cover it (never the case after an 'auto' shift).
+    Weights are equal only as floats, so each distinct value is one
+    register.  Groups keep the order in which their weights first appear,
+    and members keep their order.  Padding draws its weight from the
+    identity budget; raises if beta0_sq is too small to cover it (never the
+    case after an 'auto' shift).
     """
-    clusters: list[list[PauliString]] = []
-    strengths: list[float] = []
+    clusters: dict[float, list[PauliString]] = {}
     for w, p in rescaled.weights[1:]:
-        for i, s in enumerate(strengths):
-            if abs(w - s) <= GROUP_TOL * max(abs(w), abs(s)):
-                clusters[i].append(p)
-                break
-        else:
-            strengths.append(w)
-            clusters.append([p])
+        clusters.setdefault(w, []).append(p)
     groups = []
     offset = 1
     pad_weight = 0.0
     identity = PauliString.identity(rescaled.n_qubits)
-    for s, members in zip(strengths, clusters):
+    for s, members in clusters.items():
         n_real = len(members)
         n_padded = 1 << max(0, (n_real - 1).bit_length())
         pad_weight += s * (n_padded - n_real)

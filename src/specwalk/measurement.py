@@ -527,7 +527,6 @@ def zeno_prepare(
     psi = psi / np.linalg.norm(psi)
     _check_supplied_ground(model, psi)
     steps: list[ZenoStep] = []
-    success_probability = 1.0
     prev_ground = psi
     for g in schedule:
         h = interpolate(model, g)
@@ -562,7 +561,6 @@ def zeno_prepare(
             row = np.empty(len(space.reach) + 1, dtype=complex)
             dressed_state(bundle.branches, psi, row, space.positions)
             p_ground, posterior, e_bar = _ground_branch(row, bundle)
-            success_probability *= p_ground
             apply_in_subspace(bundle.prepare_dagger, posterior[None], space)
             psi_next = posterior[space.positions(np.arange(1 << bundle.n_system))]
             vacuum = np.linalg.norm(psi_next)
@@ -577,19 +575,8 @@ def zeno_prepare(
         psi = psi_next
         prev_ground = ground_vec
     final_fidelity = _ground_weight(psi, *eigensystem(interpolate(model, 1.0)))
-    if sampling:
-        success_probability = float(
-            np.prod([s.ground_probability for s in steps])
-        )
-    return ZenoTrace(
-        schedule,
-        mode,
-        encoding,
-        seed,
-        steps,
-        success_probability,
-        final_fidelity,
-    )
+    success_probability = math.prod(s.ground_probability for s in steps)
+    return ZenoTrace(schedule, mode, encoding, seed, steps, success_probability, final_fidelity)
 
 
 def _check_supplied_ground(model: InterpolatedModel, psi: np.ndarray) -> None:

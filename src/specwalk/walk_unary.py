@@ -91,7 +91,8 @@ def build_fanout(layout: RegisterLayout, head: int, size: int) -> Circuit:
 def build_prepare_unary(grouped: GroupedLcu, layout: RegisterLayout) -> Circuit:
     """Heads sqrt(N_k s_k) on each group's first qubit, then fanout trees."""
     heads = [math.sqrt(g.n_padded * g.strength_sq) for g in grouped.groups]
-    positions = [layout.control[g.offset - 1] for g in grouped.groups]
+    control = layout.control  # a fresh tuple of every control qubit on each read
+    positions = [control[g.offset - 1] for g in grouped.groups]
     fanouts = [
         gate
         for g, head in zip(grouped.groups, positions)
@@ -116,10 +117,11 @@ def build_select_v_unary(grouped: GroupedLcu, layout: RegisterLayout, pe_control
     Padded identity slots emit no gate.  The pe-conditioned variant upgrades
     each word to two controls (costed as an AND ladder)."""
     pe = (layout.pe_qubit,) if pe_control else ()
+    system, control = layout.system, layout.control
     return Circuit(
         layout,
         [
-            Gate.pauli_word(word, layout.system, pe + (layout.control[g.offset - 1 + slot],))
+            Gate.pauli_word(word, system, pe + (control[g.offset - 1 + slot],))
             for g in grouped.groups
             for slot, word in enumerate(g.members)
             if not (word.is_identity and word.phase == 1)
@@ -152,7 +154,8 @@ def _long_range_structure(rescaled: RescaledLcu, n_sites: int):
     """Validate a two-body ZZ chain and return per-distance (weight, sign).
 
     Requires every non-identity term to be a ZZ pair and all pairs at one
-    distance to share weight and sign.
+    distance to share weight and sign, the weights as equal floats: one
+    register per distance encodes each of its pairs at that weight.
     """
     per_distance: dict[int, tuple[float, int]] = {}
     seen_pairs = set()
@@ -162,12 +165,8 @@ def _long_range_structure(rescaled: RescaledLcu, n_sites: int):
         i, j_site = sorted(q for q in range(n_sites) if (p.z_bits >> q) & 1)
         k = j_site - i
         sign = 1 if p.phase_exp == 0 else -1
-        if k in per_distance:
-            w0, s0 = per_distance[k]
-            if abs(w0 - w) > 1e-12 or s0 != sign:
-                raise ValueError(f"couplings at distance {k} are not uniform")
-        else:
-            per_distance[k] = (w, sign)
+        if per_distance.setdefault(k, (w, sign)) != (w, sign):
+            raise ValueError(f"couplings at distance {k} are not uniform")
         seen_pairs.add((i, j_site))
     for k, (w, sign) in per_distance.items():
         for i in range(n_sites - k):

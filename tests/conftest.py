@@ -147,3 +147,13 @@ def walk_eigenvector(block, sign="+") -> np.ndarray:
 def random_models():
     rng = np.random.default_rng(20240811)
     return [random_lcu(rng) for _ in range(20)]
+
+
+def mixed_distance_chain() -> LcuHamiltonian:
+    """A 4-site ZZ chain coupled at 1e6 at distances 1 and 3, and at 1e-7
+    (Z0Z2) and 2e-7 (Z1Z3) at distance 2: rescaled, the two distance-2
+    weights lie about 1.25e-14 apart, yet one is twice the other."""
+    pairs = [(1e6, PauliString(4, 0, 0b11 << i)) for i in range(3)]
+    pairs += [(1e-7, PauliString(4, 0, 0b0101)), (2e-7, PauliString(4, 0, 0b1010))]
+    pairs.append((1e6, PauliString(4, 0, 0b1001)))
+    return LcuHamiltonian.from_terms(4, pairs)

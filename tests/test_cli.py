@@ -12,6 +12,8 @@ from specwalk.cli import main
 from specwalk.pauli import MATRIX_QUBIT_CAP
 from specwalk.simulator import SIMULATION_QUBIT_CAP
 
+from conftest import mixed_distance_chain
+
 
 def run_cli(args, tmp_path=None):
     """Invoke the entry point in-process, capturing stdout."""
@@ -396,6 +398,29 @@ def test_spectrum_above_the_matrix_cap_is_refused_before_building_its_walk(capsy
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("encoding", ["binary", "unary"])
+def test_a_file_model_above_the_matrix_cap_is_refused_before_building_its_walk(
+    tmp_path, capsys, monkeypatch, encoding
+):
+    # a file names its own width; --n, which it never reads, stays at 3
+    from specwalk import LcuHamiltonian, PauliString, cli, write_hamiltonian
+
+    n = MATRIX_QUBIT_CAP + 1
+    words = [(1.0, PauliString.single(n, 0, "Z")), (0.5, PauliString.single(n, n - 1, "X"))]
+    ham = tmp_path / "wide.json"
+    write_hamiltonian(LcuHamiltonian.from_terms(n, words), str(ham))
+
+    def no_walk(*_):
+        raise AssertionError("the walk was built")
+
+    monkeypatch.setattr(cli, "build_walk", no_walk)
+    argv = ["spectrum", "--model", "file", "--hamiltonian-file", str(ham), "--encoding", encoding]
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"{n} qubits exceeds the dense cap of {MATRIX_QUBIT_CAP}" in err
+
+
 def test_missing_hamiltonian_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     code, out = run_cli(["spectrum", "--model", "file", "--hamiltonian-file", str(missing)])
@@ -563,6 +588,20 @@ def test_hybrid_row_and_spectrum_for_an_eligible_file_model(tmp_path):
     spec = tmp_path / "spec.json"
     assert run_cli(["spectrum", *model, "--encoding", "hybrid", "--out", str(spec)])[0] == 0
     assert json.loads(spec.read_text())["pass"] is True
+
+
+def test_a_chain_whose_couplings_at_one_distance_differ_has_no_hybrid_walk(tmp_path, capsys):
+    from specwalk import write_hamiltonian
+
+    ham = tmp_path / "chain.json"
+    write_hamiltonian(mixed_distance_chain(), str(ham))
+    model = ["--model", "file", "--hamiltonian-file", str(ham)]
+    code, out = run_cli(["spectrum", *model, "--encoding", "hybrid"])
+    assert code == 2 and out == ""
+    assert "couplings at distance 2 are not uniform" in capsys.readouterr().err
+    code, out = run_cli(["resources", *model])
+    assert code == 0
+    assert [row["encoding"] for row in json.loads(out)["encoding_table"]] == ["binary", "unary"]
 
 
 def _config_file(tmp_path, text):

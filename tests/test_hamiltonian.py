@@ -1,4 +1,7 @@
 import json
+import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +154,75 @@ def test_group_is_partition(suite_models):
             p.label() for grp in g.groups for p in grp.members if not p.is_identity
         )
         assert real == sorted(p.label() for _, p in r.weights[1:])
+
+
+def test_group_splits_strengths_one_ulp_apart():
+    # the 1-norm after the shift is 2.0, so rescaling keeps the last bit
+    def grouped(b):
+        pairs = [(0.5, PauliString.from_label("XI")), (b, PauliString.from_label("IX"))]
+        return group(normalize(LcuHamiltonian.from_terms(2, pairs)))
+
+    equal, apart = grouped(0.5), grouped(math.nextafter(0.5, 1.0))
+    low, high = (grp.strength_sq for grp in apart.groups)
+    assert high == math.nextafter(low, 1.0)
+    assert apart.k_distinct == equal.k_distinct + 1 == 2
+
+
+def _tolerance_groups(rescaled):
+    """(strength, members) of each group under the relative-1e-12 rule
+    that exact equality replaced: a weight joins the first group whose
+    first weight lies within 1e-12 of it, relative to the larger."""
+    groups = []
+    for w, p in rescaled.weights[1:]:
+        for s, members in groups:
+            if abs(w - s) <= 1e-12 * max(abs(w), abs(s)):
+                members.append(p)
+                break
+        else:
+            groups.append((w, [p]))
+    return [(s, tuple(members)) for s, members in groups]
+
+
+def _command_line_models(rng):
+    """Seeded TFIM (open and periodic), long-range and Zeno interpolation
+    models, and every model file under tests/data."""
+    for n in range(2, 9):
+        for boundary in ("open", "periodic"):
+            g, j = rng.uniform(-2.0, 2.0, size=2)
+            for g_, j_ in ((g, j), (g, g), (g, -g), (1.0, 1.0)):
+                yield tfim(n, float(g_), float(j_), boundary)
+        yield long_range_ising(n, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.5, 3.0)))
+    for n in range(2, 7):
+        for boundary in ("open", "periodic"):
+            g, j = rng.uniform(-2.0, 2.0, size=2)
+            model = InterpolatedModel(tfim(n, -abs(g), 0.0, boundary), tfim(n, 0.0, j, boundary))
+            for steps in range(1, 9):
+                for step in range(steps):
+                    yield interpolate(model, (step + 1) / steps)
+    for path in sorted(Path(__file__).parent.joinpath("data").glob("*.json")):
+        if "n_qubits" in json.loads(path.read_text()):
+            yield read_hamiltonian(str(path))
+
+
+def test_exact_groups_equal_the_tolerance_groups_on_command_line_models():
+    # strengths and members in order fix every other field of a GroupedLcu
+    models = list(_command_line_models(np.random.default_rng(34)))
+    assert len(models) > 300
+    for h in models:
+        r = normalize(h)
+        exact = [(grp.strength_sq, grp.members[: grp.n_real]) for grp in group(r).groups]
+        assert exact == _tolerance_groups(r)
+
+
+def test_grouping_20000_distinct_strengths_takes_under_a_second():
+    n = 15
+    pairs = [(1.0 + j / 4096, PauliString(n, j + 1, 0)) for j in range(20000)]
+    r = normalize(LcuHamiltonian.from_terms(n, pairs))
+    start = time.perf_counter()
+    grouped = group(r)
+    elapsed = time.perf_counter() - start
+    assert grouped.k_distinct == 20000
+    assert elapsed < 1.0
 
 
 def test_group_padding_needs_identity_budget():

@@ -21,6 +21,8 @@ from specwalk.simulator import QuantumState
 from specwalk.walk_core import encoded_dense
 from specwalk.walk_unary import build_fanout, build_head_prep
 
+from conftest import mixed_distance_chain
+
 
 def make_unary(h):
     r = normalize(h)
@@ -265,6 +267,16 @@ def test_hybrid_rejects_non_power_of_two():
     r = normalize(long_range_ising(3, 1.0, 2.0))
     with pytest.raises(ValueError):
         hybrid_long_range_walk(r)
+
+
+def test_hybrid_refuses_couplings_that_differ_below_round_off_at_one_distance():
+    from specwalk.walk_core import build_walk
+
+    r = normalize(mixed_distance_chain())
+    w02, w13 = (w for w, p in r.weights[1:] if p.z_bits in (0b0101, 0b1010))
+    assert w13 == 2 * w02 and w13 - w02 < 1e-13
+    with pytest.raises(ValueError, match="couplings at distance 2 are not uniform"):
+        build_walk(r, "hybrid")
 
 
 def test_hybrid_rejects_non_ising():
